@@ -7,8 +7,11 @@ conjugations per call; instead each channel lazily caches its d^2 x d^2
 superoperator M = sum_i p_i U_i (x) conj(U_i) (row-major vec convention), so
 one application is a single matrix-vector product and a product channel
 N_A (x) N_B is applied factor-sequentially at cost n_A + n_B once, not
-n_A * n_B. The two code paths agree to machine precision and the tests pin
-the superoperator path against the brute-force double sum.
+n_A * n_B. M is built with one GEMM, C = sum_i p_i vec(U_i) vec(U_i)†,
+followed by an index realignment of C into M (the natural-representation
+reshuffle, Watrous, Theory of Quantum Information, §2.2): 8 n d^4 flops and
+O(n d^2 + d^4) memory, with no chunk bound. The tests pin M against the
+brute-force Kronecker sum and the product path against the double sum.
 """
 
 from __future__ import annotations
@@ -21,9 +24,6 @@ import numpy as np
 
 from . import linalg
 from .random import haar_unitaries, weyl_heisenberg_operators
-
-# Chunk bound for building superoperators: chunk * d^4 complex entries.
-_SUPEROP_CHUNK_ENTRIES = 1 << 21
 
 
 def required_n(d: int, epsilon: float) -> int:
@@ -57,9 +57,7 @@ class RandomUnitaryChannel:
             raise ValueError("probabilities must be nonnegative")
         if abs(p.sum() - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
-        dev = np.abs(
-            np.einsum("nji,njk->nik", u.conj(), u) - np.eye(self.dim)
-        ).max()
+        dev = np.abs(u.conj().transpose(0, 2, 1) @ u - np.eye(self.dim)).max()
         if dev > linalg.HERMITIAN_TOL:
             raise ValueError(f"Kraus element is not unitary: max |U†U - 1| = {dev:.3e}")
         object.__setattr__(self, "unitaries", u)
@@ -73,16 +71,9 @@ class RandomUnitaryChannel:
     def superoperator(self) -> np.ndarray:
         """sum_i p_i U_i (x) conj(U_i), acting on row-major vectorized states."""
         d = self.dim
-        m = np.zeros((d * d, d * d), dtype=complex)
-        chunk = max(1, _SUPEROP_CHUNK_ENTRIES // (d ** 4))
-        for start in range(0, self.n, chunk):
-            u = self.unitaries[start : start + chunk]
-            p = self.probs[start : start + chunk]
-            kron = (u[:, :, None, :, None] * u.conj()[:, None, :, None, :]).reshape(
-                u.shape[0], d * d, d * d
-            )
-            m += np.tensordot(p, kron, axes=1)
-        return m
+        a = self.unitaries.reshape(self.n, d * d)
+        c = (a.T * self.probs) @ a.conj()
+        return c.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 
 @dataclass(frozen=True)

@@ -126,6 +126,14 @@ class Metric:
     satisfied: bool | None = None
     asserted: bool = False
 
+    def to_dict(self) -> dict:
+        """Fields as JSON values: a non-finite value or bound becomes None (null)."""
+        out = asdict(self)
+        for key in ("value", "bound"):
+            if out[key] is not None and not math.isfinite(out[key]):
+                out[key] = None
+        return out
+
 
 @dataclass(frozen=True)
 class ResultRecord:
@@ -142,7 +150,7 @@ class ResultRecord:
         return {
             "command": self.command,
             "config": self.config,
-            "metrics": [asdict(m) for m in self.metrics],
+            "metrics": [m.to_dict() for m in self.metrics],
             "wall_time_ms": self.wall_time_ms,
             "version": self.version,
             "seed": self.seed,

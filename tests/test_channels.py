@@ -13,7 +13,12 @@ from aqss.channels import (
     required_n,
     sample_ruc,
 )
-from aqss.random import random_pure_state, stream, weyl_heisenberg_operators
+from aqss.random import (
+    haar_unitaries,
+    random_pure_state,
+    stream,
+    weyl_heisenberg_operators,
+)
 
 
 def identity_channel(d):
@@ -61,6 +66,25 @@ def test_single_unitary_channel_is_conjugation():
     rho = random_pure_state(4, rng)
     u = ch.unitaries[0]
     assert linalg.trace_norm(apply(ch, rho) - u @ rho @ u.conj().T) <= 1e-12
+
+
+@pytest.mark.parametrize("d,n", [(2, 1), (3, 7), (5, 50), (8, 200)])
+def test_superoperator_matches_brute_force_kron_sum(d, n):
+    # n-term oracle: sum_i p_i U_i (x) conj(U_i), with non-uniform weights.
+    rng = stream(47, d)
+    ch = RandomUnitaryChannel(
+        dim=d, unitaries=haar_unitaries(d, n, rng), probs=rng.dirichlet(np.ones(n))
+    )
+    brute = sum(p * np.kron(u, u.conj()) for p, u in zip(ch.probs, ch.unitaries))
+    assert np.abs(ch.superoperator - brute).max() <= 1e-13
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_perfect_pqc_superoperator_is_completely_depolarizing(d):
+    # |vec 1><vec 1| / d sends every rho to tr(rho) 1/d.
+    vec_one = np.eye(d).reshape(d * d)
+    expected = np.outer(vec_one, vec_one) / d
+    assert np.abs(perfect_pqc(d).superoperator - expected).max() <= 1e-13
 
 
 def test_apply_identity_channel():
@@ -239,3 +263,18 @@ def test_channel_validation():
         )
     with pytest.raises(ValueError):
         ChannelFamily(())
+
+
+def test_unitarity_check_sees_last_element():
+    n = 500
+    u = haar_unitaries(4, n, stream(48))
+    probs = np.full(n, 1.0 / n)
+
+    def perturb_last(delta):
+        bad = u.copy()
+        bad[-1, 0, 1] += delta
+        return bad
+
+    RandomUnitaryChannel(dim=4, unitaries=perturb_last(1e-13), probs=probs)
+    with pytest.raises(ValueError, match="not unitary"):
+        RandomUnitaryChannel(dim=4, unitaries=perturb_last(1e-8), probs=probs)

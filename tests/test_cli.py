@@ -4,7 +4,15 @@ import json
 
 import pytest
 
-from aqss.cli import CSV_COLUMNS, ResultRecord, build_parser, main
+from aqss.cli import (
+    CSV_COLUMNS,
+    Metric,
+    ResultRecord,
+    build_parser,
+    main,
+    render_csv,
+    render_json,
+)
 
 
 def run_cli(args, capsys):
@@ -126,6 +134,29 @@ def test_json_round_trip(capsys):
     _, out, _ = run_cli(["key-cost", "--d", "8", "--seed", "1"], capsys)
     parsed = ResultRecord.from_dict(json.loads(out))
     assert json.loads(out) == parsed.to_dict()
+
+
+def test_json_writes_non_finite_metric_values_as_null():
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    record = ResultRecord(
+        command="randomize",
+        config={"d": 2, "epsilon": 0.5, "n_resolved": 8, "trials": 1},
+        metrics=(
+            Metric(name="nan_value", value=float("nan"), bound=float("inf")),
+            Metric(name="finite", value=0.25, bound=0.5, satisfied=True),
+        ),
+        wall_time_ms=1.0,
+        version="test",
+        seed=1,
+    )
+    metrics = metrics_by_name(json.loads(render_json([record]), parse_constant=reject))
+    assert metrics["nan_value"]["value"] is None
+    assert metrics["nan_value"]["bound"] is None
+    assert metrics["finite"]["value"] == 0.25
+    assert metrics["finite"]["bound"] == 0.5
+    assert "randomize,2,0.5,8,8,1,1,nan_value,nan,inf," in render_csv([record])
 
 
 def test_determinism_modulo_wall_time(capsys):
