@@ -13,6 +13,7 @@ Exit codes: 0 when every asserted bound check passed, 1 when one failed,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -45,7 +46,7 @@ from .protocol import (
     interior_attack_bob,
     key_cost,
 )
-from .random import random_pure_state, stream
+from .random import _haar_vectors, random_pure_state, stream
 
 COMMANDS = (
     "randomize",
@@ -195,10 +196,8 @@ def _build_family(cfg: ExperimentConfig, rng: np.random.Generator) -> ChannelFam
 def _plaintext(cfg: ExperimentConfig, rng: np.random.Generator) -> np.ndarray:
     if cfg.m == 2:
         return analysis.draw_input(cfg.input_family, cfg.d, rng)
-    out = random_pure_state(cfg.d, rng)
-    for _ in range(cfg.m - 1):
-        out = np.kron(out, random_pure_state(cfg.d, rng))
-    return out
+    psi = _haar_vectors((cfg.d,) * cfg.m, 1, rng)[0]
+    return np.outer(psi, psi.conj())
 
 
 def _run_randomize(cfg: ExperimentConfig) -> list[Metric]:
@@ -475,18 +474,22 @@ def _validate(cfg: ExperimentConfig, parser: argparse.ArgumentParser) -> None:
         parser.error(f"{cfg.command} is bipartite; --m is fixed at 2")
 
 
-def _int_list(text: str) -> list[int]:
+def _comma_list(text: str, parse, what: str) -> list:
     try:
-        return [int(part) for part in text.split(",") if part != ""]
+        values = [parse(part) for part in text.split(",") if part != ""]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+        values = []
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected comma-separated {what}, got {text!r}")
+    return values
+
+
+def _int_list(text: str) -> list[int]:
+    return _comma_list(text, int, "integers")
 
 
 def _float_list(text: str) -> list[float]:
-    try:
-        return [float(part) for part in text.split(",") if part != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+    return _comma_list(text, float, "numbers")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -620,13 +623,23 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"aqss: refused: {exc}", file=sys.stderr)
         return 3
 
-    records = [run(cfg) for cfg in grid]
-    text = render_csv(records) if args.format == "csv" else render_json(records)
-    if args.output is not None:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    # Open the output before the first grid point runs, so a bad path costs nothing.
+    try:
+        sink = (
+            contextlib.nullcontext(sys.stdout)
+            if args.output is None
+            else open(args.output, "w", encoding="utf-8")
+        )
+    except OSError as exc:
+        print(
+            f"aqss: error: cannot write --output {args.output!r}: {exc.strerror}",
+            file=sys.stderr,
+        )
+        return 2
+
+    with sink as fh:
+        records = [run(cfg) for cfg in grid]
+        fh.write(render_csv(records) if args.format == "csv" else render_json(records))
     return 0 if all(r.all_asserted_satisfied for r in records) else 1
 
 

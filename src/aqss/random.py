@@ -84,15 +84,42 @@ def weyl_heisenberg_operators(d: int) -> np.ndarray:
     return ops
 
 
+def _haar_vectors(dims: tuple[int, ...], k: int, rng: np.random.Generator) -> np.ndarray:
+    """k independent product vectors with Haar-random factors, shape (k, prod(dims)).
+
+    Each factor of dimension d is the first column of a Haar unitary, which
+    after the phase fix in :func:`haar_unitaries` is exactly the normalized
+    first column z_0/|z_0| of its Ginibre draw, so no QR is needed. The full
+    d x d block of normals is still drawn (real parts, then imaginary parts,
+    factor by factor, term by term), in one ``standard_normal`` call, so the
+    generator stream and its position match the QR path draw for draw. An
+    all-zero first column has probability zero and is not resampled.
+    """
+    if min(dims) < 1:
+        raise ValueError(f"dimension must be positive, got {min(dims)}")
+    g = rng.standard_normal((k, 2 * sum(d * d for d in dims)))
+    psi = np.ones((k, 1), dtype=complex)
+    start = 0
+    for d in dims:
+        # Column 0 of a row-major d x d block is every d-th entry.
+        block = g[:, start : start + 2 * d * d]
+        z = block[:, : d * d : d] + 1j * block[:, d * d :: d]
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        psi = (psi[:, :, None] * z[:, None, :]).reshape(k, -1)
+        start += 2 * d * d
+    return psi
+
+
 def random_pure_state(d: int, rng: np.random.Generator) -> np.ndarray:
     """|psi><psi| for a Haar-random unit vector (first column of a Haar unitary)."""
-    psi = haar_unitary(d, rng)[:, 0]
+    psi = _haar_vectors((d,), 1, rng)[0]
     return np.outer(psi, psi.conj())
 
 
 def random_product_pure_state(da: int, db: int, rng: np.random.Generator) -> np.ndarray:
     """Tensor product of two independent Haar-random pure states."""
-    return np.kron(random_pure_state(da, rng), random_pure_state(db, rng))
+    psi = _haar_vectors((da, db), 1, rng)[0]
+    return np.outer(psi, psi.conj())
 
 
 def random_separable_state(
@@ -101,12 +128,11 @@ def random_separable_state(
     """Convex mixture of k_terms random product pure states.
 
     Mixture weights are uniform on the simplex (flat Dirichlet); the factors
-    of each term are independent Haar-random pure states.
+    of each term are independent Haar-random pure states. The mixture
+    sum_t w_t |psi_t><psi_t| is one matrix product.
     """
     if k_terms < 1:
         raise ValueError(f"need at least one mixture term, got {k_terms}")
     weights = rng.dirichlet(np.ones(k_terms))
-    rho = np.zeros((da * db, da * db), dtype=complex)
-    for p in weights:
-        rho += p * random_product_pure_state(da, db, rng)
-    return rho
+    psi = _haar_vectors((da, db), k_terms, rng)
+    return (psi.T * weights) @ psi.conj()

@@ -7,8 +7,8 @@ derived from it at desk-scale channel sizes. The identity drops the
 same-channel-index cross terms and holds only for n >> d; at d=4 with n in
 the tens the exact mean purity is (d+n_A-1)(d+n_B-1)/(n_A n_B d^2), far
 outside the asserted window, and the trace-distance mean sits well above
-d/sqrt(n_A n_B) (each single-channel output alone is at distance
-~sqrt(d(d-1)/n) and partial-trace contractivity forces the joint distance
+d/sqrt(n_A n_B) (each single-channel output alone is at distance of order
+sqrt((d-1)/n) and partial-trace contractivity forces the joint distance
 above that). Both checks are kept exactly as stated and fail honestly;
 the measured values are in the failure messages.
 """
@@ -137,8 +137,8 @@ def test_criterion_04_expectation_bound():
     assert check.satisfied, (
         f"mean trace distance {stats.mean:.5f} exceeds d/sqrt(n_A n_B) = "
         f"{check.bound:.5f}; a single channel output alone sits at distance "
-        f"~sqrt(d(d-1)/n) = {math.sqrt(4 * 3 / 64):.3f} and the joint distance "
-        f"cannot drop below it"
+        f"~sqrt((d-1)/n) = {math.sqrt(3 / 64):.3f} and the joint distance "
+        f"cannot drop below the single-channel one"
     )
 
 

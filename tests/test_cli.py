@@ -1,9 +1,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import aqss
+from aqss import cli
 from aqss.cli import (
     CSV_COLUMNS,
     Metric,
@@ -109,6 +115,43 @@ def test_usage_error_exit_code(capsys):
     assert rc == 2
     rc, _, _ = run_cli(["multiparty", "--d", "2", "--m", "2", "--seed", "1"], capsys)
     assert rc == 2
+
+
+@pytest.mark.parametrize("flag", ["--d", "--n", "--trials", "--epsilon"])
+def test_empty_comma_list_is_usage_error(flag, capsys):
+    args = ["bound-sweep", "--d", "2", "--trials", "10", "--seed", "1"]
+    rc, out, err = run_cli(args + [flag, ","], capsys)
+    assert rc == 2
+    assert out == ""
+    assert f"argument {flag}: expected comma-separated" in err
+
+
+def test_unwritable_output_is_usage_error_before_any_run(capsys, monkeypatch, tmp_path):
+    def refuse(cfg):
+        raise AssertionError("a grid point ran despite the unwritable output")
+
+    monkeypatch.setattr(cli, "run", refuse)
+    out_path = tmp_path / "missing-dir" / "x.json"
+    rc, out, err = run_cli(
+        ["key-cost", "--d", "2,4", "--seed", "1", "--output", str(out_path)], capsys
+    )
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("aqss: error: cannot write --output")
+    assert "Traceback" not in err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(aqss.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "aqss", "key-cost", "--d", "8", "--seed", "1"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["config"]["n_resolved"] == 4800
 
 
 def test_resource_guard_exit_code(capsys):

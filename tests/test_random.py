@@ -156,3 +156,62 @@ def test_random_separable_single_term_is_product_pure():
 def test_random_separable_rejects_zero_terms():
     with pytest.raises(ValueError):
         random_separable_state(2, 2, 0, stream(48))
+
+
+# QR references: the first column of a full Haar unitary, and the term-by-term
+# mixture of Kronecker products. They are the oracle for the Ginibre-column
+# samplers, for the states and for the generator stream position after a draw.
+def _qr_pure_state(d, rng):
+    psi = haar_unitary(d, rng)[:, 0]
+    return np.outer(psi, psi.conj())
+
+
+def _qr_product_pure_state(da, db, rng):
+    return np.kron(_qr_pure_state(da, rng), _qr_pure_state(db, rng))
+
+
+def _qr_separable_state(da, db, k_terms, rng):
+    weights = rng.dirichlet(np.ones(k_terms))
+    rho = np.zeros((da * db, da * db), dtype=complex)
+    for p in weights:
+        rho += p * _qr_product_pure_state(da, db, rng)
+    return rho
+
+
+def _assert_matches_qr_reference(fast, reference, seed):
+    rng_fast, rng_ref = stream(seed), stream(seed)
+    assert np.abs(fast(rng_fast) - reference(rng_ref)).max() <= 1e-14
+    # Same number of normals drawn: the next draw of both streams agrees.
+    assert np.array_equal(rng_fast.standard_normal(8), rng_ref.standard_normal(8))
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 16])
+def test_random_pure_state_matches_qr_reference(d):
+    _assert_matches_qr_reference(
+        lambda rng: random_pure_state(d, rng),
+        lambda rng: _qr_pure_state(d, rng),
+        seed=500 + d,
+    )
+
+
+@pytest.mark.parametrize("da, db", [(2, 3), (4, 4)])
+def test_random_product_pure_state_matches_qr_reference(da, db):
+    _assert_matches_qr_reference(
+        lambda rng: random_product_pure_state(da, db, rng),
+        lambda rng: _qr_product_pure_state(da, db, rng),
+        seed=600 + da * db,
+    )
+
+
+@pytest.mark.parametrize("da, db, k", [(2, 3, 4), (4, 4, 4)])
+def test_random_separable_state_matches_qr_reference(da, db, k):
+    _assert_matches_qr_reference(
+        lambda rng: random_separable_state(da, db, k, rng),
+        lambda rng: _qr_separable_state(da, db, k, rng),
+        seed=700 + da * db,
+    )
+
+
+def test_random_pure_state_rejects_bad_dim():
+    with pytest.raises(ValueError):
+        random_pure_state(0, stream(49))
