@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,9 @@ from aqss.channels import (
     ChannelFamily,
     RandomUnitaryChannel,
     apply,
+    apply_at,
     apply_product,
+    conjugate_subsystem,
     decode_with_key,
     epsilon_randomizing_distance,
     perfect_pqc,
@@ -174,6 +178,42 @@ def test_apply_product_dimension_mismatch():
     fam = ChannelFamily((identity_channel(2), identity_channel(2)))
     with pytest.raises(ValueError):
         apply_product(fam, np.eye(6) / 6)
+
+
+def embed(u, dims, k):
+    """1 (x) ... (x) U (x) ... (x) 1 with U on factor k."""
+    out = np.eye(1)
+    for j, d in enumerate(dims):
+        out = np.kron(out, u if j == k else np.eye(d))
+    return out
+
+
+@pytest.mark.parametrize(
+    "dims,k", [((2, 3, 4), k) for k in range(3)] + [((3, 3, 3), k) for k in range(3)]
+)
+def test_subsystem_kernel_matches_brute_force(dims, k):
+    # A generic complex matrix pins the whole linear map, not just its action
+    # on states; the references are the full Kronecker conjugation and the
+    # explicit Kraus sum.
+    rng = stream(49, 10 * sum(dims) + k)
+    total = math.prod(dims)
+    x = rng.standard_normal((total, total)) + 1j * rng.standard_normal((total, total))
+    ch = RandomUnitaryChannel(
+        dim=dims[k], unitaries=haar_unitaries(dims[k], 3, rng), probs=np.array([0.5, 0.3, 0.2])
+    )
+    u = ch.unitaries[0]
+    w = embed(u, dims, k)
+    assert np.abs(conjugate_subsystem(x, dims, k, u) - w @ x @ w.conj().T).max() <= 1e-12
+    kraus = sum(
+        p * embed(v, dims, k) @ x @ embed(v, dims, k).conj().T
+        for p, v in zip(ch.probs, ch.unitaries)
+    )
+    assert np.abs(apply_at(ch, x, dims, k) - kraus).max() <= 1e-12
+    wrong = np.eye(total + 1) / (total + 1)
+    with pytest.raises(ValueError):
+        conjugate_subsystem(wrong, dims, k, u)
+    with pytest.raises(ValueError):
+        apply_at(ch, wrong, dims, k)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])

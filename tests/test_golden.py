@@ -1,0 +1,56 @@
+"""Golden outputs of the seven README example commands.
+
+``data/golden_readme.json`` holds, for each command, the exit code and every
+metric it reported (name, value, bound, satisfied and, for JSON output,
+asserted) when this test was added. A refactor must reproduce them: names,
+flags and exit codes exactly, values to 1e-12 * max(1, |v|). Wall time is
+not compared.
+"""
+
+import csv
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from aqss.cli import main
+
+GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "golden_readme.json").read_text(encoding="utf-8")
+)
+VALUE_TOL = 1e-12
+
+
+def output_metrics(out):
+    """Every metric of a CLI output, in order; CSV rows carry no asserted flag."""
+    if out.startswith("command,"):
+        flags = {"true": True, "false": False, "": None}
+        return [
+            {
+                "name": row["metric"],
+                "value": float(row["value"]),
+                "bound": float(row["bound"]) if row["bound"] else None,
+                "satisfied": flags[row["satisfied"]],
+            }
+            for row in csv.DictReader(io.StringIO(out))
+        ]
+    payload = json.loads(out)
+    records = payload if isinstance(payload, list) else [payload]
+    return [m for record in records for m in record["metrics"]]
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda case: case["argv"][0])
+def test_readme_example_matches_golden(case, capsys):
+    rc = main(case["argv"])
+    got = output_metrics(capsys.readouterr().out)
+    assert rc == case["exit_code"]
+    assert [m["name"] for m in got] == [m["name"] for m in case["metrics"]]
+    for have, want in zip(got, case["metrics"]):
+        for key in ("value", "bound"):
+            a, b = have[key], want[key]
+            assert (a is None) == (b is None), (have["name"], key)
+            if b is not None:
+                assert abs(a - b) <= VALUE_TOL * max(1.0, abs(b)), (have["name"], key, a, b)
+        for key in ("satisfied", "asserted"):
+            assert have.get(key) == want.get(key), (have["name"], key)
