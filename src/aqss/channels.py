@@ -10,8 +10,11 @@ N_A (x) N_B is applied factor-sequentially at cost n_A + n_B once, not
 n_A * n_B. M is built with one GEMM, C = sum_i p_i vec(U_i) vec(U_i)†,
 followed by an index realignment of C into M (the natural-representation
 reshuffle, Watrous, Theory of Quantum Information, §2.2): 8 n d^4 flops and
-O(n d^2 + d^4) memory, with no chunk bound. The tests pin M against the
-brute-force Kronecker sum and the product path against the double sum.
+O(n d^2 + d^4) memory, with no chunk bound. A single key conjugation
+U rho U† is the one-Kraus superoperator U (x) conj(U), so it runs on the
+same subsystem kernel. The tests pin M against the brute-force Kronecker
+sum, the product path against the double sum, and the subsystem kernel
+against the full Kronecker conjugation.
 """
 
 from __future__ import annotations
@@ -92,10 +95,6 @@ class ChannelFamily:
     def dims(self) -> tuple[int, ...]:
         return tuple(part.dim for part in self.parts)
 
-    @property
-    def total_dim(self) -> int:
-        return math.prod(self.dims)
-
 
 def sample_ruc(d: int, n: int, rng: np.random.Generator) -> RandomUnitaryChannel:
     """Channel with n i.i.d. Haar unitaries and uniform weights 1/n."""
@@ -121,6 +120,10 @@ def _apply_superop_at(
     d_left = math.prod(dims[:subsystem])
     d_right = math.prod(dims[subsystem + 1 :])
     total = d_left * d * d_right
+    if rho.shape[0] != total:
+        raise ValueError(
+            f"state dimension {rho.shape[0]} does not match subsystem dims {dims}"
+        )
     t = rho.reshape(d_left, d, d_right, d_left, d, d_right)
     t = t.transpose(1, 4, 0, 2, 3, 5).reshape(d * d, -1)
     t = m @ t
@@ -131,21 +134,8 @@ def _apply_superop_at(
 def conjugate_subsystem(
     rho: np.ndarray, dims: tuple[int, ...], subsystem: int, u: np.ndarray
 ) -> np.ndarray:
-    """(1 (x) ... (x) U (x) ... (x) 1) rho (...)† without the full Kronecker product."""
-    dims = tuple(dims)
-    d = dims[subsystem]
-    d_left = math.prod(dims[:subsystem])
-    d_right = math.prod(dims[subsystem + 1 :])
-    total = d_left * d * d_right
-    if rho.shape[0] != total:
-        raise ValueError(
-            f"state dimension {rho.shape[0]} does not match subsystem dims {dims}"
-        )
-    if u.shape != (d, d):
-        raise ValueError(f"unitary shape {u.shape} does not match subsystem dim {d}")
-    t = rho.reshape(d_left, d, d_right, d_left, d, d_right)
-    t = np.einsum("ij,ajbcme,lm->aibcle", u, t, u.conj(), optimize=True)
-    return np.ascontiguousarray(t.reshape(total, total))
+    """(1 (x) ... (x) U (x) ... (x) 1) rho (...)†: the one-Kraus superoperator U (x) conj(U)."""
+    return _apply_superop_at(np.kron(u, u.conj()), rho, dims, subsystem)
 
 
 def apply(channel: RandomUnitaryChannel, rho: np.ndarray) -> np.ndarray:
@@ -172,10 +162,6 @@ def apply_at(
         raise ValueError(
             f"channel dimension {channel.dim} does not match factor {subsystem} of {dims}"
         )
-    if rho.shape[0] != math.prod(dims):
-        raise ValueError(
-            f"state dimension {rho.shape[0]} does not match subsystem dims {dims}"
-        )
     return _apply_superop_at(channel.superoperator, rho, dims, subsystem)
 
 
@@ -187,10 +173,6 @@ def apply_product(family: ChannelFamily, rho: np.ndarray) -> np.ndarray:
     at cost sum_k n_k conjugations instead of prod_k n_k.
     """
     dims = family.dims
-    if rho.shape[0] != family.total_dim:
-        raise ValueError(
-            f"state dimension {rho.shape[0]} does not match family dims {dims}"
-        )
     out = rho
     for k, part in enumerate(family.parts):
         out = _apply_superop_at(part.superoperator, out, dims, k)
@@ -202,17 +184,3 @@ def apply_product(family: ChannelFamily, rho: np.ndarray) -> np.ndarray:
 def epsilon_randomizing_distance(channel: RandomUnitaryChannel, rho: np.ndarray) -> float:
     """Trace distance of the channel output from the maximally mixed state."""
     return linalg.trace_norm(apply(channel, rho) - linalg.maximally_mixed(channel.dim))
-
-
-def decode_with_key(
-    channel: RandomUnitaryChannel, key_index: int, state: np.ndarray
-) -> np.ndarray:
-    """Invert a single-key encoding: U_key† state U_key."""
-    if not 0 <= key_index < channel.n:
-        raise ValueError(f"key index {key_index} out of range [0, {channel.n})")
-    if state.shape != (channel.dim, channel.dim):
-        raise ValueError(
-            f"state shape {state.shape} does not match channel dimension {channel.dim}"
-        )
-    u = channel.unitaries[key_index]
-    return u.conj().T @ state @ u

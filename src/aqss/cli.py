@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import sys
@@ -26,13 +27,12 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__, analysis, linalg, protocol
+from .analysis import BoundCheck
 from .channels import (
     ChannelFamily,
-    RandomUnitaryChannel,
     apply_product,
     epsilon_randomizing_distance,
     perfect_pqc,
-    required_n,
     sample_ruc,
 )
 from .protocol import (
@@ -47,16 +47,6 @@ from .protocol import (
     key_cost,
 )
 from .random import _haar_vectors, random_pure_state, stream
-
-COMMANDS = (
-    "randomize",
-    "aqss-demo",
-    "bound-sweep",
-    "purity-check",
-    "key-cost",
-    "locc-test",
-    "multiparty",
-)
 
 MAX_N = 100_000
 
@@ -93,18 +83,20 @@ class ExperimentConfig:
     input_family: str
     m: int
     seed: int
-    output_format: str
-    output_path: str | None
     perfect: bool
 
     @property
     def n(self) -> int:
-        """Unitaries per channel: the override, or the sized default."""
-        if self.perfect:
-            return self.d * self.d
-        if self.n_override is not None:
-            return self.n_override
-        return required_n(self.d, self.epsilon)
+        """Unitaries per channel: d^2 for the exact channel, else the override or
+        the sized default."""
+        return self.d * self.d if self.perfect else self.protocol.resolved_n
+
+    @property
+    def protocol(self) -> ProtocolConfig:
+        """The protocol parameters; building them validates d, epsilon, m and --n."""
+        return ProtocolConfig(
+            d=self.d, epsilon=self.epsilon, parties=self.m, n_per_channel=self.n_override
+        )
 
     def to_dict(self) -> dict:
         out = asdict(self)
@@ -157,40 +149,22 @@ class ResultRecord:
             "seed": self.seed,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ResultRecord":
-        return cls(
-            command=data["command"],
-            config=dict(data["config"]),
-            metrics=tuple(Metric(**m) for m in data["metrics"]),
-            wall_time_ms=data["wall_time_ms"],
-            version=data["version"],
-            seed=data["seed"],
-        )
-
     @property
     def all_asserted_satisfied(self) -> bool:
         return all(m.satisfied for m in self.metrics if m.asserted)
 
 
-def _bound_metric(name: str, value: float, bound: float, asserted: bool) -> Metric:
-    return Metric(
-        name=name,
-        value=float(value),
-        bound=float(bound),
-        satisfied=bool(value <= bound + analysis.BOUND_SLACK),
-        asserted=asserted,
-    )
+def _checked(name: str, check: BoundCheck, asserted: bool) -> Metric:
+    return Metric(name, check.observed, check.bound, check.satisfied, asserted)
 
 
-def _build_channel(cfg: ExperimentConfig, rng: np.random.Generator) -> RandomUnitaryChannel:
-    if cfg.perfect:
-        return perfect_pqc(cfg.d)
-    return sample_ruc(cfg.d, cfg.n, rng)
+def _channel_factory(cfg: ExperimentConfig) -> analysis.ChannelFactory:
+    return (lambda d, n, rng: perfect_pqc(d)) if cfg.perfect else sample_ruc
 
 
 def _build_family(cfg: ExperimentConfig, rng: np.random.Generator) -> ChannelFamily:
-    return ChannelFamily(tuple(_build_channel(cfg, rng) for _ in range(cfg.m)))
+    factory = _channel_factory(cfg)
+    return ChannelFamily(tuple(factory(cfg.d, cfg.n, rng) for _ in range(cfg.m)))
 
 
 def _plaintext(cfg: ExperimentConfig, rng: np.random.Generator) -> np.ndarray:
@@ -200,8 +174,16 @@ def _plaintext(cfg: ExperimentConfig, rng: np.random.Generator) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
+def _randomized(name: str, distance: float, cfg: ExperimentConfig, exact_tol: float) -> Metric:
+    """Distance from the maximally mixed target, asserted to exact_tol for the
+    exact channels. A sampled draw is expected, not guaranteed, to land within
+    epsilon; its flag reports the draw without failing the run."""
+    bound = exact_tol if cfg.perfect else cfg.epsilon
+    return _checked(name, BoundCheck.compare(distance, bound), asserted=cfg.perfect)
+
+
 def _run_randomize(cfg: ExperimentConfig) -> list[Metric]:
-    channel = _build_channel(cfg, stream(cfg.seed, _CLI_STREAM_BASE))
+    channel = _channel_factory(cfg)(cfg.d, cfg.n, stream(cfg.seed, _CLI_STREAM_BASE))
     probes = [
         random_pure_state(cfg.d, stream(cfg.seed, _CLI_STREAM_BASE + 1 + i))
         for i in range(cfg.trials)
@@ -216,15 +198,8 @@ def _run_randomize(cfg: ExperimentConfig) -> list[Metric]:
         )
     )
     distances = [epsilon_randomizing_distance(channel, rho) for rho in probes]
-    # A random draw of the sized channel is expected, not guaranteed, to land
-    # within epsilon; the flag reports the draw without failing the run.
     return [
-        _bound_metric(
-            "max_randomizing_distance",
-            max(distances),
-            TWIRL_TOL if cfg.perfect else cfg.epsilon,
-            asserted=cfg.perfect,
-        ),
+        _randomized("max_randomizing_distance", max(distances), cfg, TWIRL_TOL),
         Metric(name="mean_randomizing_distance", value=float(np.mean(distances))),
         Metric(name="n_unitaries", value=float(channel.n)),
     ]
@@ -261,25 +236,16 @@ def _run_aqss_demo(cfg: ExperimentConfig) -> list[Metric]:
         _, alice = interior_attack_bob(session)
         interior = max(interior, linalg.trace_norm(alice - linalg.maximally_mixed(d)))
     return [
-        _bound_metric("round_trip_distance_max", round_trip, EXACT_TOL, asserted=True),
-        _bound_metric(
-            "exterior_distance_max",
-            exterior,
-            EXACT_TOL if cfg.perfect else cfg.epsilon,
-            asserted=cfg.perfect,
+        _checked(
+            "round_trip_distance_max", BoundCheck.compare(round_trip, EXACT_TOL), asserted=True
         ),
+        _randomized("exterior_distance_max", exterior, cfg, EXACT_TOL),
         Metric(name="exterior_entropy_deficit_max_bits", value=deficit),
-        _bound_metric(
-            "interior_alice_distance_max",
-            interior,
-            TWIRL_TOL if cfg.perfect else cfg.epsilon,
-            asserted=cfg.perfect,
-        ),
+        _randomized("interior_alice_distance_max", interior, cfg, TWIRL_TOL),
     ]
 
 
 def _run_bound_sweep(cfg: ExperimentConfig) -> list[Metric]:
-    factory = (lambda d, n, rng: perfect_pqc(d)) if cfg.perfect else sample_ruc
     stats, check = analysis.mc_expected_trace_distance(
         cfg.d,
         cfg.n,
@@ -287,39 +253,25 @@ def _run_bound_sweep(cfg: ExperimentConfig) -> list[Metric]:
         cfg.input_family,
         cfg.trials,
         cfg.seed,
-        channel_factory=factory,
+        channel_factory=_channel_factory(cfg),
     )
-    jensen = analysis.jensen_chain_check(stats)
     return [
-        Metric(
-            name="mean_trace_distance",
-            value=stats.mean,
-            bound=check.bound,
-            satisfied=check.satisfied,
-            # The target d/sqrt(n_A n_B) is stated for product pure inputs;
-            # the other families are measured, never asserted.
-            asserted=cfg.input_family == "product_pure",
-        ),
+        # The target d/sqrt(n_A n_B) is stated for product pure inputs;
+        # the other families are measured, never asserted.
+        _checked("mean_trace_distance", check, asserted=cfg.input_family == "product_pure"),
         Metric(name="stderr", value=stats.stderr),
-        _bound_metric("jensen_mean_vs_rms", jensen.observed, jensen.bound, asserted=True),
+        _checked("jensen_mean_vs_rms", analysis.jensen_chain_check(stats), asserted=True),
     ]
 
 
 def _run_purity_check(cfg: ExperimentConfig) -> list[Metric]:
-    factory = (lambda d, n, rng: perfect_pqc(d)) if cfg.perfect else sample_ruc
     stats, check = analysis.mc_purity(
-        cfg.d, cfg.n, cfg.n, cfg.trials, cfg.seed, channel_factory=factory
+        cfg.d, cfg.n, cfg.n, cfg.trials, cfg.seed, channel_factory=_channel_factory(cfg)
     )
     return [
         Metric(name="mean_purity", value=stats.mean),
         Metric(name="stderr", value=stats.stderr),
-        Metric(
-            name="purity_identity_deviation",
-            value=check.observed,
-            bound=check.bound,
-            satisfied=check.satisfied,
-            asserted=True,
-        ),
+        _checked("purity_identity_deviation", check, asserted=True),
         Metric(
             name="purity_identity_value",
             value=analysis.purity_second_moment(cfg.d, cfg.n, cfg.n),
@@ -328,11 +280,7 @@ def _run_purity_check(cfg: ExperimentConfig) -> list[Metric]:
 
 
 def _run_key_cost(cfg: ExperimentConfig) -> list[Metric]:
-    report = key_cost(
-        ProtocolConfig(
-            d=cfg.d, epsilon=cfg.epsilon, parties=cfg.m, n_per_channel=cfg.n_override
-        )
-    )
+    report = key_cost(cfg.protocol)
     return [
         Metric(name="perfect_bits", value=report.perfect_bits),
         Metric(name="approx_bits", value=report.approx_bits),
@@ -349,13 +297,8 @@ def _run_locc_test(cfg: ExperimentConfig) -> list[Metric]:
     worst = analysis.locc_distinguishability(view, mixed, dims, cfg.trials, cfg.seed)
     self_dist = analysis.locc_distinguishability(view, view, dims, cfg.trials, cfg.seed)
     return [
-        _bound_metric(
-            "locc_max_total_variation",
-            worst,
-            TWIRL_TOL if cfg.perfect else cfg.epsilon,
-            asserted=cfg.perfect,
-        ),
-        _bound_metric("locc_self_distance", self_dist, EXACT_TOL, asserted=True),
+        _randomized("locc_max_total_variation", worst, cfg, TWIRL_TOL),
+        _checked("locc_self_distance", BoundCheck.compare(self_dist, EXACT_TOL), asserted=True),
     ]
 
 
@@ -382,47 +325,53 @@ def _run_multiparty(cfg: ExperimentConfig) -> list[Metric]:
             marginal = linalg.partial_trace(joint, (d,) * m, keep=victim)
             collusion = max(collusion, linalg.trace_norm(marginal - single))
     return [
-        _bound_metric("round_trip_distance_max", round_trip, EXACT_TOL, asserted=True),
-        _bound_metric(
-            "exterior_distance_max",
-            exterior,
-            EXACT_TOL if cfg.perfect else cfg.epsilon,
-            asserted=cfg.perfect,
+        _checked(
+            "round_trip_distance_max", BoundCheck.compare(round_trip, EXACT_TOL), asserted=True
         ),
-        _bound_metric(
-            "collusion_victim_distance_max",
-            collusion,
-            TWIRL_TOL if cfg.perfect else cfg.epsilon,
-            asserted=cfg.perfect,
-        ),
+        _randomized("exterior_distance_max", exterior, cfg, EXACT_TOL),
+        _randomized("collusion_victim_distance_max", collusion, cfg, TWIRL_TOL),
     ]
 
 
-_RUNNERS = {
-    "randomize": _run_randomize,
-    "aqss-demo": _run_aqss_demo,
-    "bound-sweep": _run_bound_sweep,
-    "purity-check": _run_purity_check,
-    "key-cost": _run_key_cost,
-    "locc-test": _run_locc_test,
-    "multiparty": _run_multiparty,
+# name -> (runner, default --trials, help)
+COMMANDS = {
+    "randomize": (
+        _run_randomize, 20, "sample one channel and report its worst randomizing distance"
+    ),
+    "aqss-demo": (
+        _run_aqss_demo, 5,
+        "run the two-receiver protocol end to end and report security metrics",
+    ),
+    "bound-sweep": (
+        _run_bound_sweep, 100,
+        "Monte Carlo mean trace distance of product-channel outputs vs its target",
+    ),
+    "purity-check": (
+        _run_purity_check, 200, "Monte Carlo mean output purity vs the second-moment identity"
+    ),
+    "key-cost": (
+        _run_key_cost, 1, "secret-bit accounting of the exact vs approximate schemes"
+    ),
+    "locc-test": (
+        _run_locc_test, 50, "local-measurement distinguishability of the outsider's view"
+    ),
+    "multiparty": (
+        _run_multiparty, 3,
+        "m-receiver protocol round trip, exterior view and collusion margins",
+    ),
 }
 
-_DEFAULT_TRIALS = {
-    "randomize": 20,
-    "aqss-demo": 5,
-    "bound-sweep": 100,
-    "purity-check": 200,
-    "key-cost": 1,
-    "locc-test": 50,
-    "multiparty": 3,
-}
+# Commands that read --family and --m; no other command accepts them, so no
+# record reports an option the run ignored. Every command but key-cost reads
+# --perfect.
+_FAMILY_COMMANDS = ("aqss-demo", "bound-sweep", "locc-test")
+_RECEIVER_COMMANDS = ("multiparty", "key-cost")
 
 
 def run(cfg: ExperimentConfig) -> ResultRecord:
     """Execute one grid point and wrap the metrics in a self-describing record."""
     start = time.perf_counter()
-    metrics = _RUNNERS[cfg.command](cfg)
+    metrics = COMMANDS[cfg.command][0](cfg)
     wall_ms = (time.perf_counter() - start) * 1000.0
     return ResultRecord(
         command=cfg.command,
@@ -438,7 +387,7 @@ def _guard(cfg: ExperimentConfig) -> None:
     """Refuse grid points whose dense-matrix work exceeds desk scale."""
     if cfg.command == "key-cost":
         return  # pure arithmetic, any d is fine
-    joint = cfg.d**cfg.m if cfg.command in ("aqss-demo", "multiparty") else cfg.d * cfg.d
+    joint = cfg.d**cfg.m  # m is 2 for every command but multiparty
     if joint > protocol.MAX_JOINT_DIM:
         raise ResourceGuardError(
             f"joint dimension {joint} exceeds the guard "
@@ -449,29 +398,20 @@ def _guard(cfg: ExperimentConfig) -> None:
 
 
 def _validate(cfg: ExperimentConfig, parser: argparse.ArgumentParser) -> None:
-    if cfg.d < 2:
-        parser.error(f"--d must be >= 2, got {cfg.d}")
-    if not 0.0 < cfg.epsilon < 1.0:
-        parser.error(f"--epsilon must lie in (0, 1), got {cfg.epsilon}")
-    if cfg.n_override is not None and cfg.n_override < 1:
-        parser.error(f"--n must be positive, got {cfg.n_override}")
+    try:
+        cfg.protocol  # building it checks d, epsilon, m and --n
+    except ValueError as exc:
+        parser.error(str(exc))
     if cfg.trials < 1:
         parser.error(f"--trials must be positive, got {cfg.trials}")
     if cfg.seed < 0:
         parser.error(f"--seed must be a nonnegative integer, got {cfg.seed}")
-    if cfg.m < 2:
-        parser.error(f"--m must be >= 2, got {cfg.m}")
     if cfg.command == "bound-sweep" and cfg.trials < 10:
         parser.error(f"bound-sweep needs at least 10 trials, got {cfg.trials}")
     if cfg.command == "purity-check" and cfg.trials < 30:
         parser.error(f"purity-check needs at least 30 trials, got {cfg.trials}")
     if cfg.command == "multiparty" and cfg.m < 3:
         parser.error(f"multiparty needs --m >= 3, got {cfg.m}")
-    if (
-        cfg.command in ("randomize", "aqss-demo", "bound-sweep", "purity-check", "locc-test")
-        and cfg.m != 2
-    ):
-        parser.error(f"{cfg.command} is bipartite; --m is fixed at 2")
 
 
 def _comma_list(text: str, parse, what: str) -> list:
@@ -501,17 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "randomize": "sample one channel and report its worst randomizing distance",
-        "aqss-demo": "run the two-receiver protocol end to end and report security metrics",
-        "bound-sweep": "Monte Carlo mean trace distance of product-channel outputs vs its target",
-        "purity-check": "Monte Carlo mean output purity vs the second-moment identity",
-        "key-cost": "secret-bit accounting of the exact vs approximate schemes",
-        "locc-test": "local-measurement distinguishability of the outsider's view",
-        "multiparty": "m-receiver protocol round trip, exterior view and collusion margins",
-    }
-    for name in COMMANDS:
-        p = sub.add_parser(name, help=helps[name])
+    for name, (_, _, text) in COMMANDS.items():
+        p = sub.add_parser(name, help=text)
         p.add_argument(
             "--d", type=_int_list, required=True,
             help="qudit dimension (comma list for a grid)",
@@ -529,51 +460,46 @@ def build_parser() -> argparse.ArgumentParser:
             help="Monte Carlo trials / protocol rounds / measurement settings / "
             "probe states, depending on the command",
         )
-        p.add_argument(
-            "--family", choices=["product-pure", "separable", "max-entangled"],
-            default="product-pure", help="input state family",
-        )
-        p.add_argument(
-            "--m", type=int, default=3 if name == "multiparty" else 2,
-            help="number of receivers",
-        )
+        if name in _FAMILY_COMMANDS:
+            p.add_argument(
+                "--family", choices=["product-pure", "separable", "max-entangled"],
+                default="product-pure", help="input state family",
+            )
+        if name in _RECEIVER_COMMANDS:
+            p.add_argument(
+                "--m", type=int, default=3 if name == "multiparty" else 2,
+                help="number of receivers",
+            )
         p.add_argument(
             "--seed", type=int, required=True,
             help="master seed (recorded in every result)",
         )
         p.add_argument("--format", choices=["json", "csv"], default="json", help="output format")
         p.add_argument("--output", default=None, help="output path (default stdout)")
-        p.add_argument(
-            "--perfect", action="store_true",
-            help="use the exact generalized-Pauli channel instead of sampling",
-        )
+        if name != "key-cost":
+            p.add_argument(
+                "--perfect", action="store_true",
+                help="use the exact generalized-Pauli channel instead of sampling",
+            )
     return parser
 
 
 def _grid(args: argparse.Namespace) -> list[ExperimentConfig]:
-    ns = args.n if args.n is not None else [None]
-    trials_list = args.trials if args.trials is not None else [_DEFAULT_TRIALS[args.command]]
-    grid = []
-    for d in args.d:
-        for eps in args.epsilon:
-            for n in ns:
-                for trials in trials_list:
-                    grid.append(
-                        ExperimentConfig(
-                            command=args.command,
-                            d=d,
-                            epsilon=eps,
-                            n_override=n,
-                            trials=trials,
-                            input_family=args.family.replace("-", "_"),
-                            m=args.m,
-                            seed=args.seed,
-                            output_format=args.format,
-                            output_path=args.output,
-                            perfect=args.perfect,
-                        )
-                    )
-    return grid
+    trials = args.trials or [COMMANDS[args.command][1]]
+    return [
+        ExperimentConfig(
+            command=args.command,
+            d=d,
+            epsilon=eps,
+            n_override=n,
+            trials=t,
+            input_family=getattr(args, "family", "product-pure").replace("-", "_"),
+            m=getattr(args, "m", 2),
+            seed=args.seed,
+            perfect=getattr(args, "perfect", False),
+        )
+        for d, eps, n, t in itertools.product(args.d, args.epsilon, args.n or [None], trials)
+    ]
 
 
 def render_json(records: Sequence[ResultRecord]) -> str:

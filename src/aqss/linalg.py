@@ -1,4 +1,4 @@
-"""Dense complex-matrix kernel: states, norms, entropies and tensor operations.
+"""Dense complex-matrix kernel: states, partial traces, norms and entropies.
 
 Conventions used throughout the package:
 
@@ -34,16 +34,6 @@ def assert_finite(x: np.ndarray) -> None:
         raise ValueError("matrix contains non-finite entries")
 
 
-def assert_unitary(u: np.ndarray, tol: float = HERMITIAN_TOL) -> None:
-    """Raise ValueError unless max |U†U - 1| <= tol."""
-    assert_square(u)
-    assert_finite(u)
-    d = u.shape[0]
-    dev = np.abs(u.conj().T @ u - np.eye(d)).max()
-    if dev > tol:
-        raise ValueError(f"matrix is not unitary: max |U†U - 1| = {dev:.3e}")
-
-
 def assert_density_matrix(rho: np.ndarray, tol: float = HERMITIAN_TOL) -> None:
     """Raise ValueError unless rho is Hermitian, unit-trace and PSD within tol."""
     assert_square(rho)
@@ -57,19 +47,6 @@ def assert_density_matrix(rho: np.ndarray, tol: float = HERMITIAN_TOL) -> None:
     min_eig = np.linalg.eigvalsh(hermitize(rho)).min()
     if min_eig < -EIGENVALUE_TOL:
         raise ValueError(f"state has negative eigenvalue {min_eig:.3e}")
-
-
-def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the standard row-major index convention."""
-    return np.kron(a, b)
-
-
-def tensor(*mats: np.ndarray) -> np.ndarray:
-    """Kronecker product of several factors, left to right."""
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
 
 
 def partial_trace(rho: np.ndarray, dims: tuple[int, ...], keep) -> np.ndarray:
@@ -144,22 +121,6 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
 def purity(rho: np.ndarray) -> float:
     """tr(rho^2); 1 for pure states, 1/d for the maximally mixed state."""
     return float(np.real(np.trace(rho @ rho)))
-
-
-def mutual_information(rho_ab: np.ndarray, dims: tuple[int, int]) -> float:
-    """S[A] + S[B] - S[AB] in bits; tiny negative results (>= -1e-8) clamp to 0."""
-    da, db = int(dims[0]), int(dims[1])
-    if rho_ab.shape[0] != da * db:
-        raise ValueError(
-            f"state dimension {rho_ab.shape[0]} does not match bipartition ({da}, {db})"
-        )
-    s_a = von_neumann_entropy(partial_trace(rho_ab, (da, db), keep=0))
-    s_b = von_neumann_entropy(partial_trace(rho_ab, (da, db), keep=1))
-    s_ab = von_neumann_entropy(rho_ab)
-    value = s_a + s_b - s_ab
-    if -1e-8 <= value < 0.0:
-        return 0.0
-    return value
 
 
 def maximally_entangled_state(d: int) -> np.ndarray:

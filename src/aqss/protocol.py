@@ -230,17 +230,3 @@ def key_cost(config: ProtocolConfig) -> KeyCostReport:
         approx_bits=approx_bits,
         ratio=approx_bits / perfect_bits,
     )
-
-
-def multiparty_session(
-    config: ProtocolConfig,
-    plaintext: np.ndarray,
-    rng: np.random.Generator,
-    channels: ChannelFamily | None = None,
-) -> AqssSession:
-    """Encoding for m >= 3 receivers; same semantics as the two-party run."""
-    if config.parties < 3:
-        raise ValueError(
-            f"multiparty run needs at least 3 receivers, got {config.parties}"
-        )
-    return charlie_encode(config, plaintext, rng, channels=channels)

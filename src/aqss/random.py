@@ -19,13 +19,6 @@ def stream(master_seed: int, stream_id: int = 0) -> np.random.Generator:
     )
 
 
-def ginibre_matrix(d: int, rng: np.random.Generator) -> np.ndarray:
-    """d x d matrix of i.i.d. standard complex Gaussians, E|entry|^2 = 1."""
-    if d < 1:
-        raise ValueError(f"dimension must be positive, got {d}")
-    return (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
-
-
 def haar_unitaries(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """Stack of n independent Haar-random d x d unitaries, shape (n, d, d).
 

@@ -11,7 +11,6 @@ from aqss.channels import (
     apply_at,
     apply_product,
     conjugate_subsystem,
-    decode_with_key,
     epsilon_randomizing_distance,
     perfect_pqc,
     required_n,
@@ -209,10 +208,11 @@ def test_subsystem_kernel_matches_brute_force(dims, k):
         for p, v in zip(ch.probs, ch.unitaries)
     )
     assert np.abs(apply_at(ch, x, dims, k) - kraus).max() <= 1e-12
-    wrong = np.eye(total + 1) / (total + 1)
-    with pytest.raises(ValueError):
+    # Same number of entries, wrong state dimension: a reshape alone would pass.
+    wrong = x.reshape(total * dims[k], total // dims[k])
+    with pytest.raises(ValueError, match="state dimension"):
         conjugate_subsystem(wrong, dims, k, u)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="state dimension"):
         apply_at(ch, wrong, dims, k)
 
 
@@ -256,14 +256,18 @@ def test_strict_sublist_fails_to_randomize():
     assert epsilon_randomizing_distance(sub3, plus) > 0.01
 
 
+def decode(u, state):
+    """Undo a key conjugation: U† state U, as the receivers do on their factor."""
+    return conjugate_subsystem(state, (state.shape[0],), 0, u.conj().T)
+
+
 def test_decode_inverts_every_key():
     rng = stream(43)
     ch = sample_ruc(4, 16, rng)
     rho = random_pure_state(4, rng)
-    for key in range(ch.n):
-        u = ch.unitaries[key]
+    for u in ch.unitaries:
         encoded = u @ rho @ u.conj().T
-        assert np.abs(decode_with_key(ch, key, encoded) - rho).max() <= 1e-12
+        assert np.abs(decode(u, encoded) - rho).max() <= 1e-12
 
 
 def test_decode_with_wrong_key_disturbs():
@@ -272,22 +276,14 @@ def test_decode_with_wrong_key_disturbs():
     rho = random_pure_state(4, rng)
     u = ch.unitaries[2]
     encoded = u @ rho @ u.conj().T
-    assert linalg.trace_norm(decode_with_key(ch, 9, encoded) - rho) > 0.01
+    assert linalg.trace_norm(decode(ch.unitaries[9], encoded) - rho) > 0.01
 
 
 def test_decode_fixes_maximally_mixed():
     ch = sample_ruc(3, 4, stream(45))
     mixed = linalg.maximally_mixed(3)
-    for key in range(ch.n):
-        assert np.abs(decode_with_key(ch, key, mixed) - mixed).max() <= 1e-12
-
-
-def test_decode_rejects_bad_key():
-    ch = sample_ruc(2, 4, stream(46))
-    with pytest.raises(ValueError):
-        decode_with_key(ch, 4, np.eye(2) / 2)
-    with pytest.raises(ValueError):
-        decode_with_key(ch, -1, np.eye(2) / 2)
+    for u in ch.unitaries:
+        assert np.abs(decode(u, mixed) - mixed).max() <= 1e-12
 
 
 def test_channel_validation():

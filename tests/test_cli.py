@@ -117,6 +117,49 @@ def test_usage_error_exit_code(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        # Each of these options would be ignored by the command, and its
+        # record would then describe a run that did not happen.
+        ["purity-check", "--d", "2", "--family", "separable"],
+        ["randomize", "--d", "2", "--family", "max-entangled"],
+        ["multiparty", "--d", "2", "--family", "separable"],
+        ["key-cost", "--d", "4", "--family", "separable"],
+        ["aqss-demo", "--d", "2", "--m", "3"],
+        ["bound-sweep", "--d", "2", "--m", "2"],
+        ["locc-test", "--d", "2", "--m", "2"],
+        ["randomize", "--d", "2", "--m", "2"],
+        ["purity-check", "--d", "2", "--m", "2"],
+        ["key-cost", "--d", "4", "--perfect"],
+    ],
+)
+def test_option_the_command_ignores_is_refused(args, capsys):
+    rc, out, err = run_cli(args + ["--seed", "1"], capsys)
+    assert rc == 2
+    assert out == ""
+    assert "unrecognized arguments" in err
+
+
+def test_records_state_the_run(capsys):
+    rc, out, _ = run_cli(
+        ["bound-sweep", "--d", "2", "--n", "8", "--trials", "10", "--family", "separable",
+         "--seed", "1"],
+        capsys,
+    )
+    assert rc == 0
+    record = json.loads(out)
+    assert record["config"]["input_family"] == "separable"
+    assert record["config"]["m"] == 2
+    assert not metrics_by_name(record)["mean_trace_distance"]["asserted"]
+    rc, out, _ = run_cli(["key-cost", "--d", "4", "--m", "3", "--seed", "1"], capsys)
+    assert rc == 0
+    record = json.loads(out)
+    assert record["config"]["m"] == 3
+    assert record["config"]["n_resolved"] == 2400
+    assert metrics_by_name(record)["approx_bits"]["value"] == 3 * 12.0
+
+
 @pytest.mark.parametrize("flag", ["--d", "--n", "--trials", "--epsilon"])
 def test_empty_comma_list_is_usage_error(flag, capsys):
     args = ["bound-sweep", "--d", "2", "--trials", "10", "--seed", "1"]
@@ -171,12 +214,6 @@ def test_grid_fails_fast_before_running(capsys, tmp_path):
     )
     assert rc == 2
     assert not out_path.exists()
-
-
-def test_json_round_trip(capsys):
-    _, out, _ = run_cli(["key-cost", "--d", "8", "--seed", "1"], capsys)
-    parsed = ResultRecord.from_dict(json.loads(out))
-    assert json.loads(out) == parsed.to_dict()
 
 
 def test_json_writes_non_finite_metric_values_as_null():

@@ -19,32 +19,6 @@ def random_density_matrix(d, rng):
     return w / np.trace(w)
 
 
-def test_tensor_product_identity():
-    assert np.array_equal(linalg.tensor_product(np.eye(2), np.eye(2)), np.eye(4))
-
-
-def test_tensor_product_projectors():
-    p = np.diag([1.0, 0.0])
-    assert np.array_equal(linalg.tensor_product(p, p), np.diag([1.0, 0.0, 0.0, 0.0]))
-
-
-def test_tensor_product_shape():
-    a = np.ones((2, 2))
-    b = np.ones((3, 3))
-    assert linalg.tensor_product(a, b).shape == (6, 6)
-
-
-def test_tensor_product_index_convention():
-    a = np.array([[1, 2], [3, 4]], dtype=complex)
-    b = np.array([[5, 6], [7, 8]], dtype=complex)
-    out = linalg.tensor_product(a, b)
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                for l in range(2):
-                    assert out[i * 2 + k, j * 2 + l] == a[i, j] * b[k, l]
-
-
 def test_partial_trace_maximally_entangled_qubit():
     rho = linalg.maximally_entangled_state(2)
     reduced = linalg.partial_trace(rho, (2, 2), keep=0)
@@ -96,7 +70,7 @@ def test_partial_trace_tensor_roundtrip_scaled_by_trace():
 def test_partial_trace_three_factors():
     rng = stream(13)
     rhos = [random_density_matrix(2, rng) for _ in range(3)]
-    joint = linalg.tensor(*rhos)
+    joint = np.kron(np.kron(rhos[0], rhos[1]), rhos[2])
     mid = linalg.partial_trace(joint, (2, 2, 2), keep=1)
     assert np.abs(mid - rhos[1]).max() <= 1e-12
 
@@ -184,32 +158,6 @@ def test_purity_examples():
     assert linalg.purity(np.diag([0.75, 0.25])) == pytest.approx(0.625, abs=1e-12)
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 5])
-def test_mutual_information_maximally_entangled(d):
-    rho = linalg.maximally_entangled_state(d)
-    assert linalg.mutual_information(rho, (d, d)) == pytest.approx(
-        2 * math.log2(d), abs=1e-8
-    )
-
-
-def test_mutual_information_product_state():
-    rng = stream(20)
-    rho = np.kron(random_density_matrix(3, rng), random_density_matrix(3, rng))
-    assert linalg.mutual_information(rho, (3, 3)) == pytest.approx(0.0, abs=1e-8)
-
-
-def test_mutual_information_classical_correlation():
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = 0.5  # |00><00|
-    rho[3, 3] = 0.5  # |11><11|
-    assert linalg.mutual_information(rho, (2, 2)) == pytest.approx(1.0, abs=1e-10)
-
-
-def test_mutual_information_dimension_mismatch():
-    with pytest.raises(ValueError):
-        linalg.mutual_information(np.eye(4) / 4, (2, 3))
-
-
 def test_maximally_entangled_state_qubit_matrix():
     rho = linalg.maximally_entangled_state(2)
     expected = np.zeros((4, 4))
@@ -250,9 +198,3 @@ def test_assert_density_matrix_rejects_bad_states():
         linalg.assert_density_matrix(np.diag([1.5, -0.5]))  # negative eigenvalue
     with pytest.raises(ValueError):
         linalg.assert_density_matrix(np.array([[np.nan, 0], [0, 1]]))
-
-
-def test_assert_unitary():
-    linalg.assert_unitary(np.eye(3))
-    with pytest.raises(ValueError):
-        linalg.assert_unitary(np.eye(3) * 2)

@@ -22,7 +22,6 @@ from aqss.protocol import (
     exterior_adversary_view,
     interior_attack_bob,
     key_cost,
-    multiparty_session,
 )
 from aqss.random import (
     random_product_pure_state,
@@ -230,7 +229,7 @@ def test_multiparty_perfect_exterior_view():
     rng = stream(73)
     cfg = small_config(2, n=4, m=3)
     plaintext = random_pure_state(8, rng)
-    session = multiparty_session(cfg, plaintext, rng, channels=perfect_family(2, m=3))
+    session = charlie_encode(cfg, plaintext, rng, channels=perfect_family(2, m=3))
     assert np.abs(exterior_adversary_view(session) - np.eye(8) / 8).max() <= 1e-12
     assert np.abs(cooperate_decode(session) - plaintext).max() <= 1e-12
 
@@ -242,7 +241,7 @@ def test_multiparty_collusion_leaves_victims_mixed():
     m, d = 3, 2
     cfg = small_config(d, n=4, m=m)
     plaintext = random_pure_state(d**m, rng)
-    session = multiparty_session(cfg, plaintext, rng, channels=perfect_family(d, m=m))
+    session = charlie_encode(cfg, plaintext, rng, channels=perfect_family(d, m=m))
     subsets = [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]
     for colluders in subsets:
         joint = collusion_attack(session, colluders)
@@ -263,14 +262,6 @@ def test_collusion_attack_validation():
         collusion_attack(session, (0, 1, 2))
     with pytest.raises(ValueError):
         collusion_attack(session, (5,))
-
-
-def test_multiparty_requires_three_parties():
-    rng = stream(76)
-    with pytest.raises(ValueError):
-        multiparty_session(
-            small_config(2, n=2, m=2), linalg.maximally_entangled_state(2), rng
-        )
 
 
 def test_resource_guard_on_joint_dimension():

@@ -5,7 +5,6 @@ import pytest
 
 from aqss import linalg
 from aqss.random import (
-    ginibre_matrix,
     haar_unitaries,
     haar_unitary,
     random_product_pure_state,
@@ -26,26 +25,6 @@ def test_stream_ids_differ():
     a = stream(123, 0).standard_normal(8)
     b = stream(123, 1).standard_normal(8)
     assert not np.array_equal(a, b)
-
-
-def test_ginibre_deterministic():
-    assert np.array_equal(ginibre_matrix(3, stream(7)), ginibre_matrix(3, stream(7)))
-
-
-def test_ginibre_moments():
-    rng = stream(303)
-    z = np.stack([ginibre_matrix(2, rng) for _ in range(10000)])
-    for part in (z.real.ravel(), z.imag.ravel()):
-        se = part.std(ddof=1) / math.sqrt(part.size)
-        assert abs(part.mean()) <= 5 * se
-    m2 = (np.abs(z) ** 2).ravel()
-    se = m2.std(ddof=1) / math.sqrt(m2.size)
-    assert abs(m2.mean() - 1.0) <= 5 * se
-
-
-def test_ginibre_rejects_bad_dim():
-    with pytest.raises(ValueError):
-        ginibre_matrix(0, stream(1))
 
 
 @pytest.mark.parametrize("d", [2, 4, 8])
@@ -100,7 +79,7 @@ def test_weyl_heisenberg_unitary(d):
     ops = weyl_heisenberg_operators(d)
     assert ops.shape == (d * d, d, d)
     for op in ops:
-        linalg.assert_unitary(op)
+        assert np.abs(op.conj().T @ op - np.eye(d)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -134,9 +113,10 @@ def test_random_product_pure_state_invariants():
     rng = stream(45)
     rho = random_product_pure_state(3, 4, rng)
     assert linalg.purity(rho) == pytest.approx(1.0, abs=1e-12)
-    assert linalg.mutual_information(rho, (3, 4)) == pytest.approx(0.0, abs=1e-8)
-    for keep in (0, 1):
-        red = linalg.partial_trace(rho, (3, 4), keep=keep)
+    rho_a = linalg.partial_trace(rho, (3, 4), keep=0)
+    rho_b = linalg.partial_trace(rho, (3, 4), keep=1)
+    assert np.abs(rho - np.kron(rho_a, rho_b)).max() <= 1e-12
+    for red in (rho_a, rho_b):
         assert linalg.purity(red) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -150,7 +130,9 @@ def test_random_separable_state_invariants():
 def test_random_separable_single_term_is_product_pure():
     rho = random_separable_state(2, 2, 1, stream(47))
     assert linalg.purity(rho) == pytest.approx(1.0, abs=1e-12)
-    assert linalg.mutual_information(rho, (2, 2)) == pytest.approx(0.0, abs=1e-8)
+    rho_a = linalg.partial_trace(rho, (2, 2), keep=0)
+    rho_b = linalg.partial_trace(rho, (2, 2), keep=1)
+    assert np.abs(rho - np.kron(rho_a, rho_b)).max() <= 1e-12
 
 
 def test_random_separable_rejects_zero_terms():
