@@ -18,8 +18,9 @@ from . import linalg
 from .channels import (
     ChannelFamily,
     RandomUnitaryChannel,
-    apply,
+    _apply_product,
     apply_product,
+    epsilon_randomizing_distance,
     sample_ruc,
 )
 from .random import (
@@ -118,7 +119,6 @@ def mc_expected_trace_distance(
         )
     if trials < 10:
         raise ValueError(f"need at least 10 trials, got {trials}")
-    target = linalg.maximally_mixed(d * d)
     values = []
     for trial in range(trials):
         rng = stream(seed, trial)
@@ -126,8 +126,7 @@ def mc_expected_trace_distance(
             (channel_factory(d, n_a, rng), channel_factory(d, n_b, rng))
         )
         rho = draw_input(input_family, d, rng)
-        out = apply_product(family, rho)
-        values.append(linalg.trace_norm(out - target))
+        values.append(linalg.distance_from_mixed(_apply_product(family, rho)[1]))
     stats = McStats.from_values(values, seed)
     return stats, BoundCheck.compare(stats.mean, d / math.sqrt(n_a * n_b))
 
@@ -180,24 +179,12 @@ def check_separable_2eps(
     weights = np.array([p for p, _, _ in decomposition], dtype=float)
     if abs(weights.sum() - 1.0) > 1e-12:
         raise ValueError(f"decomposition weights sum to {weights.sum()!r}, not 1")
-    d_a, d_b = chan_a.dim, chan_b.dim
-    eps_a = max(
-        linalg.trace_norm(apply(chan_a, rho_a) - linalg.maximally_mixed(d_a))
-        for _, rho_a, _ in decomposition
-    )
-    eps_b = max(
-        linalg.trace_norm(apply(chan_b, rho_b) - linalg.maximally_mixed(d_b))
-        for _, _, rho_b in decomposition
-    )
+    eps_a = max(epsilon_randomizing_distance(chan_a, rho_a) for _, rho_a, _ in decomposition)
+    eps_b = max(epsilon_randomizing_distance(chan_b, rho_b) for _, _, rho_b in decomposition)
     joint = sum(p * np.kron(rho_a, rho_b) for p, rho_a, rho_b in decomposition)
-    out = apply_product(ChannelFamily((chan_a, chan_b)), joint)
-    observed = linalg.trace_norm(out - linalg.maximally_mixed(d_a * d_b))
+    _, spectrum = _apply_product(ChannelFamily((chan_a, chan_b)), joint)
+    observed = linalg.distance_from_mixed(spectrum)
     return BoundCheck.compare(observed, eps_a + eps_b)
-
-
-def entropy_deficit(state: np.ndarray, d_total_log2: float) -> float:
-    """How many bits the state's entropy falls short of the stated maximum."""
-    return float(d_total_log2) - linalg.von_neumann_entropy(state)
 
 
 def product_basis_total_variation(

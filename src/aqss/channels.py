@@ -35,7 +35,12 @@ def required_n(d: int, epsilon: float) -> int:
         raise ValueError(f"channel dimension must be >= 2, got {d}")
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    return math.ceil(150 * d / (epsilon * epsilon))
+    try:
+        return math.ceil(150 * d / (epsilon * epsilon))
+    except (ZeroDivisionError, OverflowError):  # epsilon^2 underflows or d overflows
+        raise ValueError(
+            f"n = ceil(150 d / epsilon^2) is too large to compute (epsilon={epsilon!r})"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -138,17 +143,19 @@ def conjugate_subsystem(
     return _apply_superop_at(np.kron(u, u.conj()), rho, dims, subsystem)
 
 
-def apply(channel: RandomUnitaryChannel, rho: np.ndarray) -> np.ndarray:
-    """Channel output sum_i p_i U_i rho U_i†, symmetrized and invariant-checked."""
+def _apply(channel: RandomUnitaryChannel, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Validated channel output and its ascending spectrum (see apply)."""
     if rho.shape != (channel.dim, channel.dim):
         raise ValueError(
             f"state shape {rho.shape} does not match channel dimension {channel.dim}"
         )
     d = channel.dim
-    out = (channel.superoperator @ rho.reshape(d * d)).reshape(d, d)
-    out = linalg.hermitize(out)
-    linalg.assert_density_matrix(out)
-    return out
+    return linalg.validated((channel.superoperator @ rho.reshape(d * d)).reshape(d, d))
+
+
+def apply(channel: RandomUnitaryChannel, rho: np.ndarray) -> np.ndarray:
+    """Channel output sum_i p_i U_i rho U_i†, symmetrized and invariant-checked."""
+    return _apply(channel, rho)[0]
 
 
 def apply_at(
@@ -165,6 +172,15 @@ def apply_at(
     return _apply_superop_at(channel.superoperator, rho, dims, subsystem)
 
 
+def _apply_product(family: ChannelFamily, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Validated product-channel output and its ascending spectrum (see apply_product)."""
+    dims = family.dims
+    out = rho
+    for k, part in enumerate(family.parts):
+        out = _apply_superop_at(part.superoperator, out, dims, k)
+    return linalg.validated(out)
+
+
 def apply_product(family: ChannelFamily, rho: np.ndarray) -> np.ndarray:
     """Product-channel output, applied factor-sequentially.
 
@@ -172,15 +188,9 @@ def apply_product(family: ChannelFamily, rho: np.ndarray) -> np.ndarray:
     (checked exhaustively against the brute-force double sum in the tests),
     at cost sum_k n_k conjugations instead of prod_k n_k.
     """
-    dims = family.dims
-    out = rho
-    for k, part in enumerate(family.parts):
-        out = _apply_superop_at(part.superoperator, out, dims, k)
-    out = linalg.hermitize(out)
-    linalg.assert_density_matrix(out)
-    return out
+    return _apply_product(family, rho)[0]
 
 
 def epsilon_randomizing_distance(channel: RandomUnitaryChannel, rho: np.ndarray) -> float:
     """Trace distance of the channel output from the maximally mixed state."""
-    return linalg.trace_norm(apply(channel, rho) - linalg.maximally_mixed(channel.dim))
+    return linalg.distance_from_mixed(_apply(channel, rho)[1])

@@ -42,9 +42,9 @@ from .protocol import (
     charlie_encode,
     collusion_attack,
     cooperate_decode,
-    exterior_adversary_view,
     interior_attack_bob,
     key_cost,
+    measure_exterior_view,
 )
 from .random import _haar_vectors, random_pure_state, stream
 
@@ -220,7 +220,6 @@ def _session_rounds(cfg: ExperimentConfig) -> list[AqssSession]:
 def _run_aqss_demo(cfg: ExperimentConfig) -> list[Metric]:
     sessions = _session_rounds(cfg)
     d = cfg.d
-    mixed = linalg.maximally_mixed(d * d)
     round_trip = 0.0
     exterior = 0.0
     deficit = 0.0
@@ -230,9 +229,9 @@ def _run_aqss_demo(cfg: ExperimentConfig) -> list[Metric]:
             round_trip,
             linalg.trace_norm(cooperate_decode(session) - session.plaintext),
         )
-        view = exterior_adversary_view(session)
-        exterior = max(exterior, linalg.trace_norm(view - mixed))
-        deficit = max(deficit, analysis.entropy_deficit(view, 2 * math.log2(d)))
+        distance, entropy = measure_exterior_view(session)
+        exterior = max(exterior, distance)
+        deficit = max(deficit, 2 * math.log2(d) - entropy)
         _, alice = interior_attack_bob(session)
         interior = max(interior, linalg.trace_norm(alice - linalg.maximally_mixed(d)))
     return [
@@ -305,7 +304,6 @@ def _run_locc_test(cfg: ExperimentConfig) -> list[Metric]:
 def _run_multiparty(cfg: ExperimentConfig) -> list[Metric]:
     sessions = _session_rounds(cfg)
     d, m = cfg.d, cfg.m
-    mixed = linalg.maximally_mixed(d**m)
     single = linalg.maximally_mixed(d)
     round_trip = 0.0
     exterior = 0.0
@@ -315,9 +313,7 @@ def _run_multiparty(cfg: ExperimentConfig) -> list[Metric]:
             round_trip,
             linalg.trace_norm(cooperate_decode(session) - session.plaintext),
         )
-        exterior = max(
-            exterior, linalg.trace_norm(exterior_adversary_view(session) - mixed)
-        )
+        exterior = max(exterior, measure_exterior_view(session)[0])
         for victim in range(m):
             joint = collusion_attack(
                 session, colluders=[k for k in range(m) if k != victim]
@@ -400,6 +396,7 @@ def _guard(cfg: ExperimentConfig) -> None:
 def _validate(cfg: ExperimentConfig, parser: argparse.ArgumentParser) -> None:
     try:
         cfg.protocol  # building it checks d, epsilon, m and --n
+        cfg.n  # and the sized n must be computable
     except ValueError as exc:
         parser.error(str(exc))
     if cfg.trials < 1:

@@ -6,6 +6,13 @@ Conventions used throughout the package:
 - the Kronecker product follows the standard index convention
   ``(A ⊗ B)[i*rb + k, j*cb + l] = A[i, j] * B[k, l]``;
 - entropies and all bit accounting use the base-2 logarithm.
+
+Spectra: a Hermitian matrix is decomposed with ``eigvalsh``; only a
+genuinely non-Hermitian ``trace_norm`` argument falls back to an SVD. A
+map output is hermitized once and validated by ``validated``, and the
+ascending spectrum that validation computed is reused for its distance
+``sum |lambda - 1/D|`` to the maximally mixed state (which commutes with
+everything) and for its entropy, so no state is decomposed twice.
 """
 
 from __future__ import annotations
@@ -34,8 +41,12 @@ def assert_finite(x: np.ndarray) -> None:
         raise ValueError("matrix contains non-finite entries")
 
 
-def assert_density_matrix(rho: np.ndarray, tol: float = HERMITIAN_TOL) -> None:
-    """Raise ValueError unless rho is Hermitian, unit-trace and PSD within tol."""
+def assert_density_matrix(rho: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
+    """Raise ValueError unless rho is Hermitian, unit-trace and PSD within tol.
+
+    Returns the ascending eigenvalues of the Hermitian part of rho, the
+    spectrum the positivity check used.
+    """
     assert_square(rho)
     assert_finite(rho)
     herm_dev = np.abs(rho - rho.conj().T).max()
@@ -44,9 +55,36 @@ def assert_density_matrix(rho: np.ndarray, tol: float = HERMITIAN_TOL) -> None:
     tr_dev = abs(np.trace(rho) - 1.0)
     if tr_dev > TRACE_TOL:
         raise ValueError(f"state trace differs from 1 by {tr_dev:.3e}")
-    min_eig = np.linalg.eigvalsh(hermitize(rho)).min()
-    if min_eig < -EIGENVALUE_TOL:
-        raise ValueError(f"state has negative eigenvalue {min_eig:.3e}")
+    # An exactly Hermitian rho, such as the output of `validated`, is its own
+    # Hermitian part and is decomposed as passed.
+    eigs = np.linalg.eigvalsh(rho if herm_dev == 0.0 else hermitize(rho))
+    if eigs[0] < -EIGENVALUE_TOL:
+        raise ValueError(f"state has negative eigenvalue {eigs[0]:.3e}")
+    return eigs
+
+
+def validated(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hermitian part of a map output, checked as a density matrix, and its
+    ascending spectrum."""
+    state = hermitize(m)
+    return state, assert_density_matrix(state)
+
+
+def distance_from_mixed(spectrum: np.ndarray) -> float:
+    """Trace distance ||rho - 1/D||_1 = sum |lambda - 1/D| from rho's spectrum."""
+    return float(np.abs(spectrum - 1.0 / spectrum.size).sum())
+
+
+def spectrum_entropy(spectrum: np.ndarray) -> float:
+    """Entropy -sum(lam * log2 lam) in bits of a spectrum, with 0 log 0 = 0.
+
+    Eigenvalues in [-1e-10, 0) are numerical noise and are clamped to 0;
+    anything more negative should already have failed the state invariant.
+    """
+    eigs = spectrum[spectrum > 0.0]
+    if eigs.size == 0:
+        return 0.0
+    return float(-(eigs * np.log2(eigs)).sum())
 
 
 def partial_trace(rho: np.ndarray, dims: tuple[int, ...], keep) -> np.ndarray:
@@ -95,8 +133,16 @@ def partial_trace(rho: np.ndarray, dims: tuple[int, ...], keep) -> np.ndarray:
 
 
 def trace_norm(x: np.ndarray) -> float:
-    """Schatten-1 norm: sum of singular values. Requires a square matrix."""
+    """Schatten-1 norm: sum of singular values. Requires a square matrix.
+
+    A Hermitian x (max |x - x†| <= HERMITIAN_TOL) is measured as sum |lambda|
+    over eigvalsh of its Hermitian part, which is cheaper than an SVD. That
+    is the trace norm of the Hermitian part, which differs from ||x||_1 by at
+    most ||x - x†||_1 / 2. Any other x takes the SVD.
+    """
     assert_square(x)
+    if np.abs(x - x.conj().T).max() <= HERMITIAN_TOL:
+        return float(np.abs(np.linalg.eigvalsh(hermitize(x))).sum())
     return float(np.linalg.svd(x, compute_uv=False).sum())
 
 
@@ -106,21 +152,17 @@ def hs_norm(x: np.ndarray) -> float:
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
-    """Entropy -sum(lam * log2 lam) in bits, with 0 log 0 = 0.
-
-    Eigenvalues in [-1e-10, 0) are numerical noise and are clamped to 0;
-    anything more negative should already have failed the state invariant.
-    """
-    eigs = np.linalg.eigvalsh(hermitize(rho))
-    eigs = eigs[eigs > 0.0]
-    if eigs.size == 0:
-        return 0.0
-    return float(-(eigs * np.log2(eigs)).sum())
+    """Entropy in bits of the Hermitian part of rho (see spectrum_entropy)."""
+    return spectrum_entropy(np.linalg.eigvalsh(hermitize(rho)))
 
 
 def purity(rho: np.ndarray) -> float:
-    """tr(rho^2); 1 for pure states, 1/d for the maximally mixed state."""
-    return float(np.real(np.trace(rho @ rho)))
+    """tr(rho^2); 1 for pure states, 1/d for the maximally mixed state.
+
+    Computed in O(d^2) as sum |rho_ij|^2 = tr(rho† rho), which equals
+    tr(rho^2) for Hermitian rho only.
+    """
+    return float(np.vdot(rho, rho).real)
 
 
 def maximally_entangled_state(d: int) -> np.ndarray:

@@ -19,6 +19,7 @@ import numpy as np
 from . import linalg
 from .channels import (
     ChannelFamily,
+    _apply_product,
     apply_at,
     apply_product,
     conjugate_subsystem,
@@ -167,6 +168,16 @@ def exterior_adversary_view(session: AqssSession) -> np.ndarray:
     return apply_product(session.channels, session.plaintext)
 
 
+def measure_exterior_view(session: AqssSession) -> tuple[float, float]:
+    """Trace distance of the outsider's view from 1/D, and its entropy in bits.
+
+    Both come from the spectrum that validated the view, so the D x D view is
+    decomposed once.
+    """
+    _, spectrum = _apply_product(session.channels, session.plaintext)
+    return linalg.distance_from_mixed(spectrum), linalg.spectrum_entropy(spectrum)
+
+
 def collusion_attack(session: AqssSession, colluders) -> np.ndarray:
     """Joint state described by a colluding strict subset of receivers.
 
@@ -194,9 +205,7 @@ def collusion_attack(session: AqssSession, colluders) -> np.ndarray:
     for k in colluders:
         u = session.channels.parts[k].unitaries[session.key_indices[k]]
         state = conjugate_subsystem(state, dims, k, u.conj().T)
-    state = linalg.hermitize(state)
-    linalg.assert_density_matrix(state)
-    return state
+    return linalg.validated(state)[0]
 
 
 def interior_attack_bob(session: AqssSession) -> tuple[np.ndarray, np.ndarray]:

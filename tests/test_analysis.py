@@ -10,7 +10,6 @@ from aqss.analysis import (
     check_norm_relation,
     check_separable_2eps,
     draw_input,
-    entropy_deficit,
     jensen_chain_check,
     locc_distinguishability,
     mc_expected_trace_distance,
@@ -173,12 +172,6 @@ def test_check_separable_2eps_rejects_bad_weights():
     decomposition = [(0.7, random_pure_state(2, rng), random_pure_state(2, rng))]
     with pytest.raises(ValueError):
         check_separable_2eps(perfect_pqc(2), perfect_pqc(2), decomposition)
-
-
-def test_entropy_deficit_extremes():
-    assert entropy_deficit(linalg.maximally_mixed(8), 3.0) == pytest.approx(0.0, abs=1e-10)
-    rng = stream(100)
-    assert entropy_deficit(random_pure_state(8, rng), 3.0) == pytest.approx(3.0, abs=1e-8)
 
 
 def test_locc_identical_states():

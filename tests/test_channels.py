@@ -51,6 +51,16 @@ def test_required_n_rejects_bad_epsilon():
         required_n(1, 0.5)
 
 
+def test_required_n_refuses_what_a_float_cannot_hold():
+    with pytest.raises(ValueError):
+        required_n(2, 1e-200)  # epsilon^2 underflows to 0
+    with pytest.raises(ValueError):
+        required_n(10**400, 0.5)  # 150 d does not fit in a float
+    # Inputs that fit keep the float formula's exact value.
+    assert required_n(10**300, 0.5) == math.ceil(150 * 10**300 / 0.25)
+    assert required_n(2, 1e-150) == math.ceil(300 / (1e-150 * 1e-150))
+
+
 def test_sample_ruc_uniform_probs():
     ch = sample_ruc(3, 7, stream(1))
     assert ch.n == 7
@@ -230,6 +240,16 @@ def test_epsilon_randomizing_distance_identity_channel():
     assert epsilon_randomizing_distance(
         identity_channel(2), ket_projector(2, 0)
     ) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_epsilon_randomizing_distance_matches_svd():
+    rng = stream(43)
+    for d in (2, 3, 5):
+        ch = sample_ruc(d, 4, rng)
+        rho = random_pure_state(d, rng)
+        out = apply(ch, rho)
+        expected = np.linalg.svd(out - np.eye(d) / d, compute_uv=False).sum()
+        assert epsilon_randomizing_distance(ch, rho) == pytest.approx(expected, abs=1e-12)
 
 
 def test_sampled_channel_distance_within_epsilon():

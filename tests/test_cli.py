@@ -206,6 +206,31 @@ def test_resource_guard_exit_code(capsys):
     assert "exceeds the guard" in err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["randomize", "--d", "2", "--epsilon", "1e-200"],  # epsilon^2 underflows
+        ["key-cost", "--d", "4", "--epsilon", "1e-200"],
+        ["key-cost", "--d", "1" + "0" * 400],  # 150 d overflows a float
+    ],
+)
+def test_uncomputable_sized_n_is_a_clean_usage_error(args, capsys):
+    rc, out, err = run_cli(args + ["--seed", "0"], capsys)
+    assert rc == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith("aqss: error: n = ceil(150 d / epsilon^2)")
+
+
+@pytest.mark.parametrize("extra, n", [(["--perfect"], 4), (["--n", "10"], 10)])
+def test_tiny_epsilon_runs_when_n_is_not_sized_from_it(extra, n, capsys):
+    rc, out, _ = run_cli(
+        ["randomize", "--d", "2", "--epsilon", "1e-200", "--seed", "0"] + extra, capsys
+    )
+    assert rc == 0
+    assert json.loads(out)["config"]["n_resolved"] == n
+
+
 def test_grid_fails_fast_before_running(capsys, tmp_path):
     # One invalid point anywhere in the grid aborts everything: no output file.
     out_path = tmp_path / "results.json"

@@ -100,6 +100,82 @@ def test_trace_norm_matches_eigenvalue_oracle():
         assert linalg.trace_norm(x) == pytest.approx(expected, abs=1e-10)
 
 
+def svd_trace_norm(x):
+    return np.linalg.svd(x, compute_uv=False).sum()
+
+
+@pytest.mark.parametrize("d", [2, 16, 256])
+def test_trace_norm_hermitian_path_matches_svd(d):
+    rng = stream(30, d)
+    rho = random_density_matrix(d, rng)
+    for x in (
+        rho - linalg.maximally_mixed(d),
+        rho - random_pure_state(d, rng),
+        random_hermitian(d, rng),
+    ):
+        assert linalg.trace_norm(x) == pytest.approx(svd_trace_norm(x), abs=1e-12)
+
+
+def test_trace_norm_non_hermitian_takes_svd_path(monkeypatch):
+    svd_calls = []
+    svd = np.linalg.svd
+
+    def spy(*args, **kwargs):
+        svd_calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    assert linalg.trace_norm(np.array([[0.0, 1.0], [0.0, 0.0]])) == pytest.approx(
+        1.0, abs=1e-12
+    )
+    # The Hermitian part of this one is zero: only the SVD gets 2.
+    assert linalg.trace_norm(np.array([[0.0, 1.0], [-1.0, 0.0]])) == pytest.approx(
+        2.0, abs=1e-12
+    )
+    assert svd_calls == [(2, 2), (2, 2)]
+    linalg.trace_norm(np.diag([0.5, -0.5]))
+    assert len(svd_calls) == 2
+
+
+def test_assert_density_matrix_returns_the_spectrum_it_checked():
+    rng = stream(31)
+    for d in (2, 5, 16):
+        rho = random_density_matrix(d, rng)
+        drift = 1e-12 * random_hermitian(d, rng) * 1j  # anti-Hermitian, within tol
+        for m in (rho, rho + drift, linalg.hermitize(rho + drift)):
+            spectrum = linalg.assert_density_matrix(m)
+            expected = np.linalg.eigvalsh(linalg.hermitize(m))
+            assert np.array_equal(spectrum, expected)
+            assert np.all(np.diff(spectrum) >= 0.0)
+
+
+def test_validated_returns_the_hermitian_part_and_its_spectrum():
+    rng = stream(32)
+    m = random_density_matrix(6, rng) + 1e-12j * random_hermitian(6, rng)
+    state, spectrum = linalg.validated(m)
+    assert np.array_equal(state, linalg.hermitize(m))
+    assert np.array_equal(state, state.conj().T)
+    assert np.array_equal(spectrum, np.linalg.eigvalsh(state))
+    with pytest.raises(ValueError):
+        linalg.validated(np.diag([1.5, -0.5]))
+
+
+def test_spectral_measures_match_brute_force():
+    rng = stream(33)
+    for d in (2, 7, 32):
+        rho = random_density_matrix(d, rng)
+        spectrum = linalg.assert_density_matrix(rho)
+        assert linalg.distance_from_mixed(spectrum) == pytest.approx(
+            svd_trace_norm(rho - np.eye(d) / d), abs=1e-12
+        )
+        assert linalg.spectrum_entropy(spectrum) == pytest.approx(
+            linalg.von_neumann_entropy(rho), abs=1e-12
+        )
+        assert linalg.purity(rho) == pytest.approx(
+            np.trace(rho @ rho).real, abs=1e-12
+        )
+
+
 def test_trace_norm_rejects_non_square():
     with pytest.raises(ValueError):
         linalg.trace_norm(np.ones((2, 3)))

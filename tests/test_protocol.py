@@ -22,6 +22,7 @@ from aqss.protocol import (
     exterior_adversary_view,
     interior_attack_bob,
     key_cost,
+    measure_exterior_view,
 )
 from aqss.random import (
     random_product_pure_state,
@@ -133,6 +134,24 @@ def test_exterior_view_within_triangle_bound_for_product_plaintext():
         exterior_adversary_view(session) - linalg.maximally_mixed(d * d)
     )
     assert dist <= eps_a + eps_b + 1e-10
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("perfect", [True, False])
+def test_exterior_measurement_matches_brute_force(d, perfect):
+    rng = stream(80, d)
+    cfg = small_config(d, n=6)
+    channels = perfect_family(d) if perfect else None
+    for plaintext in bipartite_states(d, 3, rng):
+        session = charlie_encode(cfg, plaintext, rng, channels=channels)
+        view = exterior_adversary_view(session)
+        distance, entropy = measure_exterior_view(session)
+        expected = np.linalg.svd(view - np.eye(d * d) / (d * d), compute_uv=False).sum()
+        assert distance == pytest.approx(expected, abs=1e-12)
+        assert entropy == pytest.approx(linalg.von_neumann_entropy(view), abs=1e-12)
+        if perfect:
+            assert distance <= 1e-12
+            assert entropy == pytest.approx(2 * math.log2(d), abs=1e-12)
 
 
 def test_key_averaging_identity_exhaustive():

@@ -28,3 +28,6 @@ def test_traced_multiparty_run_is_clean():
     calls = envelope["trace"]["calls"]
     assert calls["channels.conjugate_subsystem"] > 0
     assert calls["channels.apply_at"] > 0
+    # linalg.spectral_calls_per_state is computed from these two counts.
+    assert calls["linalg.assert_density_matrix"] > 0
+    assert calls["linalg.trace_norm"] > 0
