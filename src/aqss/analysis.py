@@ -126,7 +126,8 @@ def mc_expected_trace_distance(
             (channel_factory(d, n_a, rng), channel_factory(d, n_b, rng))
         )
         rho = draw_input(input_family, d, rng)
-        values.append(linalg.distance_from_mixed(_apply_product(family, rho)[1]))
+        spectrum = linalg.assert_density_matrix(_apply_product(family, rho))
+        values.append(linalg.distance_from_mixed(spectrum))
     stats = McStats.from_values(values, seed)
     return stats, BoundCheck.compare(stats.mean, d / math.sqrt(n_a * n_b))
 
@@ -182,7 +183,7 @@ def check_separable_2eps(
     eps_a = max(epsilon_randomizing_distance(chan_a, rho_a) for _, rho_a, _ in decomposition)
     eps_b = max(epsilon_randomizing_distance(chan_b, rho_b) for _, _, rho_b in decomposition)
     joint = sum(p * np.kron(rho_a, rho_b) for p, rho_a, rho_b in decomposition)
-    _, spectrum = _apply_product(ChannelFamily((chan_a, chan_b)), joint)
+    spectrum = linalg.assert_density_matrix(_apply_product(ChannelFamily((chan_a, chan_b)), joint))
     observed = linalg.distance_from_mixed(spectrum)
     return BoundCheck.compare(observed, eps_a + eps_b)
 
@@ -243,6 +244,7 @@ def check_norm_relation(x: np.ndarray, d_sq: int) -> BoundCheck:
     """Rank-bound norm relation ||X - 1/D||_1^2 <= D ||X||_2^2 - 1 for unit-trace
     Hermitian X on dimension D = d_sq."""
     linalg.assert_square(x)
+    linalg.assert_finite(x)
     if x.shape[0] != d_sq:
         raise ValueError(f"matrix dimension {x.shape[0]} does not match d_sq={d_sq}")
     if np.abs(x - x.conj().T).max() > linalg.HERMITIAN_TOL:

@@ -61,12 +61,12 @@ class RandomUnitaryChannel:
         n = u.shape[0]
         if n < 1 or p.shape != (n,):
             raise ValueError(f"probability vector shape {p.shape} does not match n={n}")
-        if p.min() < 0.0:
-            raise ValueError("probabilities must be nonnegative")
+        if not p.min() >= 0.0:  # NaN fails this comparison too
+            raise ValueError("probabilities must be finite and nonnegative")
         if abs(p.sum() - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
         dev = np.abs(u.conj().transpose(0, 2, 1) @ u - np.eye(self.dim)).max()
-        if dev > linalg.HERMITIAN_TOL:
+        if not dev <= linalg.HERMITIAN_TOL:  # a non-finite entry makes dev NaN
             raise ValueError(f"Kraus element is not unitary: max |U†U - 1| = {dev:.3e}")
         object.__setattr__(self, "unitaries", u)
         object.__setattr__(self, "probs", p)
@@ -120,20 +120,14 @@ def _apply_superop_at(
     m: np.ndarray, rho: np.ndarray, dims: tuple[int, ...], subsystem: int
 ) -> np.ndarray:
     """Apply a one-subsystem superoperator to a state on a tensor-product space."""
-    dims = tuple(dims)
-    d = dims[subsystem]
-    d_left = math.prod(dims[:subsystem])
-    d_right = math.prod(dims[subsystem + 1 :])
-    total = d_left * d * d_right
-    if rho.shape[0] != total:
-        raise ValueError(
-            f"state dimension {rho.shape[0]} does not match subsystem dims {dims}"
-        )
+    d_left, d, d_right = linalg.factor_layout(rho.shape[0], dims, subsystem)
+    if m.shape != (d * d, d * d):
+        raise ValueError(f"map of shape {m.shape} does not act on factor {subsystem} of {dims}")
     t = rho.reshape(d_left, d, d_right, d_left, d, d_right)
     t = t.transpose(1, 4, 0, 2, 3, 5).reshape(d * d, -1)
     t = m @ t
     t = t.reshape(d, d, d_left, d_right, d_left, d_right).transpose(2, 0, 3, 4, 1, 5)
-    return np.ascontiguousarray(t.reshape(total, total))
+    return np.ascontiguousarray(t.reshape(rho.shape))
 
 
 def conjugate_subsystem(
@@ -143,19 +137,9 @@ def conjugate_subsystem(
     return _apply_superop_at(np.kron(u, u.conj()), rho, dims, subsystem)
 
 
-def _apply(channel: RandomUnitaryChannel, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Validated channel output and its ascending spectrum (see apply)."""
-    if rho.shape != (channel.dim, channel.dim):
-        raise ValueError(
-            f"state shape {rho.shape} does not match channel dimension {channel.dim}"
-        )
-    d = channel.dim
-    return linalg.validated((channel.superoperator @ rho.reshape(d * d)).reshape(d, d))
-
-
 def apply(channel: RandomUnitaryChannel, rho: np.ndarray) -> np.ndarray:
-    """Channel output sum_i p_i U_i rho U_i†, symmetrized and invariant-checked."""
-    return _apply(channel, rho)[0]
+    """Channel output sum_i p_i U_i rho U_i†, invariant-checked and symmetrized."""
+    return linalg.validated(_apply_product(ChannelFamily((channel,)), rho))
 
 
 def apply_at(
@@ -165,20 +149,17 @@ def apply_at(
     subsystem: int,
 ) -> np.ndarray:
     """Apply the channel to one factor of a multipartite state (no validation)."""
-    if channel.dim != dims[subsystem]:
-        raise ValueError(
-            f"channel dimension {channel.dim} does not match factor {subsystem} of {dims}"
-        )
     return _apply_superop_at(channel.superoperator, rho, dims, subsystem)
 
 
-def _apply_product(family: ChannelFamily, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Validated product-channel output and its ascending spectrum (see apply_product)."""
+def _apply_product(family: ChannelFamily, rho: np.ndarray) -> np.ndarray:
+    """Product-channel output as the maps produce it; the caller validates it,
+    with linalg.validated for the state or assert_density_matrix for its spectrum."""
     dims = family.dims
     out = rho
     for k, part in enumerate(family.parts):
         out = _apply_superop_at(part.superoperator, out, dims, k)
-    return linalg.validated(out)
+    return out
 
 
 def apply_product(family: ChannelFamily, rho: np.ndarray) -> np.ndarray:
@@ -188,9 +169,10 @@ def apply_product(family: ChannelFamily, rho: np.ndarray) -> np.ndarray:
     (checked exhaustively against the brute-force double sum in the tests),
     at cost sum_k n_k conjugations instead of prod_k n_k.
     """
-    return _apply_product(family, rho)[0]
+    return linalg.validated(_apply_product(family, rho))
 
 
 def epsilon_randomizing_distance(channel: RandomUnitaryChannel, rho: np.ndarray) -> float:
     """Trace distance of the channel output from the maximally mixed state."""
-    return linalg.distance_from_mixed(_apply(channel, rho)[1])
+    spectrum = linalg.assert_density_matrix(_apply_product(ChannelFamily((channel,)), rho))
+    return linalg.distance_from_mixed(spectrum)

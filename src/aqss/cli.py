@@ -21,12 +21,12 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass
-from typing import Sequence
+from dataclasses import asdict, dataclass, replace
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from . import __version__, analysis, linalg, protocol
+from . import __version__, analysis, linalg
 from .analysis import BoundCheck
 from .channels import (
     ChannelFamily,
@@ -42,13 +42,11 @@ from .protocol import (
     charlie_encode,
     collusion_attack,
     cooperate_decode,
-    interior_attack_bob,
+    guard,
     key_cost,
     measure_exterior_view,
 )
 from .random import _haar_vectors, random_pure_state, stream
-
-MAX_N = 100_000
 
 CSV_COLUMNS = (
     "command",
@@ -89,14 +87,18 @@ class ExperimentConfig:
     def n(self) -> int:
         """Unitaries per channel: d^2 for the exact channel, else the override or
         the sized default."""
-        return self.d * self.d if self.perfect else self.protocol.resolved_n
+        return self.protocol.resolved_n
 
     @property
     def protocol(self) -> ProtocolConfig:
-        """The protocol parameters; building them validates d, epsilon, m and --n."""
-        return ProtocolConfig(
+        """The protocol parameters; building them validates d, epsilon, m and --n.
+
+        The exact channel has n = d^2 unitaries whatever --n says.
+        """
+        config = ProtocolConfig(
             d=self.d, epsilon=self.epsilon, parties=self.m, n_per_channel=self.n_override
         )
+        return replace(config, n_per_channel=self.d * self.d) if self.perfect else config
 
     def to_dict(self) -> dict:
         out = asdict(self)
@@ -205,35 +207,44 @@ def _run_randomize(cfg: ExperimentConfig) -> list[Metric]:
     ]
 
 
-def _session_rounds(cfg: ExperimentConfig) -> list[AqssSession]:
+def _session_rounds(cfg: ExperimentConfig) -> Iterator[AqssSession]:
+    """One channel family for the grid point; fresh keys and plaintext per round."""
     family = _build_family(cfg, stream(cfg.seed, _CLI_STREAM_BASE))
-    pcfg = ProtocolConfig(
-        d=cfg.d, epsilon=cfg.epsilon, parties=cfg.m, n_per_channel=cfg.n
-    )
-    sessions = []
+    config = cfg.protocol
     for i in range(cfg.trials):
         rng = stream(cfg.seed, _CLI_STREAM_BASE + 1 + i)
-        sessions.append(charlie_encode(pcfg, _plaintext(cfg, rng), rng, channels=family))
-    return sessions
+        yield charlie_encode(config, _plaintext(cfg, rng), rng, channels=family)
 
 
-def _run_aqss_demo(cfg: ExperimentConfig) -> list[Metric]:
-    sessions = _session_rounds(cfg)
-    d = cfg.d
-    round_trip = 0.0
-    exterior = 0.0
-    deficit = 0.0
-    interior = 0.0
+def _audit(
+    sessions: Iterable[AqssSession], victims: Sequence[int]
+) -> tuple[float, float, float, float]:
+    """Worst case over the rounds of the round-trip distance, the exterior
+    distance, the exterior entropy deficit m log2 d - S, and each victim's
+    distance from 1/d on its marginal while all the other receivers collude.
+
+    With m = 2 and victim 0 this is interior_attack_bob's computation.
+    """
+    round_trip = exterior = deficit = victim_worst = 0.0
     for session in sessions:
+        d, m = session.config.d, session.config.parties
+        single = linalg.maximally_mixed(d)
         round_trip = max(
             round_trip,
             linalg.trace_norm(cooperate_decode(session) - session.plaintext),
         )
         distance, entropy = measure_exterior_view(session)
         exterior = max(exterior, distance)
-        deficit = max(deficit, 2 * math.log2(d) - entropy)
-        _, alice = interior_attack_bob(session)
-        interior = max(interior, linalg.trace_norm(alice - linalg.maximally_mixed(d)))
+        deficit = max(deficit, m * math.log2(d) - entropy)
+        for victim in victims:
+            joint = collusion_attack(session, colluders=[k for k in range(m) if k != victim])
+            marginal = linalg.partial_trace(joint, (d,) * m, keep=victim)
+            victim_worst = max(victim_worst, linalg.trace_norm(marginal - single))
+    return round_trip, exterior, deficit, victim_worst
+
+
+def _run_aqss_demo(cfg: ExperimentConfig) -> list[Metric]:
+    round_trip, exterior, deficit, interior = _audit(_session_rounds(cfg), victims=[0])
     return [
         _checked(
             "round_trip_distance_max", BoundCheck.compare(round_trip, EXACT_TOL), asserted=True
@@ -302,24 +313,7 @@ def _run_locc_test(cfg: ExperimentConfig) -> list[Metric]:
 
 
 def _run_multiparty(cfg: ExperimentConfig) -> list[Metric]:
-    sessions = _session_rounds(cfg)
-    d, m = cfg.d, cfg.m
-    single = linalg.maximally_mixed(d)
-    round_trip = 0.0
-    exterior = 0.0
-    collusion = 0.0
-    for session in sessions:
-        round_trip = max(
-            round_trip,
-            linalg.trace_norm(cooperate_decode(session) - session.plaintext),
-        )
-        exterior = max(exterior, measure_exterior_view(session)[0])
-        for victim in range(m):
-            joint = collusion_attack(
-                session, colluders=[k for k in range(m) if k != victim]
-            )
-            marginal = linalg.partial_trace(joint, (d,) * m, keep=victim)
-            collusion = max(collusion, linalg.trace_norm(marginal - single))
+    round_trip, exterior, _, collusion = _audit(_session_rounds(cfg), victims=range(cfg.m))
     return [
         _checked(
             "round_trip_distance_max", BoundCheck.compare(round_trip, EXACT_TOL), asserted=True
@@ -379,24 +373,9 @@ def run(cfg: ExperimentConfig) -> ResultRecord:
     )
 
 
-def _guard(cfg: ExperimentConfig) -> None:
-    """Refuse grid points whose dense-matrix work exceeds desk scale."""
-    if cfg.command == "key-cost":
-        return  # pure arithmetic, any d is fine
-    joint = cfg.d**cfg.m  # m is 2 for every command but multiparty
-    if joint > protocol.MAX_JOINT_DIM:
-        raise ResourceGuardError(
-            f"joint dimension {joint} exceeds the guard "
-            f"{protocol.MAX_JOINT_DIM} (d={cfg.d}, m={cfg.m})"
-        )
-    if cfg.n > MAX_N:
-        raise ResourceGuardError(f"n = {cfg.n} exceeds the guard {MAX_N}")
-
-
 def _validate(cfg: ExperimentConfig, parser: argparse.ArgumentParser) -> None:
     try:
-        cfg.protocol  # building it checks d, epsilon, m and --n
-        cfg.n  # and the sized n must be computable
+        cfg.n  # building the protocol checks d, epsilon, m and --n, and resolves n
     except ValueError as exc:
         parser.error(str(exc))
     if cfg.trials < 1:
@@ -541,7 +520,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     try:
         for cfg in grid:
-            _guard(cfg)
+            if cfg.command != "key-cost":  # pure arithmetic, any d is fine
+                guard(cfg.protocol)
     except ResourceGuardError as exc:
         print(f"aqss: refused: {exc}", file=sys.stderr)
         return 3

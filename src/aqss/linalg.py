@@ -9,10 +9,11 @@ Conventions used throughout the package:
 
 Spectra: a Hermitian matrix is decomposed with ``eigvalsh``; only a
 genuinely non-Hermitian ``trace_norm`` argument falls back to an SVD. A
-map output is hermitized once and validated by ``validated``, and the
-ascending spectrum that validation computed is reused for its distance
-``sum |lambda - 1/D|`` to the maximally mixed state (which commutes with
-everything) and for its entropy, so no state is decomposed twice.
+map output is checked as the map produced it by ``assert_density_matrix``,
+which decomposes its Hermitian part; that ascending spectrum is reused for
+its distance ``sum |lambda - 1/D|`` to the maximally mixed state (which
+commutes with everything) and for its entropy, so no state is decomposed
+twice. Callers that need the state itself take it from ``validated``.
 """
 
 from __future__ import annotations
@@ -27,8 +28,9 @@ EIGENVALUE_TOL = 1e-10
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
-    """Hermitian part (M + M†)/2; bounds floating-point drift after channel maps."""
-    return (m + m.conj().T) / 2
+    """Hermitian part (M + M†)/2; bounds floating-point drift after channel maps.
+    M† is copied row-major first, so the sum reads both operands in memory order."""
+    return (np.conj(m.T, order="C") + m) / 2
 
 
 def assert_square(x: np.ndarray) -> None:
@@ -41,33 +43,32 @@ def assert_finite(x: np.ndarray) -> None:
         raise ValueError("matrix contains non-finite entries")
 
 
-def assert_density_matrix(rho: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    """Raise ValueError unless rho is Hermitian, unit-trace and PSD within tol.
+def assert_density_matrix(rho: np.ndarray) -> np.ndarray:
+    """Raise ValueError unless rho is Hermitian, unit-trace and PSD within 1e-10.
 
     Returns the ascending eigenvalues of the Hermitian part of rho, the
     spectrum the positivity check used.
     """
     assert_square(rho)
     assert_finite(rho)
-    herm_dev = np.abs(rho - rho.conj().T).max()
-    if herm_dev > tol:
+    state = hermitize(rho)
+    herm_dev = 2 * np.abs(rho - state).max()  # max |M - M†|
+    if herm_dev > HERMITIAN_TOL:
         raise ValueError(f"state is not Hermitian: max |M - M†| = {herm_dev:.3e}")
     tr_dev = abs(np.trace(rho) - 1.0)
     if tr_dev > TRACE_TOL:
         raise ValueError(f"state trace differs from 1 by {tr_dev:.3e}")
-    # An exactly Hermitian rho, such as the output of `validated`, is its own
-    # Hermitian part and is decomposed as passed.
-    eigs = np.linalg.eigvalsh(rho if herm_dev == 0.0 else hermitize(rho))
+    eigs = np.linalg.eigvalsh(state)
     if eigs[0] < -EIGENVALUE_TOL:
         raise ValueError(f"state has negative eigenvalue {eigs[0]:.3e}")
     return eigs
 
 
-def validated(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hermitian part of a map output, checked as a density matrix, and its
-    ascending spectrum."""
-    state = hermitize(m)
-    return state, assert_density_matrix(state)
+def validated(m: np.ndarray) -> np.ndarray:
+    """Hermitian part of a map output; m is checked as a density matrix as the
+    map produced it, and only then hermitized."""
+    assert_density_matrix(m)
+    return hermitize(m)
 
 
 def distance_from_mixed(spectrum: np.ndarray) -> float:
@@ -87,8 +88,20 @@ def spectrum_entropy(spectrum: np.ndarray) -> float:
     return float(-(eigs * np.log2(eigs)).sum())
 
 
-def partial_trace(rho: np.ndarray, dims: tuple[int, ...], keep) -> np.ndarray:
-    """Reduced state on the kept subsystem(s).
+def factor_layout(n: int, dims: tuple[int, ...], k: int) -> tuple[int, int, int]:
+    """Sizes (d_left, d_k, d_right) before, at and after factor k of a space of
+    dimension n = prod(dims); ValueError for a bad index k or a mismatched n."""
+    if not isinstance(k, (int, np.integer)) or not 0 <= k < len(dims):
+        raise ValueError(f"invalid subsystem {k!r} for {len(dims)} factors")
+    d_left = math.prod(dims[:k])
+    d_right = math.prod(dims[k + 1 :])
+    if n != d_left * dims[k] * d_right:
+        raise ValueError(f"state dimension {n} does not match subsystem dims {tuple(dims)}")
+    return d_left, dims[k], d_right
+
+
+def partial_trace(rho: np.ndarray, dims: tuple[int, ...], keep: int) -> np.ndarray:
+    """Reduced state on one subsystem.
 
     Parameters
     ----------
@@ -96,40 +109,18 @@ def partial_trace(rho: np.ndarray, dims: tuple[int, ...], keep) -> np.ndarray:
         State on the full tensor-product space, dimension prod(dims).
     dims : tuple of int
         Dimension of each tensor factor, in order.
-    keep : int or sequence of int
-        Index (or indices, kept in the given order) of the factor(s) to keep.
+    keep : int
+        Index of the factor to keep.
 
     Raises
     ------
     ValueError
-        If the bipartition does not match the state dimension.
+        If keep is not a factor index or the dims do not match the state.
     """
     assert_square(rho)
-    dims = tuple(int(d) for d in dims)
-    total = math.prod(dims)
-    if rho.shape[0] != total:
-        raise ValueError(
-            f"state dimension {rho.shape[0]} does not match subsystem dims {dims}"
-        )
-    if isinstance(keep, (int, np.integer)):
-        keep = (int(keep),)
-    keep = tuple(int(k) for k in keep)
-    n = len(dims)
-    if not keep or any(k < 0 or k >= n for k in keep) or len(set(keep)) != len(keep):
-        raise ValueError(f"invalid subsystem selection {keep} for {n} factors")
-
-    t = rho.reshape(dims + dims)
-    # Contract the traced-out row/column index pairs, highest index first.
-    remaining = list(dims)
-    for idx in sorted((i for i in range(n) if i not in keep), reverse=True):
-        t = np.trace(t, axis1=idx, axis2=idx + len(remaining))
-        del remaining[idx]
-    # Axes of t now follow the kept factors in ascending order; reorder to `keep`.
-    ascending = sorted(keep)
-    perm = [ascending.index(k) for k in keep]
-    t = t.transpose(tuple(perm) + tuple(len(keep) + p for p in perm))
-    d_keep = math.prod(dims[k] for k in keep)
-    return np.ascontiguousarray(t.reshape(d_keep, d_keep))
+    d_left, d, d_right = factor_layout(rho.shape[0], dims, keep)
+    t = rho.reshape(d_left, d, d_right, d_left, d, d_right)
+    return np.einsum("aibajb->ij", t)
 
 
 def trace_norm(x: np.ndarray) -> float:

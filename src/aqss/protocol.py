@@ -29,6 +29,8 @@ from .channels import (
 
 # Past this joint dimension, dense eigendecompositions stop being interactive.
 MAX_JOINT_DIM = 1024
+# Past this many unitaries per channel, sampling and the superoperator build do.
+MAX_N = 100_000
 
 
 class ResourceGuardError(ValueError):
@@ -85,11 +87,16 @@ class KeyCostReport:
     ratio: float
 
 
-def _guard_joint_dim(config: ProtocolConfig) -> None:
+def guard(config: ProtocolConfig) -> None:
+    """Raise ResourceGuardError for a run past desk scale: joint dimension
+    d^m > MAX_JOINT_DIM or more than MAX_N unitaries per channel."""
     if config.joint_dim > MAX_JOINT_DIM:
         raise ResourceGuardError(
-            f"joint dimension d^m = {config.joint_dim} exceeds the guard {MAX_JOINT_DIM}"
+            f"joint dimension d^m = {config.joint_dim} exceeds the guard "
+            f"{MAX_JOINT_DIM} (d={config.d}, m={config.parties})"
         )
+    if config.resolved_n > MAX_N:
+        raise ResourceGuardError(f"n = {config.resolved_n} exceeds the guard {MAX_N}")
 
 
 def charlie_encode(
@@ -102,9 +109,10 @@ def charlie_encode(
 
     Samples the per-receiver channels with uniform weights unless pre-built
     ones are supplied, draws each key index uniformly, and conjugates the
-    plaintext by the selected unitaries.
+    plaintext by the selected unitaries. A config the resource guard refuses
+    raises ResourceGuardError before anything is sampled.
     """
-    _guard_joint_dim(config)
+    guard(config)
     m = config.parties
     dims = (config.d,) * m
     if plaintext.shape != (config.joint_dim, config.joint_dim):
@@ -174,7 +182,7 @@ def measure_exterior_view(session: AqssSession) -> tuple[float, float]:
     Both come from the spectrum that validated the view, so the D x D view is
     decomposed once.
     """
-    _, spectrum = _apply_product(session.channels, session.plaintext)
+    spectrum = linalg.assert_density_matrix(_apply_product(session.channels, session.plaintext))
     return linalg.distance_from_mixed(spectrum), linalg.spectrum_entropy(spectrum)
 
 
@@ -205,7 +213,7 @@ def collusion_attack(session: AqssSession, colluders) -> np.ndarray:
     for k in colluders:
         u = session.channels.parts[k].unitaries[session.key_indices[k]]
         state = conjugate_subsystem(state, dims, k, u.conj().T)
-    return linalg.validated(state)[0]
+    return linalg.validated(state)
 
 
 def interior_attack_bob(session: AqssSession) -> tuple[np.ndarray, np.ndarray]:

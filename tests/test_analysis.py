@@ -251,6 +251,10 @@ def test_check_norm_relation_validation():
     bad[0, 1] = 0.3
     with pytest.raises(ValueError):
         check_norm_relation(bad, 4)
+    bad = np.eye(4, dtype=complex) / 4
+    bad[1, 2] = bad[2, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        check_norm_relation(bad, 4)
 
 
 def test_jensen_chain_check():

@@ -224,6 +224,14 @@ def test_subsystem_kernel_matches_brute_force(dims, k):
         conjugate_subsystem(wrong, dims, k, u)
     with pytest.raises(ValueError, match="state dimension"):
         apply_at(ch, wrong, dims, k)
+    with pytest.raises(ValueError, match="invalid subsystem"):
+        apply_at(ch, x, dims, len(dims))
+    other = (k + 1) % len(dims)
+    if dims[other] != dims[k]:
+        with pytest.raises(ValueError, match="does not act on factor"):
+            apply_at(ch, x, dims, other)
+        with pytest.raises(ValueError, match="does not act on factor"):
+            conjugate_subsystem(x, dims, other, u)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
@@ -319,6 +327,31 @@ def test_channel_validation():
         )
     with pytest.raises(ValueError):
         ChannelFamily(())
+    # NaN compares False with every tolerance, so each check must fail on it.
+    nan_stack = np.stack([np.eye(2), np.eye(2)]).astype(complex)
+    nan_stack[1, 0, 1] = np.nan
+    with pytest.raises(ValueError, match="not unitary"):
+        RandomUnitaryChannel(dim=2, unitaries=nan_stack, probs=np.array([0.5, 0.5]))
+    for probs in ([np.nan, 1.0], [np.inf, 0.0]):
+        with pytest.raises(ValueError, match="probabilities"):
+            RandomUnitaryChannel(
+                dim=2, unitaries=np.stack([np.eye(2)] * 2), probs=np.array(probs)
+            )
+
+
+def test_apply_refuses_a_non_hermitian_map_output():
+    # A superoperator off by 1e-6 j * I maps rho to N(rho) + 1e-6 j rho, whose
+    # Hermitian part is a valid state: only a check on the raw output sees it.
+    ch = sample_ruc(4, 8, stream(50))
+    ch.__dict__["superoperator"] = ch.superoperator + 1e-6j * np.eye(16)
+    rho = random_pure_state(4, stream(51))
+    raw = (ch.superoperator @ rho.reshape(16)).reshape(4, 4)
+    assert np.abs(raw - raw.conj().T).max() > 1e-7
+    assert linalg.assert_density_matrix(linalg.hermitize(raw)) is not None
+    with pytest.raises(ValueError, match="not Hermitian"):
+        apply(ch, rho)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        epsilon_randomizing_distance(ch, rho)
 
 
 def test_unitarity_check_sees_last_element():

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import aqss
-from aqss import cli
+from aqss import cli, linalg
+from aqss.channels import ChannelFamily, perfect_pqc, sample_ruc
 from aqss.cli import (
     CSV_COLUMNS,
     Metric,
@@ -19,6 +20,8 @@ from aqss.cli import (
     render_csv,
     render_json,
 )
+from aqss.protocol import ProtocolConfig, charlie_encode, interior_attack_bob
+from aqss.random import random_product_pure_state, stream
 
 
 def run_cli(args, capsys):
@@ -48,6 +51,21 @@ def test_aqss_demo_perfect_asserts_pass(capsys):
     assert metrics["round_trip_distance_max"]["value"] <= 1e-12
     assert metrics["exterior_distance_max"]["value"] <= 1e-12
     assert metrics["interior_alice_distance_max"]["satisfied"]
+
+
+@pytest.mark.parametrize("perfect", [True, False])
+def test_demo_victim_is_the_two_party_interior_attack(perfect):
+    d = 3
+    rng = stream(80, int(perfect))
+    parts = (perfect_pqc(d),) * 2 if perfect else (sample_ruc(d, 5, rng), sample_ruc(d, 5, rng))
+    config = ProtocolConfig(d=d, parties=2, n_per_channel=parts[0].n)
+    for _ in range(3):
+        session = charlie_encode(
+            config, random_product_pure_state(d, d, rng), rng, channels=ChannelFamily(parts)
+        )
+        _, alice = interior_attack_bob(session)
+        expected = linalg.trace_norm(alice - linalg.maximally_mixed(d))
+        assert cli._audit([session], victims=[0])[3] == expected
 
 
 def test_bound_sweep_reports_honest_flag(capsys):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -48,6 +49,33 @@ def test_partial_trace_against_index_sum_oracle():
     assert np.abs(got - np.eye(d) / d).max() <= 1e-12
 
 
+def index_sum_partial_trace(rho, dims, keep):
+    # (tr_rest rho)[i, j] = sum over the other factors' indices r of
+    # rho[(r with i at keep), (r with j at keep)].
+    rest = [range(d) if k != keep else [None] for k, d in enumerate(dims)]
+    out = np.zeros((dims[keep], dims[keep]), dtype=complex)
+    for r in itertools.product(*rest):
+        rows = [
+            np.ravel_multi_index(r[:keep] + (i,) + r[keep + 1 :], dims)
+            for i in range(dims[keep])
+        ]
+        out += rho[np.ix_(rows, rows)]
+    return out
+
+
+@pytest.mark.parametrize(
+    "dims, keep",
+    [((2, 3, 4), k) for k in range(3)] + [((4,) * 5, k) for k in range(5)],
+)
+def test_partial_trace_matches_index_sum_on_every_factor(dims, keep):
+    rng = stream(15, 10 * len(dims) + keep)
+    total = math.prod(dims)
+    x = rng.standard_normal((total, total)) + 1j * rng.standard_normal((total, total))
+    got = linalg.partial_trace(x, dims, keep=keep)
+    assert got.shape == (dims[keep], dims[keep])
+    assert np.abs(got - index_sum_partial_trace(x, dims, keep)).max() <= 1e-12
+
+
 def test_partial_trace_preserves_trace_and_positivity():
     rng = stream(11)
     for _ in range(10):
@@ -78,8 +106,9 @@ def test_partial_trace_three_factors():
 def test_partial_trace_dimension_mismatch():
     with pytest.raises(ValueError):
         linalg.partial_trace(np.eye(6) / 6, (2, 2), keep=0)
-    with pytest.raises(ValueError):
-        linalg.partial_trace(np.eye(4) / 4, (2, 2), keep=2)
+    for keep in (2, -1, 1.0, (0,), None):
+        with pytest.raises(ValueError, match="invalid subsystem"):
+            linalg.partial_trace(np.eye(4) / 4, (2, 2), keep=keep)
 
 
 def test_trace_norm_diagonal():
@@ -152,7 +181,8 @@ def test_assert_density_matrix_returns_the_spectrum_it_checked():
 def test_validated_returns_the_hermitian_part_and_its_spectrum():
     rng = stream(32)
     m = random_density_matrix(6, rng) + 1e-12j * random_hermitian(6, rng)
-    state, spectrum = linalg.validated(m)
+    state = linalg.validated(m)
+    spectrum = linalg.assert_density_matrix(m)
     assert np.array_equal(state, linalg.hermitize(m))
     assert np.array_equal(state, state.conj().T)
     assert np.array_equal(spectrum, np.linalg.eigvalsh(state))

@@ -14,6 +14,7 @@ from aqss.channels import (
     sample_ruc,
 )
 from aqss.protocol import (
+    MAX_N,
     ProtocolConfig,
     ResourceGuardError,
     charlie_encode,
@@ -288,6 +289,17 @@ def test_resource_guard_on_joint_dimension():
     cfg = ProtocolConfig(d=4, epsilon=0.5, parties=6, n_per_channel=2)
     with pytest.raises(ResourceGuardError):
         charlie_encode(cfg, np.eye(4**6) / 4**6, rng)
+
+
+def test_resource_guard_on_channel_size():
+    # The guard runs before any channel is sampled, so this allocates nothing.
+    rng = stream(77)
+    cfg = ProtocolConfig(d=2, epsilon=0.5, parties=2, n_per_channel=MAX_N + 1)
+    with pytest.raises(ResourceGuardError, match=f"exceeds the guard {MAX_N}"):
+        charlie_encode(cfg, np.eye(4) / 4, rng)
+    # The sized default counts too: 150 * 8 / 0.1^2 = 120000 unitaries.
+    with pytest.raises(ResourceGuardError):
+        charlie_encode(ProtocolConfig(d=8, epsilon=0.1), np.eye(64) / 64, rng)
 
 
 def test_config_validation():

@@ -13,21 +13,29 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_traced_multiparty_run_is_clean():
+def traced_calls(*argv):
+    """Call counts of a clean traced run of ``aqss <argv>``."""
     proc = subprocess.run(
-        [
-            sys.executable, str(ROOT / "perfbench" / "child.py"), str(ROOT / "src"),
-            "traced", "multiparty", "--d", "2", "--m", "3", "--perfect", "--seed", "9",
-        ],
+        [sys.executable, str(ROOT / "perfbench" / "child.py"), str(ROOT / "src"), "traced", *argv],
         capture_output=True, text=True, cwd=ROOT, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     envelope = json.loads(proc.stdout.splitlines()[-1])
     assert envelope["exit_code"] == 0
     assert "traceback" not in envelope
-    calls = envelope["trace"]["calls"]
+    return envelope["trace"]["calls"]
+
+
+def test_traced_multiparty_run_is_clean():
+    calls = traced_calls("multiparty", "--d", "2", "--m", "3", "--perfect", "--seed", "9")
     assert calls["channels.conjugate_subsystem"] > 0
     assert calls["channels.apply_at"] > 0
     # linalg.spectral_calls_per_state is computed from these two counts.
     assert calls["linalg.assert_density_matrix"] > 0
     assert calls["linalg.trace_norm"] > 0
+
+
+def test_traced_demo_keeps_the_interior_attack():
+    calls = traced_calls("aqss-demo", "--d", "2", "--perfect", "--seed", "1")
+    assert calls["protocol.collusion_attack"] > 0
+    assert calls["linalg.partial_trace"] > 0
