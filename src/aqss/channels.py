@@ -10,7 +10,8 @@ N_A (x) N_B is applied factor-sequentially at cost n_A + n_B once, not
 n_A * n_B. M is built with one GEMM, C = sum_i p_i vec(U_i) vec(U_i)†,
 followed by an index realignment of C into M (the natural-representation
 reshuffle, Watrous, Theory of Quantum Information, §2.2): 8 n d^4 flops and
-O(n d^2 + d^4) memory, with no chunk bound. A single key conjugation
+O(n d^2 + d^4) memory, with no chunk bound; the one stack-sized temporary is
+the weighted conjugate p_i conj(U_i). A single key conjugation
 U rho U† is the one-Kraus superoperator U (x) conj(U), so it runs on the
 same subsystem kernel. The tests pin M against the brute-force Kronecker
 sum, the product path against the double sum, and the subsystem kernel
@@ -26,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .random import haar_unitaries, weyl_heisenberg_operators
+from .random import _CHUNK_ENTRIES, haar_unitaries, weyl_heisenberg_operators
 
 
 def required_n(d: int, epsilon: float) -> int:
@@ -41,6 +42,19 @@ def required_n(d: int, epsilon: float) -> int:
         raise ValueError(
             f"n = ceil(150 d / epsilon^2) is too large to compute (epsilon={epsilon!r})"
         ) from None
+
+
+def _unitarity_deviation(u: np.ndarray) -> float:
+    """max |U†U - 1| over a stack, taken chunk by chunk so the check holds one
+    chunk of temporaries; a max is exact, so the chunking changes no value."""
+    n, d, _ = u.shape
+    step = max(1, _CHUNK_ENTRIES // (d * d))
+    eye = np.eye(d)
+    dev = 0.0
+    for s in range(0, n, step):
+        c = u[s : s + step]
+        dev = max(dev, np.abs(c.conj().transpose(0, 2, 1) @ c - eye).max())
+    return dev
 
 
 @dataclass(frozen=True)
@@ -65,8 +79,12 @@ class RandomUnitaryChannel:
             raise ValueError("probabilities must be finite and nonnegative")
         if abs(p.sum() - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
-        dev = np.abs(u.conj().transpose(0, 2, 1) @ u - np.eye(self.dim)).max()
-        if not dev <= linalg.HERMITIAN_TOL:  # a non-finite entry makes dev NaN
+        # sum |u_ij|^2 is NaN or inf for a NaN, an inf or an overflowing entry;
+        # refusing those first keeps numpy from warning inside the U†U product.
+        if not np.isfinite(np.vdot(u, u)):
+            raise ValueError("Kraus element is not unitary: an entry is not finite or overflows")
+        dev = _unitarity_deviation(u)
+        if not dev <= linalg.HERMITIAN_TOL:
             raise ValueError(f"Kraus element is not unitary: max |U†U - 1| = {dev:.3e}")
         object.__setattr__(self, "unitaries", u)
         object.__setattr__(self, "probs", p)
@@ -80,7 +98,9 @@ class RandomUnitaryChannel:
         """sum_i p_i U_i (x) conj(U_i), acting on row-major vectorized states."""
         d = self.dim
         a = self.unitaries.reshape(self.n, d * d)
-        c = (a.T * self.probs) @ a.conj()
+        b = a.conj()
+        b *= self.probs[:, None]
+        c = a.T @ b
         return c.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 

@@ -132,8 +132,9 @@ def trace_norm(x: np.ndarray) -> float:
     most ||x - x†||_1 / 2. Any other x takes the SVD.
     """
     assert_square(x)
-    if np.abs(x - x.conj().T).max() <= HERMITIAN_TOL:
-        return float(np.abs(np.linalg.eigvalsh(hermitize(x))).sum())
+    h = hermitize(x)
+    if 2 * np.abs(x - h).max() <= HERMITIAN_TOL:  # max |x - x†|
+        return float(np.abs(np.linalg.eigvalsh(h)).sum())
     return float(np.linalg.svd(x, compute_uv=False).sum())
 
 

@@ -87,16 +87,19 @@ class KeyCostReport:
     ratio: float
 
 
-def guard(config: ProtocolConfig) -> None:
+def guard(config: ProtocolConfig, n: int | None = None) -> None:
     """Raise ResourceGuardError for a run past desk scale: joint dimension
-    d^m > MAX_JOINT_DIM or more than MAX_N unitaries per channel."""
+    d^m > MAX_JOINT_DIM or more than MAX_N unitaries per channel, counting n
+    unitaries when given (pre-built channels) and config.resolved_n otherwise."""
     if config.joint_dim > MAX_JOINT_DIM:
         raise ResourceGuardError(
             f"joint dimension d^m = {config.joint_dim} exceeds the guard "
             f"{MAX_JOINT_DIM} (d={config.d}, m={config.parties})"
         )
-    if config.resolved_n > MAX_N:
-        raise ResourceGuardError(f"n = {config.resolved_n} exceeds the guard {MAX_N}")
+    if n is None:
+        n = config.resolved_n
+    if n > MAX_N:
+        raise ResourceGuardError(f"n = {n} exceeds the guard {MAX_N}")
 
 
 def charlie_encode(
@@ -109,10 +112,11 @@ def charlie_encode(
 
     Samples the per-receiver channels with uniform weights unless pre-built
     ones are supplied, draws each key index uniformly, and conjugates the
-    plaintext by the selected unitaries. A config the resource guard refuses
-    raises ResourceGuardError before anything is sampled.
+    plaintext by the selected unitaries. The resource guard counts the
+    unitaries of the channels used, pre-built or to be sampled, and raises
+    ResourceGuardError before anything is sampled.
     """
-    guard(config)
+    guard(config, None if channels is None else max(part.n for part in channels.parts))
     m = config.parties
     dims = (config.d,) * m
     if plaintext.shape != (config.joint_dim, config.joint_dim):

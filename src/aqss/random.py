@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
+# Matrix entries per QR or unitarity-check chunk: 65536 complex entries, 1 MiB.
+_CHUNK_ENTRIES = 1 << 16
+
 
 def stream(master_seed: int, stream_id: int = 0) -> np.random.Generator:
     """Independent, reproducible RNG stream keyed by (master_seed, stream_id)."""
@@ -19,33 +22,46 @@ def stream(master_seed: int, stream_id: int = 0) -> np.random.Generator:
     )
 
 
+def _ginibre_qr(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Q and diag(R) of the QR decomposition of each Ginibre draw (re + i im)/sqrt 2."""
+    q, r = np.linalg.qr((re + 1j * im) / np.sqrt(2))
+    return q, np.diagonal(r, axis1=1, axis2=2).copy()
+
+
 def haar_unitaries(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """Stack of n independent Haar-random d x d unitaries, shape (n, d, d).
 
     QR decomposition of a Ginibre matrix, with Q's columns rescaled by the
     phases of R's diagonal so the distribution is exactly Haar (the plain QR
-    output is not unique and not Haar without this correction).
+    output is not unique and not Haar without this correction; Mezzadri
+    2007). All real parts are drawn, then all imaginary parts. The QR and the
+    phase fix are per matrix, so a stack of more than _CHUNK_ENTRIES entries
+    is decomposed chunk by chunk into the output stack with the same bits;
+    the call holds the normals, the stack and one chunk.
     """
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")
     if n < 1:
         raise ValueError(f"sample count must be positive, got {n}")
-    z = (rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r, axis1=1, axis2=2).copy()
+    re = rng.standard_normal((n, d, d))
+    im = rng.standard_normal((n, d, d))
+    step = max(1, _CHUNK_ENTRIES // (d * d))
+    if n <= step:
+        q, diag = _ginibre_qr(re, im)
+    else:
+        q = np.empty((n, d, d), dtype=complex)
+        diag = np.empty((n, d), dtype=complex)
+        for s in range(0, n, step):
+            q[s : s + step], diag[s : s + step] = _ginibre_qr(re[s : s + step], im[s : s + step])
     # A zero diagonal entry has probability zero; resample the offending draws.
     bad = np.abs(diag) < 1e-300
     while bad.any():
         rows = np.unique(np.nonzero(bad)[0])
-        z2 = (
-            rng.standard_normal((rows.size, d, d))
-            + 1j * rng.standard_normal((rows.size, d, d))
-        ) / np.sqrt(2)
-        q2, r2 = np.linalg.qr(z2)
-        q[rows] = q2
-        diag[rows] = np.diagonal(r2, axis1=1, axis2=2)
+        shape = (rows.size, d, d)
+        q[rows], diag[rows] = _ginibre_qr(rng.standard_normal(shape), rng.standard_normal(shape))
         bad = np.abs(diag) < 1e-300
-    return q * (diag / np.abs(diag))[:, None, :]
+    q *= (diag / np.abs(diag))[:, None, :]
+    return q
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:

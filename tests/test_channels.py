@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from aqss.channels import (
     sample_ruc,
 )
 from aqss.random import (
+    _CHUNK_ENTRIES,
     haar_unitaries,
     random_pure_state,
     stream,
@@ -332,6 +335,15 @@ def test_channel_validation():
     nan_stack[1, 0, 1] = np.nan
     with pytest.raises(ValueError, match="not unitary"):
         RandomUnitaryChannel(dim=2, unitaries=nan_stack, probs=np.array([0.5, 0.5]))
+    # An inf or an overflowing entry is refused before the U†U product, so
+    # numpy never warns.
+    for entry in (np.inf, 1e200):
+        big_stack = np.stack([np.eye(2), np.eye(2)]).astype(complex)
+        big_stack[0, 1, 1] = entry
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not unitary"):
+                RandomUnitaryChannel(dim=2, unitaries=big_stack, probs=np.array([0.5, 0.5]))
     for probs in ([np.nan, 1.0], [np.inf, 0.0]):
         with pytest.raises(ValueError, match="probabilities"):
             RandomUnitaryChannel(
@@ -354,16 +366,42 @@ def test_apply_refuses_a_non_hermitian_map_output():
         epsilon_randomizing_distance(ch, rho)
 
 
-def test_unitarity_check_sees_last_element():
-    n = 500
-    u = haar_unitaries(4, n, stream(48))
+def assert_unitarity_check_sees(d, n, where):
+    u = haar_unitaries(d, n, stream(48, d))
     probs = np.full(n, 1.0 / n)
 
-    def perturb_last(delta):
+    def perturb(delta):
         bad = u.copy()
-        bad[-1, 0, 1] += delta
+        bad[where, 0, 1] += delta
         return bad
 
-    RandomUnitaryChannel(dim=4, unitaries=perturb_last(1e-13), probs=probs)
+    RandomUnitaryChannel(dim=d, unitaries=perturb(1e-13), probs=probs)
     with pytest.raises(ValueError, match="not unitary"):
-        RandomUnitaryChannel(dim=4, unitaries=perturb_last(1e-8), probs=probs)
+        RandomUnitaryChannel(dim=d, unitaries=perturb(1e-8), probs=probs)
+
+
+def test_unitarity_check_sees_last_element():
+    assert_unitarity_check_sees(4, 500, -1)
+
+
+@pytest.mark.parametrize("where", [0, 300, -1])
+def test_unitarity_check_sees_every_chunk(where):
+    # At d=16 a chunk holds _CHUNK_ENTRIES / 256 = 256 matrices, so n = 700
+    # spans three chunks: 0 is in the first, 300 in the middle one, -1 in the last.
+    assert 2 * _CHUNK_ENTRIES < 700 * 16 * 16 <= 3 * _CHUNK_ENTRIES
+    assert_unitarity_check_sees(16, 700, where)
+
+
+def test_sampling_and_build_hold_at_most_two_and_a_half_stacks():
+    # The stack of n = 9600 unitaries at d=16 is 39 MB. Sampling holds the
+    # normals, the stack and one chunk; the build holds one more stack.
+    d, n = 16, 9600
+    stack_bytes = n * d * d * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        ch = sample_ruc(d, n, stream(52))
+        ch.superoperator
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * stack_bytes, peak / stack_bytes

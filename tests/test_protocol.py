@@ -302,6 +302,17 @@ def test_resource_guard_on_channel_size():
         charlie_encode(ProtocolConfig(d=8, epsilon=0.1), np.eye(64) / 64, rng)
 
 
+def test_resource_guard_counts_prebuilt_channels():
+    # The sized default would be 120000 unitaries, but pre-built channels are
+    # not sampled: the guard counts their 4 unitaries and lets the run pass.
+    rng = stream(79)
+    cfg = ProtocolConfig(d=8, epsilon=0.1)
+    family = ChannelFamily((sample_ruc(8, 4, rng), sample_ruc(8, 4, rng)))
+    session = charlie_encode(cfg, np.eye(64) / 64, rng, channels=family)
+    assert session.channels is family
+    assert all(0 <= k < 4 for k in session.key_indices)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ProtocolConfig(d=1, epsilon=0.5)

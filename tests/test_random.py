@@ -5,6 +5,7 @@ import pytest
 
 from aqss import linalg
 from aqss.random import (
+    _CHUNK_ENTRIES,
     haar_unitaries,
     haar_unitary,
     random_product_pure_state,
@@ -36,6 +37,51 @@ def test_haar_unitarity(d):
 
 def test_haar_deterministic():
     assert np.array_equal(haar_unitary(4, stream(9)), haar_unitary(4, stream(9)))
+
+
+def _one_shot_haar_unitaries(d, n, rng):
+    # The unchunked sampler: one Ginibre stack, one stacked QR, one phase fix.
+    z = (rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))) / np.sqrt(2)
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    return q * (diag / np.abs(diag))[:, None, :]
+
+
+@pytest.mark.parametrize("chunks", [None, 0.5, 1, 3.7])
+def test_haar_streamed_matches_one_shot(chunks):
+    # None is n = 1; 3.7 chunks of _CHUNK_ENTRIES / 256 matrices ends mid-chunk,
+    # so the chunk boundaries and the short tail are hit.
+    d = 16
+    n = 1 if chunks is None else int(chunks * (_CHUNK_ENTRIES // (d * d)))
+    rng_new, rng_ref = stream(901, n), stream(901, n)
+    u = haar_unitaries(d, n, rng_new)
+    assert np.array_equal(u, _one_shot_haar_unitaries(d, n, rng_ref))
+    # Same normals drawn in the same order: the next draw of both streams agrees.
+    assert np.array_equal(rng_new.standard_normal(8), rng_ref.standard_normal(8))
+
+
+class ScriptedNormals:
+    """Stands in for a Generator: standard_normal returns the given arrays in order."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def standard_normal(self, shape):
+        out = self.draws.pop(0)
+        assert out.shape == shape
+        return out
+
+
+def test_haar_resamples_a_zero_draw():
+    # A zero Ginibre matrix has R = 0, so its draw is replaced by the next
+    # real and imaginary normals; the others keep theirs.
+    rng = stream(902)
+    re, im = rng.standard_normal((3, 2, 2)), rng.standard_normal((3, 2, 2))
+    re[1] = im[1] = 0.0
+    re2, im2 = rng.standard_normal((1, 2, 2)), rng.standard_normal((1, 2, 2))
+    u = haar_unitaries(2, 3, ScriptedNormals(re, im, re2, im2))
+    re[1], im[1] = re2[0], im2[0]
+    assert np.array_equal(u, _one_shot_haar_unitaries(2, 3, ScriptedNormals(re, im)))
 
 
 def test_haar_first_moment_twirls_to_mixed():
