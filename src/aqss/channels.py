@@ -159,7 +159,7 @@ def conjugate_subsystem(
 
 def apply(channel: RandomUnitaryChannel, rho: np.ndarray) -> np.ndarray:
     """Channel output sum_i p_i U_i rho U_i†, invariant-checked and symmetrized."""
-    return linalg.validated(_apply_product(ChannelFamily((channel,)), rho))
+    return apply_product(ChannelFamily((channel,)), rho)
 
 
 def apply_at(
@@ -173,8 +173,8 @@ def apply_at(
 
 
 def _apply_product(family: ChannelFamily, rho: np.ndarray) -> np.ndarray:
-    """Product-channel output as the maps produce it; the caller validates it,
-    with linalg.validated for the state or assert_density_matrix for its spectrum."""
+    """Product-channel output as the maps produce it; apply_product and
+    output_spectrum validate it."""
     dims = family.dims
     out = rho
     for k, part in enumerate(family.parts):
@@ -192,7 +192,13 @@ def apply_product(family: ChannelFamily, rho: np.ndarray) -> np.ndarray:
     return linalg.validated(_apply_product(family, rho))
 
 
+def output_spectrum(family: ChannelFamily, rho: np.ndarray) -> np.ndarray:
+    """Ascending spectrum of the product-channel output, which is checked as a
+    density matrix as the maps produced it; every measured quantity of a map
+    output (distance from 1/D, entropy) is read from this one decomposition."""
+    return linalg.assert_density_matrix(_apply_product(family, rho))
+
+
 def epsilon_randomizing_distance(channel: RandomUnitaryChannel, rho: np.ndarray) -> float:
     """Trace distance of the channel output from the maximally mixed state."""
-    spectrum = linalg.assert_density_matrix(_apply_product(ChannelFamily((channel,)), rho))
-    return linalg.distance_from_mixed(spectrum)
+    return linalg.distance_from_mixed(output_spectrum(ChannelFamily((channel,)), rho))

@@ -32,6 +32,7 @@ from .channels import (
     ChannelFamily,
     apply_product,
     epsilon_randomizing_distance,
+    output_spectrum,
     perfect_pqc,
     sample_ruc,
 )
@@ -44,7 +45,6 @@ from .protocol import (
     cooperate_decode,
     guard,
     key_cost,
-    measure_exterior_view,
 )
 from .random import _haar_vectors, random_pure_state, stream
 
@@ -190,15 +190,8 @@ def _run_randomize(cfg: ExperimentConfig) -> list[Metric]:
         random_pure_state(cfg.d, stream(cfg.seed, _CLI_STREAM_BASE + 1 + i))
         for i in range(cfg.trials)
     ]
-    for k in range(cfg.d):
-        basis = np.zeros((cfg.d, cfg.d), dtype=complex)
-        basis[k, k] = 1.0
-        probes.append(basis)
-    probes.append(
-        linalg.partial_trace(
-            linalg.maximally_entangled_state(cfg.d), (cfg.d, cfg.d), keep=1
-        )
-    )
+    probes += [np.diag(e) for e in np.eye(cfg.d, dtype=complex)]  # basis projectors
+    probes.append(linalg.maximally_mixed(cfg.d))
     distances = [epsilon_randomizing_distance(channel, rho) for rho in probes]
     return [
         _randomized("max_randomizing_distance", max(distances), cfg, TWIRL_TOL),
@@ -228,18 +221,20 @@ def _audit(
     round_trip = exterior = deficit = victim_worst = 0.0
     for session in sessions:
         d, m = session.config.d, session.config.parties
-        single = linalg.maximally_mixed(d)
         round_trip = max(
             round_trip,
             linalg.trace_norm(cooperate_decode(session) - session.plaintext),
         )
-        distance, entropy = measure_exterior_view(session)
-        exterior = max(exterior, distance)
-        deficit = max(deficit, m * math.log2(d) - entropy)
+        # The outsider's view is the key average, the product-channel output.
+        spectrum = output_spectrum(session.channels, session.plaintext)
+        exterior = max(exterior, linalg.distance_from_mixed(spectrum))
+        deficit = max(deficit, m * math.log2(d) - linalg.spectrum_entropy(spectrum))
         for victim in victims:
             joint = collusion_attack(session, colluders=[k for k in range(m) if k != victim])
             marginal = linalg.partial_trace(joint, (d,) * m, keep=victim)
-            victim_worst = max(victim_worst, linalg.trace_norm(marginal - single))
+            victim_worst = max(
+                victim_worst, linalg.distance_from_mixed(linalg.assert_density_matrix(marginal))
+            )
     return round_trip, exterior, deficit, victim_worst
 
 
@@ -323,30 +318,31 @@ def _run_multiparty(cfg: ExperimentConfig) -> list[Metric]:
     ]
 
 
-# name -> (runner, default --trials, help)
+# name -> (runner, default --trials, fewest --trials, help)
 COMMANDS = {
     "randomize": (
-        _run_randomize, 20, "sample one channel and report its worst randomizing distance"
+        _run_randomize, 20, 1, "sample one channel and report its worst randomizing distance"
     ),
     "aqss-demo": (
-        _run_aqss_demo, 5,
+        _run_aqss_demo, 5, 1,
         "run the two-receiver protocol end to end and report security metrics",
     ),
     "bound-sweep": (
-        _run_bound_sweep, 100,
+        _run_bound_sweep, 100, analysis.MIN_TRACE_DISTANCE_TRIALS,
         "Monte Carlo mean trace distance of product-channel outputs vs its target",
     ),
     "purity-check": (
-        _run_purity_check, 200, "Monte Carlo mean output purity vs the second-moment identity"
+        _run_purity_check, 200, analysis.MIN_PURITY_TRIALS,
+        "Monte Carlo mean output purity vs the second-moment identity",
     ),
     "key-cost": (
-        _run_key_cost, 1, "secret-bit accounting of the exact vs approximate schemes"
+        _run_key_cost, 1, 1, "secret-bit accounting of the exact vs approximate schemes"
     ),
     "locc-test": (
-        _run_locc_test, 50, "local-measurement distinguishability of the outsider's view"
+        _run_locc_test, 50, 1, "local-measurement distinguishability of the outsider's view"
     ),
     "multiparty": (
-        _run_multiparty, 3,
+        _run_multiparty, 3, 1,
         "m-receiver protocol round trip, exterior view and collusion margins",
     ),
 }
@@ -376,16 +372,17 @@ def run(cfg: ExperimentConfig) -> ResultRecord:
 def _validate(cfg: ExperimentConfig, parser: argparse.ArgumentParser) -> None:
     try:
         cfg.n  # building the protocol checks d, epsilon, m and --n, and resolves n
+        if cfg.command == "key-cost":
+            key_cost(cfg.protocol)  # its bit counts must fit a float
     except ValueError as exc:
         parser.error(str(exc))
     if cfg.trials < 1:
         parser.error(f"--trials must be positive, got {cfg.trials}")
     if cfg.seed < 0:
         parser.error(f"--seed must be a nonnegative integer, got {cfg.seed}")
-    if cfg.command == "bound-sweep" and cfg.trials < 10:
-        parser.error(f"bound-sweep needs at least 10 trials, got {cfg.trials}")
-    if cfg.command == "purity-check" and cfg.trials < 30:
-        parser.error(f"purity-check needs at least 30 trials, got {cfg.trials}")
+    fewest = COMMANDS[cfg.command][2]
+    if cfg.trials < fewest:
+        parser.error(f"{cfg.command} needs at least {fewest} trials, got {cfg.trials}")
     if cfg.command == "multiparty" and cfg.m < 3:
         parser.error(f"multiparty needs --m >= 3, got {cfg.m}")
 
@@ -417,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, _, text) in COMMANDS.items():
+    for name, (_, _, _, text) in COMMANDS.items():
         p = sub.add_parser(name, help=text)
         p.add_argument(
             "--d", type=_int_list, required=True,

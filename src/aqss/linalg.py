@@ -7,13 +7,13 @@ Conventions used throughout the package:
   ``(A ⊗ B)[i*rb + k, j*cb + l] = A[i, j] * B[k, l]``;
 - entropies and all bit accounting use the base-2 logarithm.
 
-Spectra: a Hermitian matrix is decomposed with ``eigvalsh``; only a
-genuinely non-Hermitian ``trace_norm`` argument falls back to an SVD. A
-map output is checked as the map produced it by ``assert_density_matrix``,
-which decomposes its Hermitian part; that ascending spectrum is reused for
-its distance ``sum |lambda - 1/D|`` to the maximally mixed state (which
-commutes with everything) and for its entropy, so no state is decomposed
-twice. Callers that need the state itself take it from ``validated``.
+Spectra: the one spectral routine is ``eigvalsh`` of a Hermitian part, and
+``trace_norm`` refuses a non-Hermitian argument. ``assert_density_matrix``
+checks a state as the map produced it and returns that ascending spectrum;
+the distance ``sum |lambda - 1/D|`` to the maximally mixed state (which
+commutes with everything) and the entropy are read off it, so no state is
+decomposed twice. The second moment ``purity`` is O(D^2) from the matrix.
+Callers that need the state itself take it from ``validated``.
 """
 
 from __future__ import annotations
@@ -43,18 +43,25 @@ def assert_finite(x: np.ndarray) -> None:
         raise ValueError("matrix contains non-finite entries")
 
 
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(M + M†)/2 of a square M, raising ValueError unless max |M - M†| <= 1e-10
+    (a NaN deviation fails too)."""
+    assert_square(m)
+    h = hermitize(m)
+    dev = 2 * np.abs(m - h).max()  # max |M - M†|
+    if not dev <= HERMITIAN_TOL:
+        raise ValueError(f"matrix is not Hermitian: max |M - M†| = {dev:.3e}")
+    return h
+
+
 def assert_density_matrix(rho: np.ndarray) -> np.ndarray:
     """Raise ValueError unless rho is Hermitian, unit-trace and PSD within 1e-10.
 
     Returns the ascending eigenvalues of the Hermitian part of rho, the
     spectrum the positivity check used.
     """
-    assert_square(rho)
     assert_finite(rho)
-    state = hermitize(rho)
-    herm_dev = 2 * np.abs(rho - state).max()  # max |M - M†|
-    if herm_dev > HERMITIAN_TOL:
-        raise ValueError(f"state is not Hermitian: max |M - M†| = {herm_dev:.3e}")
+    state = _hermitian_part(rho)
     tr_dev = abs(np.trace(rho) - 1.0)
     if tr_dev > TRACE_TOL:
         raise ValueError(f"state trace differs from 1 by {tr_dev:.3e}")
@@ -124,28 +131,19 @@ def partial_trace(rho: np.ndarray, dims: tuple[int, ...], keep: int) -> np.ndarr
 
 
 def trace_norm(x: np.ndarray) -> float:
-    """Schatten-1 norm: sum of singular values. Requires a square matrix.
+    """Schatten-1 norm of a Hermitian matrix: sum |lambda| over eigvalsh of its
+    Hermitian part h.
 
-    A Hermitian x (max |x - x†| <= HERMITIAN_TOL) is measured as sum |lambda|
-    over eigvalsh of its Hermitian part, which is cheaper than an SVD. That
-    is the trace norm of the Hermitian part, which differs from ||x||_1 by at
-    most ||x - x†||_1 / 2. Any other x takes the SVD.
+    Raises ValueError unless x is square with max |x - x†| <= HERMITIAN_TOL;
+    within that, the result differs from ||x||_1 by at most ||x - h||_1.
     """
-    assert_square(x)
-    h = hermitize(x)
-    if 2 * np.abs(x - h).max() <= HERMITIAN_TOL:  # max |x - x†|
-        return float(np.abs(np.linalg.eigvalsh(h)).sum())
-    return float(np.linalg.svd(x, compute_uv=False).sum())
-
-
-def hs_norm(x: np.ndarray) -> float:
-    """Hilbert-Schmidt (Frobenius) norm sqrt(tr X†X)."""
-    return float(np.sqrt((np.abs(x) ** 2).sum()))
+    return float(np.abs(np.linalg.eigvalsh(_hermitian_part(x))).sum())
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
-    """Entropy in bits of the Hermitian part of rho (see spectrum_entropy)."""
-    return spectrum_entropy(np.linalg.eigvalsh(hermitize(rho)))
+    """Entropy in bits of a density matrix, read off the spectrum that
+    assert_density_matrix checked (see spectrum_entropy)."""
+    return spectrum_entropy(assert_density_matrix(rho))
 
 
 def purity(rho: np.ndarray) -> float:

@@ -19,7 +19,6 @@ import numpy as np
 from . import linalg
 from .channels import (
     ChannelFamily,
-    _apply_product,
     apply_at,
     apply_product,
     conjugate_subsystem,
@@ -62,10 +61,6 @@ class ProtocolConfig:
             return self.n_per_channel
         return required_n(self.d, self.epsilon)
 
-    @property
-    def joint_dim(self) -> int:
-        return self.d ** self.parties
-
 
 @dataclass(frozen=True)
 class AqssSession:
@@ -91,11 +86,14 @@ def guard(config: ProtocolConfig, n: int | None = None) -> None:
     """Raise ResourceGuardError for a run past desk scale: joint dimension
     d^m > MAX_JOINT_DIM or more than MAX_N unitaries per channel, counting n
     unitaries when given (pre-built channels) and config.resolved_n otherwise."""
-    if config.joint_dim > MAX_JOINT_DIM:
-        raise ResourceGuardError(
-            f"joint dimension d^m = {config.joint_dim} exceeds the guard "
-            f"{MAX_JOINT_DIM} (d={config.d}, m={config.parties})"
-        )
+    joint_dim = 1
+    for _ in range(config.parties):  # stops past the guard, so d^m is never formed
+        joint_dim *= config.d
+        if joint_dim > MAX_JOINT_DIM:
+            raise ResourceGuardError(
+                f"joint dimension d^m exceeds the guard {MAX_JOINT_DIM} "
+                f"(d={config.d}, m={config.parties})"
+            )
     if n is None:
         n = config.resolved_n
     if n > MAX_N:
@@ -119,10 +117,8 @@ def charlie_encode(
     guard(config, None if channels is None else max(part.n for part in channels.parts))
     m = config.parties
     dims = (config.d,) * m
-    if plaintext.shape != (config.joint_dim, config.joint_dim):
-        raise ValueError(
-            f"plaintext shape {plaintext.shape} does not match d^m = {config.joint_dim}"
-        )
+    if plaintext.shape != (config.d**m,) * 2:  # d^m is within the guard here
+        raise ValueError(f"plaintext shape {plaintext.shape} does not match d^m = {config.d**m}")
     if channels is None:
         channels = ChannelFamily(
             tuple(sample_ruc(config.d, config.resolved_n, rng) for _ in range(m))
@@ -180,16 +176,6 @@ def exterior_adversary_view(session: AqssSession) -> np.ndarray:
     return apply_product(session.channels, session.plaintext)
 
 
-def measure_exterior_view(session: AqssSession) -> tuple[float, float]:
-    """Trace distance of the outsider's view from 1/D, and its entropy in bits.
-
-    Both come from the spectrum that validated the view, so the D x D view is
-    decomposed once.
-    """
-    spectrum = linalg.assert_density_matrix(_apply_product(session.channels, session.plaintext))
-    return linalg.distance_from_mixed(spectrum), linalg.spectrum_entropy(spectrum)
-
-
 def collusion_attack(session: AqssSession, colluders) -> np.ndarray:
     """Joint state described by a colluding strict subset of receivers.
 
@@ -238,14 +224,19 @@ def interior_attack_bob(session: AqssSession) -> tuple[np.ndarray, np.ndarray]:
 
 
 def key_cost(config: ProtocolConfig) -> KeyCostReport:
-    """Secret-bit accounting: exact scheme 2m log2 d vs sum of ceil(log2 n_k).
+    """Secret-bit accounting: exact scheme 2m log2 d vs m ceil(log2 n).
 
-    Pure arithmetic; safe for dimensions far beyond anything the matrix code
-    can hold.
+    Pure arithmetic, O(1) in m; safe for dimensions far beyond anything the
+    matrix code can hold. ValueError when a bit count overflows a float.
     """
     m = config.parties
-    perfect_bits = 2.0 * m * math.log2(config.d)
-    approx_bits = float(sum(math.ceil(math.log2(config.resolved_n)) for _ in range(m)))
+    try:
+        perfect_bits = 2.0 * m * math.log2(config.d)
+        approx_bits = float(m * math.ceil(math.log2(config.resolved_n)))
+    except OverflowError:  # an integer count that does not fit a float
+        perfect_bits = math.inf
+    if not math.isfinite(perfect_bits):  # or a float product that rounds to inf
+        raise ValueError(f"key cost of m = {m} receivers does not fit a float")
     return KeyCostReport(
         perfect_bits=perfect_bits,
         approx_bits=approx_bits,

@@ -100,6 +100,44 @@ def test_mc_expected_trace_distance_reproducible():
     assert a == b
 
 
+def reference_trials(d, n, input_family, trials, seed, factory):
+    """The estimators' trial loop written out: per trial i, stream (seed, i)
+    draws channel A, channel B, then the input."""
+    for trial in range(trials):
+        rng = stream(seed, trial)
+        family = ChannelFamily((factory(d, n, rng), factory(d, n, rng)))
+        yield family, draw_input(input_family, d, rng)
+
+
+@pytest.mark.parametrize("factory", [sample_ruc, perfect_factory], ids=["sampled", "perfect"])
+@pytest.mark.parametrize("input_family", ["product_pure", "separable", "max_entangled"])
+def test_mc_trace_distance_matches_the_svd_reference_per_trial(input_family, factory):
+    d, n, trials, seed = 3, 5, 12, 107
+    stats, _ = mc_expected_trace_distance(
+        d, n, n, input_family, trials, seed, channel_factory=factory
+    )
+    expected = [
+        np.linalg.svd(apply_product(family, rho) - np.eye(d * d) / (d * d), compute_uv=False).sum()
+        for family, rho in reference_trials(d, n, input_family, trials, seed, factory)
+    ]
+    assert len(stats.per_trial_values) == trials
+    assert np.abs(np.array(stats.per_trial_values) - expected).max() <= 1e-12
+
+
+@pytest.mark.parametrize("factory", [sample_ruc, perfect_factory], ids=["sampled", "perfect"])
+def test_mc_purity_matches_the_reference_per_trial(factory):
+    d, n, trials, seed = 3, 5, 30, 108
+    stats, _ = mc_purity(d, n, n, trials, seed, channel_factory=factory)
+    expected = [
+        np.trace(out @ out).real
+        for out in (
+            apply_product(family, rho)
+            for family, rho in reference_trials(d, n, "product_pure", trials, seed, factory)
+        )
+    ]
+    assert np.abs(np.array(stats.per_trial_values) - expected).max() <= 1e-12
+
+
 def test_mc_purity_single_unitary_channels():
     stats, _ = mc_purity(3, 1, 1, trials=30, seed=93)
     assert all(v == pytest.approx(1.0, abs=1e-12) for v in stats.per_trial_values)
@@ -177,7 +215,8 @@ def test_check_separable_2eps_rejects_bad_weights():
 def test_locc_identical_states():
     rng = stream(101)
     rho = random_density_matrix(9, rng)
-    assert locc_distinguishability(rho, rho, (3, 3), num_settings=10, seed=1) <= 1e-12
+    # One sandwich of rho - rho: exactly zero, not rounding noise.
+    assert locc_distinguishability(rho, rho, (3, 3), num_settings=10, seed=1) == 0.0
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -242,6 +281,17 @@ def test_check_norm_relation_random_states():
         assert check_norm_relation(random_density_matrix(9, rng), 9).satisfied
 
 
+def test_check_norm_relation_matches_svd_and_frobenius_references():
+    rng = stream(109)
+    for d_sq in (4, 9, 16):
+        for x in (random_density_matrix(d_sq, rng), random_pure_state(d_sq, rng)):
+            check = check_norm_relation(x, d_sq)
+            svd_lhs = np.linalg.svd(x - np.eye(d_sq) / d_sq, compute_uv=False).sum() ** 2
+            frobenius_rhs = d_sq * np.linalg.norm(x) ** 2 - 1.0
+            assert check.observed == pytest.approx(svd_lhs, abs=1e-12)
+            assert check.bound == pytest.approx(frobenius_rhs, abs=1e-12)
+
+
 def test_check_norm_relation_validation():
     with pytest.raises(ValueError):
         check_norm_relation(np.eye(4), 4)  # trace 4
@@ -255,6 +305,9 @@ def test_check_norm_relation_validation():
     bad[1, 2] = bad[2, 1] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         check_norm_relation(bad, 4)
+    # Hermitian and unit-trace but not positive: not a density matrix.
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        check_norm_relation(np.diag([1.25, 0.25, -0.25, -0.25]), 4)
 
 
 def test_jensen_chain_check():

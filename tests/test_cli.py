@@ -4,12 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import aqss
-from aqss import cli, linalg
+from aqss import analysis, cli, linalg
 from aqss.channels import ChannelFamily, perfect_pqc, sample_ruc
 from aqss.cli import (
     CSV_COLUMNS,
@@ -64,7 +65,7 @@ def test_demo_victim_is_the_two_party_interior_attack(perfect):
             config, random_product_pure_state(d, d, rng), rng, channels=ChannelFamily(parts)
         )
         _, alice = interior_attack_bob(session)
-        expected = linalg.trace_norm(alice - linalg.maximally_mixed(d))
+        expected = linalg.distance_from_mixed(linalg.assert_density_matrix(alice))
         assert cli._audit([session], victims=[0])[3] == expected
 
 
@@ -219,6 +220,11 @@ def test_resource_guard_exit_code(capsys):
     rc, _, err = run_cli(["multiparty", "--d", "4", "--m", "6", "--seed", "1"], capsys)
     assert rc == 3
     assert "joint dimension" in err
+    # d^m has about 47700 digits here; the guard never forms or prints it.
+    rc, out, err = run_cli(["multiparty", "--d", "3", "--m", "100000", "--seed", "0"], capsys)
+    assert rc == 3
+    assert out == ""
+    assert err == "aqss: refused: joint dimension d^m exceeds the guard 1024 (d=3, m=100000)\n"
     rc, _, err = run_cli(["bound-sweep", "--d", "8", "--epsilon", "0.1", "--seed", "1"], capsys)
     assert rc == 3
     assert "exceeds the guard" in err
@@ -238,6 +244,39 @@ def test_uncomputable_sized_n_is_a_clean_usage_error(args, capsys):
     assert out == ""
     assert "Traceback" not in err
     assert err.splitlines()[-1].startswith("aqss: error: n = ceil(150 d / epsilon^2)")
+
+
+def test_key_cost_is_constant_time_in_m_and_refuses_what_a_float_cannot_hold(capsys):
+    start = time.perf_counter()
+    rc, out, _ = run_cli(["key-cost", "--d", "2", "--m", str(10**12), "--seed", "0"], capsys)
+    assert time.perf_counter() - start < 0.5
+    assert rc == 0
+    metrics = metrics_by_name(json.loads(out))
+    assert metrics["perfect_bits"]["value"] == 2e12
+    assert metrics["approx_bits"]["value"] == 11e12  # m * ceil(log2 1200)
+    rc, out, err = run_cli(["key-cost", "--d", "2", "--m", str(10**400), "--seed", "0"], capsys)
+    assert rc == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith("aqss: error: key cost of m = 1000")
+
+
+@pytest.mark.parametrize(
+    "command, fewest",
+    [
+        ("bound-sweep", analysis.MIN_TRACE_DISTANCE_TRIALS),
+        ("purity-check", analysis.MIN_PURITY_TRIALS),
+    ],
+)
+def test_monte_carlo_trial_minimum_is_a_usage_error(command, fewest, capsys):
+    rc, out, err = run_cli(
+        [command, "--d", "2", "--trials", str(fewest - 1), "--seed", "0"], capsys
+    )
+    assert rc == 2
+    assert out == ""
+    assert err.splitlines()[-1] == (
+        f"aqss: error: {command} needs at least {fewest} trials, got {fewest - 1}"
+    )
 
 
 @pytest.mark.parametrize("extra, n", [(["--perfect"], 4), (["--n", "10"], 10)])

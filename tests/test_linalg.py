@@ -145,25 +145,18 @@ def test_trace_norm_hermitian_path_matches_svd(d):
         assert linalg.trace_norm(x) == pytest.approx(svd_trace_norm(x), abs=1e-12)
 
 
-def test_trace_norm_non_hermitian_takes_svd_path(monkeypatch):
-    svd_calls = []
-    svd = np.linalg.svd
-
-    def spy(*args, **kwargs):
-        svd_calls.append(args[0].shape)
-        return svd(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", spy)
-    assert linalg.trace_norm(np.array([[0.0, 1.0], [0.0, 0.0]])) == pytest.approx(
-        1.0, abs=1e-12
-    )
-    # The Hermitian part of this one is zero: only the SVD gets 2.
-    assert linalg.trace_norm(np.array([[0.0, 1.0], [-1.0, 0.0]])) == pytest.approx(
-        2.0, abs=1e-12
-    )
-    assert svd_calls == [(2, 2), (2, 2)]
-    linalg.trace_norm(np.diag([0.5, -0.5]))
-    assert len(svd_calls) == 2
+def test_trace_norm_refuses_non_hermitian_input():
+    for x in (
+        np.array([[0.0, 1.0], [0.0, 0.0]]),
+        np.array([[0.0, 1.0], [-1.0, 0.0]]),  # Hermitian part zero
+        np.diag([0.5, 0.5]) + 2e-10j * np.array([[0.0, 1.0], [1.0, 0.0]]),
+        np.array([[np.nan, 0.0], [0.0, 1.0]]),
+    ):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            linalg.trace_norm(x)
+    # Anti-Hermitian drift within HERMITIAN_TOL is measured on the Hermitian part.
+    drift = 4e-11j * np.array([[0.0, 1.0], [1.0, 0.0]])
+    assert linalg.trace_norm(np.diag([0.5, -0.5]) + drift) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_assert_density_matrix_returns_the_spectrum_it_checked():
@@ -211,24 +204,12 @@ def test_trace_norm_rejects_non_square():
         linalg.trace_norm(np.ones((2, 3)))
 
 
-def test_hs_norm_identity():
-    for d in (2, 3, 7):
-        assert linalg.hs_norm(np.eye(d)) == pytest.approx(math.sqrt(d), abs=1e-12)
-
-
-def test_hs_norm_pure_state():
-    rng = stream(15)
-    for _ in range(5):
-        rho = random_pure_state(4, rng)
-        assert linalg.hs_norm(rho) == pytest.approx(1.0, abs=1e-10)
-
-
 def test_trace_norm_hs_norm_relation_sampled():
     # ||X||_1 <= sqrt(k) ||X||_2 for k x k Hermitian X.
     rng = stream(16)
     for _ in range(100):
         x = random_hermitian(8, rng)
-        assert linalg.trace_norm(x) <= math.sqrt(8) * linalg.hs_norm(x) + 1e-10
+        assert linalg.trace_norm(x) <= math.sqrt(8) * np.linalg.norm(x) + 1e-10
 
 
 def test_entropy_maximally_mixed():
@@ -247,6 +228,12 @@ def test_entropy_binary_distribution():
     assert linalg.von_neumann_entropy(np.diag([0.75, 0.25])) == pytest.approx(
         0.8112781244591329, abs=1e-12
     )
+
+
+def test_entropy_refuses_what_is_not_a_state():
+    for x in (np.diag([1.5, -0.5]), np.eye(2), np.array([[0.5, 0.5], [-0.5, 0.5]])):
+        with pytest.raises(ValueError):
+            linalg.von_neumann_entropy(x)
 
 
 def test_entropy_within_bounds_on_random_states():
