@@ -230,8 +230,9 @@ def _audit(
         exterior = max(exterior, linalg.distance_from_mixed(spectrum))
         deficit = max(deficit, m * math.log2(d) - linalg.spectrum_entropy(spectrum))
         for victim in victims:
-            joint = collusion_attack(session, colluders=[k for k in range(m) if k != victim])
-            marginal = linalg.partial_trace(joint, (d,) * m, keep=victim)
+            colluders = [k for k in range(m) if k != victim]
+            # No name holds the joint state, so it is freed before the next attack.
+            marginal = linalg.partial_trace(collusion_attack(session, colluders), (d,) * m, victim)
             victim_worst = max(
                 victim_worst, linalg.distance_from_mixed(linalg.assert_density_matrix(marginal))
             )

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,7 @@ from aqss.cli import (
     render_json,
 )
 from aqss.protocol import ProtocolConfig, charlie_encode, interior_attack_bob
-from aqss.random import random_product_pure_state, stream
+from aqss.random import random_product_pure_state, random_pure_state, stream
 
 
 def run_cli(args, capsys):
@@ -67,6 +68,26 @@ def test_demo_victim_is_the_two_party_interior_attack(perfect):
         _, alice = interior_attack_bob(session)
         expected = linalg.distance_from_mixed(linalg.assert_density_matrix(alice))
         assert cli._audit([session], victims=[0])[3] == expected
+
+
+def test_audit_peak_memory_does_not_grow_with_victims():
+    # Each victim's joint state (16 D^2 bytes) must be released before the
+    # next collusion attack runs, so m victims peak like one.
+    d, m = 4, 4
+    rng = stream(81)
+    family = ChannelFamily((perfect_pqc(d),) * m)
+    config = ProtocolConfig(d=d, parties=m, n_per_channel=d * d)
+    session = charlie_encode(config, random_pure_state(d**m, rng), rng, channels=family)
+    joint_bytes = 16 * d ** (2 * m)
+    peaks = []
+    for victims in ([0], range(m)):
+        tracemalloc.start()
+        try:
+            cli._audit([session], victims=victims)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < joint_bytes / 2
 
 
 def test_bound_sweep_reports_honest_flag(capsys):

@@ -54,3 +54,18 @@ def test_readme_example_matches_golden(case, capsys):
                 assert abs(a - b) <= VALUE_TOL * max(1.0, abs(b)), (have["name"], key, a, b)
         for key in ("satisfied", "asserted"):
             assert have.get(key) == want.get(key), (have["name"], key)
+
+
+def test_exact_joint_dimension_1024_matches_the_benchmark_reference(capsys):
+    """The benchmark's exact-joint1024 workload at seed 0, against the record
+    ``perfbench/reference/exact-joint1024.json`` (read, never written)."""
+    path = Path(__file__).parents[1] / "perfbench" / "reference" / "exact-joint1024.json"
+    reference = json.loads(path.read_text(encoding="utf-8"))
+    argv = ["multiparty", "--d", "4", "--m", "5", "--perfect", "--trials", "1", "--seed", "0"]
+    assert main(argv) == 0
+    got = output_metrics(capsys.readouterr().out)
+    assert [m["name"] for m in got] == [m["name"] for m in reference["metrics"]]
+    for have, want in zip(got, reference["metrics"]):
+        assert abs(have["value"] - want["value"]) <= VALUE_TOL, have["name"]
+        for key in ("bound", "satisfied", "asserted"):
+            assert have[key] == want[key], (have["name"], key)

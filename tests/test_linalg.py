@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -181,6 +182,63 @@ def test_validated_returns_the_hermitian_part_and_its_spectrum():
     assert np.array_equal(spectrum, np.linalg.eigvalsh(state))
     with pytest.raises(ValueError):
         linalg.validated(np.diag([1.5, -0.5]))
+
+
+def state_with_min_eigenvalue(d, lam_min, rng):
+    """Hermitian, unit-trace V diag(lam) V† with V Haar and lam[0] = lam_min
+    the smallest eigenvalue."""
+    v, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    lam = rng.uniform(0.5, 1.5, d)
+    lam *= (1.0 - lam_min) / lam[1:].sum()
+    lam[0] = lam_min
+    return (v * lam) @ v.conj().T
+
+
+def rank_r_state(d, r, rng):
+    """A colluders' joint state has this shape: rank r = d_victim^2 at D >> r."""
+    g = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
+    w = g @ g.conj().T
+    return w / np.trace(w)
+
+
+LAMBDA_MINS = (-1.2e-10, -1.01e-10, -0.99e-10, -0.5e-10, 0.0)
+JOINT_DIMS = (16, 64, 256)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [functools.partial(state_with_min_eigenvalue, 8, lam) for lam in LAMBDA_MINS]
+    + [functools.partial(rank_r_state, d, 16) for d in JOINT_DIMS],
+    ids=[f"lambda_min={lam:g}" for lam in LAMBDA_MINS] + [f"rank16-D{d}" for d in JOINT_DIMS],
+)
+def test_validated_accepts_exactly_when_the_spectrum_does(make):
+    # The shifted Cholesky decides what eigvalsh(hermitize(m))[0] >= -1e-10 does.
+    rng = stream(34)
+    base = make(rng)
+    m = base + 1e-12j * random_hermitian(base.shape[0], rng)  # anti-Hermitian drift
+    accepted = np.linalg.eigvalsh(linalg.hermitize(m))[0] >= -linalg.EIGENVALUE_TOL
+    if accepted:
+        assert np.array_equal(linalg.validated(m), linalg.hermitize(m))
+    else:
+        with pytest.raises(ValueError, match="negative eigenvalue below -1e-10"):
+            linalg.validated(m)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        np.array([[np.nan, 0], [0, 1]]),
+        np.array([[0.5, 0.5], [-0.5, 0.5]]),  # not Hermitian
+        np.eye(2),  # trace 2
+    ],
+    ids=["nan", "non-hermitian", "trace"],
+)
+def test_validated_refuses_with_the_density_matrix_messages(bad):
+    with pytest.raises(ValueError) as reference:
+        linalg.assert_density_matrix(bad)
+    with pytest.raises(ValueError) as refused:
+        linalg.validated(bad)
+    assert str(refused.value) == str(reference.value)
 
 
 def test_spectral_measures_match_brute_force():

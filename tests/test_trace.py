@@ -31,9 +31,10 @@ def test_traced_multiparty_run_is_clean():
     assert calls["channels.conjugate_subsystem"] > 0
     assert calls["channels.apply_at"] > 0
     # linalg.spectral_calls_per_state is computed from these two counts.
-    assert calls["linalg.assert_density_matrix"] > 0
-    # Three rounds (the default); only the round trip takes a trace norm, the
-    # exterior view and the victims' marginals are read from their spectra.
+    # Three rounds (the default), each decomposing the exterior view and the
+    # three victims' marginals; the colluders' joint states are checked by
+    # validated without a spectrum. Only the round trip takes a trace norm.
+    assert calls["linalg.assert_density_matrix"] == 12
     assert calls["linalg.trace_norm"] == 3
 
 
