@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .random import _CHUNK_ENTRIES, haar_unitaries, weyl_heisenberg_operators
+from .random import CHUNK_ENTRIES, haar_unitaries, weyl_heisenberg_operators
 
 
 def required_n(d: int, epsilon: float) -> int:
@@ -48,7 +48,7 @@ def _unitarity_deviation(u: np.ndarray) -> float:
     """max |U†U - 1| over a stack, taken chunk by chunk so the check holds one
     chunk of temporaries; a max is exact, so the chunking changes no value."""
     n, d, _ = u.shape
-    step = max(1, _CHUNK_ENTRIES // (d * d))
+    step = max(1, CHUNK_ENTRIES // (d * d))
     eye = np.eye(d)
     dev = 0.0
     for s in range(0, n, step):

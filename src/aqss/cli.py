@@ -22,7 +22,7 @@ import math
 import sys
 import time
 from dataclasses import asdict, dataclass, replace
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .channels import (
     ChannelFamily,
     apply_product,
     epsilon_randomizing_distance,
-    output_spectrum,
     perfect_pqc,
     sample_ruc,
 )
@@ -40,13 +39,12 @@ from .protocol import (
     AqssSession,
     ProtocolConfig,
     ResourceGuardError,
+    audit,
     charlie_encode,
-    collusion_attack,
-    cooperate_decode,
     guard,
     key_cost,
 )
-from .random import _haar_vectors, random_pure_state, stream
+from .random import haar_vectors, random_pure_state, stream
 
 CSV_COLUMNS = (
     "command",
@@ -172,7 +170,7 @@ def _build_family(cfg: ExperimentConfig, rng: np.random.Generator) -> ChannelFam
 def _plaintext(cfg: ExperimentConfig, rng: np.random.Generator) -> np.ndarray:
     if cfg.m == 2:
         return analysis.draw_input(cfg.input_family, cfg.d, rng)
-    psi = _haar_vectors((cfg.d,) * cfg.m, 1, rng)[0]
+    psi = haar_vectors((cfg.d,) * cfg.m, 1, rng)[0]
     return np.outer(psi, psi.conj())
 
 
@@ -209,38 +207,8 @@ def _session_rounds(cfg: ExperimentConfig) -> Iterator[AqssSession]:
         yield charlie_encode(config, _plaintext(cfg, rng), rng, channels=family)
 
 
-def _audit(
-    sessions: Iterable[AqssSession], victims: Sequence[int]
-) -> tuple[float, float, float, float]:
-    """Worst case over the rounds of the round-trip distance, the exterior
-    distance, the exterior entropy deficit m log2 d - S, and each victim's
-    distance from 1/d on its marginal while all the other receivers collude.
-
-    With m = 2 and victim 0 this is interior_attack_bob's computation.
-    """
-    round_trip = exterior = deficit = victim_worst = 0.0
-    for session in sessions:
-        d, m = session.config.d, session.config.parties
-        round_trip = max(
-            round_trip,
-            linalg.trace_norm(cooperate_decode(session) - session.plaintext),
-        )
-        # The outsider's view is the key average, the product-channel output.
-        spectrum = output_spectrum(session.channels, session.plaintext)
-        exterior = max(exterior, linalg.distance_from_mixed(spectrum))
-        deficit = max(deficit, m * math.log2(d) - linalg.spectrum_entropy(spectrum))
-        for victim in victims:
-            colluders = [k for k in range(m) if k != victim]
-            # No name holds the joint state, so it is freed before the next attack.
-            marginal = linalg.partial_trace(collusion_attack(session, colluders), (d,) * m, victim)
-            victim_worst = max(
-                victim_worst, linalg.distance_from_mixed(linalg.assert_density_matrix(marginal))
-            )
-    return round_trip, exterior, deficit, victim_worst
-
-
 def _run_aqss_demo(cfg: ExperimentConfig) -> list[Metric]:
-    round_trip, exterior, deficit, interior = _audit(_session_rounds(cfg), victims=[0])
+    round_trip, exterior, deficit, interior = audit(_session_rounds(cfg), victims=[0])
     return [
         _checked(
             "round_trip_distance_max", BoundCheck.compare(round_trip, EXACT_TOL), asserted=True
@@ -309,7 +277,7 @@ def _run_locc_test(cfg: ExperimentConfig) -> list[Metric]:
 
 
 def _run_multiparty(cfg: ExperimentConfig) -> list[Metric]:
-    round_trip, exterior, _, collusion = _audit(_session_rounds(cfg), victims=range(cfg.m))
+    round_trip, exterior, _, collusion = audit(_session_rounds(cfg), victims=range(cfg.m))
     return [
         _checked(
             "round_trip_distance_max", BoundCheck.compare(round_trip, EXACT_TOL), asserted=True

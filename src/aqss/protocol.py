@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .channels import (
     apply_at,
     apply_product,
     conjugate_subsystem,
+    output_spectrum,
     required_n,
     sample_ruc,
 )
@@ -158,10 +160,9 @@ def cooperate_decode(
         raise ValueError("lone decoding refused: every receiver's key is required")
     dims = (session.config.d,) * session.config.parties
     state = session.ciphertext
-    for k, part in enumerate(session.channels.parts):
-        key = int(keys[k])
-        if not 0 <= key < part.n:
-            raise ValueError(f"key index {key} out of range [0, {part.n})")
+    for k, (part, key) in enumerate(zip(session.channels.parts, keys)):
+        if not isinstance(key, (int, np.integer)) or not 0 <= key < part.n:
+            raise ValueError(f"key index {key!r} is not an integer in [0, {part.n})")
         state = conjugate_subsystem(state, dims, k, part.unitaries[key].conj().T)
     return state
 
@@ -179,31 +180,31 @@ def exterior_adversary_view(session: AqssSession) -> np.ndarray:
 def collusion_attack(session: AqssSession, colluders) -> np.ndarray:
     """Joint state described by a colluding strict subset of receivers.
 
-    The colluders invert their own unitaries on the state averaged over the
-    other receivers' unknown keys; the honest parties' factors remain
-    channel-randomized. Computed by actually performing the inversions so
-    the cancellation algebra is exercised, not assumed.
+    The colluders invert their own key conjugations on the state averaged over
+    the honest receivers' keys. Those conjugations act on the colluders' own
+    factors, so they commute with the honest channels and cancel exactly: the
+    state is the honest channels applied to the plaintext, as
+    test_interior_attack_matches_alice_channel_on_plaintext pins.
     """
     m = session.config.parties
-    colluders = tuple(sorted(set(int(c) for c in colluders)))
-    if not colluders or any(c < 0 or c >= m for c in colluders):
+    colluders = tuple(colluders)
+    if not colluders or not all(isinstance(c, (int, np.integer)) and 0 <= c < m for c in colluders):
         raise ValueError(f"colluders {colluders} must be a nonempty subset of 0..{m - 1}")
-    if len(colluders) == m:
+    if len(set(colluders)) == m:
         raise ValueError("all receivers together should use cooperate_decode")
     dims = (session.config.d,) * m
-    # Start from the colluders' actual key unitaries applied to the plaintext,
-    # average the honest parties' keys, then let the colluders invert.
     state = session.plaintext
-    for k in colluders:
-        u = session.channels.parts[k].unitaries[session.key_indices[k]]
-        state = conjugate_subsystem(state, dims, k, u)
     for k in range(m):
         if k not in colluders:
             state = apply_at(session.channels.parts[k], state, dims, k)
-    for k in colluders:
-        u = session.channels.parts[k].unitaries[session.key_indices[k]]
-        state = conjugate_subsystem(state, dims, k, u.conj().T)
     return linalg.validated(state)
+
+
+def _victim_view(session: AqssSession, victim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Joint state when every receiver but `victim` colludes, and its victim marginal."""
+    m = session.config.parties
+    joint = collusion_attack(session, [k for k in range(m) if k != victim])
+    return joint, linalg.partial_trace(joint, (session.config.d,) * m, keep=victim)
 
 
 def interior_attack_bob(session: AqssSession) -> tuple[np.ndarray, np.ndarray]:
@@ -217,10 +218,40 @@ def interior_attack_bob(session: AqssSession) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(
             f"interior two-party attack needs exactly 2 receivers, got {session.config.parties}"
         )
-    d = session.config.d
-    joint = collusion_attack(session, colluders=(1,))
-    alice_marginal = linalg.partial_trace(joint, (d, d), keep=0)
-    return joint, alice_marginal
+    return _victim_view(session, 0)
+
+
+class AuditReport(NamedTuple):
+    """Worst case over the audited rounds of each security quantity."""
+
+    round_trip: float
+    exterior: float
+    entropy_deficit: float
+    victim: float
+
+
+def audit(sessions: Iterable[AqssSession], victims: Sequence[int]) -> AuditReport:
+    """Worst case over the rounds of the round-trip distance, the exterior
+    distance, the exterior entropy deficit log2 D - S, and each victim's
+    distance from 1/d on its marginal while all the other receivers collude.
+
+    With m = 2 and victim 0 the victim step is interior_attack_bob.
+    """
+    round_trip = exterior = deficit = victim_worst = 0.0
+    for session in sessions:
+        round_trip = max(
+            round_trip,
+            linalg.trace_norm(cooperate_decode(session) - session.plaintext),
+        )
+        # The outsider's view is the key average, the product-channel output.
+        spectrum = output_spectrum(session.channels, session.plaintext)
+        exterior = max(exterior, linalg.distance_from_mixed(spectrum))
+        deficit = max(deficit, math.log2(len(spectrum)) - linalg.spectrum_entropy(spectrum))
+        for victim in victims:
+            # Only the marginal is kept, so the joint state is freed before the next attack.
+            spectrum = linalg.assert_density_matrix(_victim_view(session, victim)[1])
+            victim_worst = max(victim_worst, linalg.distance_from_mixed(spectrum))
+    return AuditReport(round_trip, exterior, deficit, victim_worst)
 
 
 def key_cost(config: ProtocolConfig) -> KeyCostReport:

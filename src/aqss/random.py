@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 # Matrix entries per QR or unitarity-check chunk: 65536 complex entries, 1 MiB.
-_CHUNK_ENTRIES = 1 << 16
+CHUNK_ENTRIES = 1 << 16
 
 
 def stream(master_seed: int, stream_id: int = 0) -> np.random.Generator:
@@ -35,7 +35,7 @@ def haar_unitaries(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
     phases of R's diagonal so the distribution is exactly Haar (the plain QR
     output is not unique and not Haar without this correction; Mezzadri
     2007). All real parts are drawn, then all imaginary parts. The QR and the
-    phase fix are per matrix, so a stack of more than _CHUNK_ENTRIES entries
+    phase fix are per matrix, so a stack of more than CHUNK_ENTRIES entries
     is decomposed chunk by chunk into the output stack with the same bits;
     the call holds the normals, the stack and one chunk.
     """
@@ -45,7 +45,7 @@ def haar_unitaries(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
         raise ValueError(f"sample count must be positive, got {n}")
     re = rng.standard_normal((n, d, d))
     im = rng.standard_normal((n, d, d))
-    step = max(1, _CHUNK_ENTRIES // (d * d))
+    step = max(1, CHUNK_ENTRIES // (d * d))
     if n <= step:
         q, diag = _ginibre_qr(re, im)
     else:
@@ -93,7 +93,7 @@ def weyl_heisenberg_operators(d: int) -> np.ndarray:
     return ops
 
 
-def _haar_vectors(dims: tuple[int, ...], k: int, rng: np.random.Generator) -> np.ndarray:
+def haar_vectors(dims: tuple[int, ...], k: int, rng: np.random.Generator) -> np.ndarray:
     """k independent product vectors with Haar-random factors, shape (k, prod(dims)).
 
     Each factor of dimension d is the first column of a Haar unitary, which
@@ -121,13 +121,13 @@ def _haar_vectors(dims: tuple[int, ...], k: int, rng: np.random.Generator) -> np
 
 def random_pure_state(d: int, rng: np.random.Generator) -> np.ndarray:
     """|psi><psi| for a Haar-random unit vector (first column of a Haar unitary)."""
-    psi = _haar_vectors((d,), 1, rng)[0]
+    psi = haar_vectors((d,), 1, rng)[0]
     return np.outer(psi, psi.conj())
 
 
 def random_product_pure_state(da: int, db: int, rng: np.random.Generator) -> np.ndarray:
     """Tensor product of two independent Haar-random pure states."""
-    psi = _haar_vectors((da, db), 1, rng)[0]
+    psi = haar_vectors((da, db), 1, rng)[0]
     return np.outer(psi, psi.conj())
 
 
@@ -143,5 +143,5 @@ def random_separable_state(
     if k_terms < 1:
         raise ValueError(f"need at least one mixture term, got {k_terms}")
     weights = rng.dirichlet(np.ones(k_terms))
-    psi = _haar_vectors((da, db), k_terms, rng)
+    psi = haar_vectors((da, db), k_terms, rng)
     return (psi.T * weights) @ psi.conj()

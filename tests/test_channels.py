@@ -19,7 +19,7 @@ from aqss.channels import (
     sample_ruc,
 )
 from aqss.random import (
-    _CHUNK_ENTRIES,
+    CHUNK_ENTRIES,
     haar_unitaries,
     random_pure_state,
     stream,
@@ -386,9 +386,9 @@ def test_unitarity_check_sees_last_element():
 
 @pytest.mark.parametrize("where", [0, 300, -1])
 def test_unitarity_check_sees_every_chunk(where):
-    # At d=16 a chunk holds _CHUNK_ENTRIES / 256 = 256 matrices, so n = 700
+    # At d=16 a chunk holds CHUNK_ENTRIES / 256 = 256 matrices, so n = 700
     # spans three chunks: 0 is in the first, 300 in the middle one, -1 in the last.
-    assert 2 * _CHUNK_ENTRIES < 700 * 16 * 16 <= 3 * _CHUNK_ENTRIES
+    assert 2 * CHUNK_ENTRIES < 700 * 16 * 16 <= 3 * CHUNK_ENTRIES
     assert_unitarity_check_sees(16, 700, where)
 
 

@@ -5,14 +5,12 @@ import os
 import subprocess
 import sys
 import time
-import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import aqss
-from aqss import analysis, cli, linalg
-from aqss.channels import ChannelFamily, perfect_pqc, sample_ruc
+from aqss import analysis, cli
 from aqss.cli import (
     CSV_COLUMNS,
     Metric,
@@ -22,8 +20,6 @@ from aqss.cli import (
     render_csv,
     render_json,
 )
-from aqss.protocol import ProtocolConfig, charlie_encode, interior_attack_bob
-from aqss.random import random_product_pure_state, random_pure_state, stream
 
 
 def run_cli(args, capsys):
@@ -53,41 +49,6 @@ def test_aqss_demo_perfect_asserts_pass(capsys):
     assert metrics["round_trip_distance_max"]["value"] <= 1e-12
     assert metrics["exterior_distance_max"]["value"] <= 1e-12
     assert metrics["interior_alice_distance_max"]["satisfied"]
-
-
-@pytest.mark.parametrize("perfect", [True, False])
-def test_demo_victim_is_the_two_party_interior_attack(perfect):
-    d = 3
-    rng = stream(80, int(perfect))
-    parts = (perfect_pqc(d),) * 2 if perfect else (sample_ruc(d, 5, rng), sample_ruc(d, 5, rng))
-    config = ProtocolConfig(d=d, parties=2, n_per_channel=parts[0].n)
-    for _ in range(3):
-        session = charlie_encode(
-            config, random_product_pure_state(d, d, rng), rng, channels=ChannelFamily(parts)
-        )
-        _, alice = interior_attack_bob(session)
-        expected = linalg.distance_from_mixed(linalg.assert_density_matrix(alice))
-        assert cli._audit([session], victims=[0])[3] == expected
-
-
-def test_audit_peak_memory_does_not_grow_with_victims():
-    # Each victim's joint state (16 D^2 bytes) must be released before the
-    # next collusion attack runs, so m victims peak like one.
-    d, m = 4, 4
-    rng = stream(81)
-    family = ChannelFamily((perfect_pqc(d),) * m)
-    config = ProtocolConfig(d=d, parties=m, n_per_channel=d * d)
-    session = charlie_encode(config, random_pure_state(d**m, rng), rng, channels=family)
-    joint_bytes = 16 * d ** (2 * m)
-    peaks = []
-    for victims in ([0], range(m)):
-        tracemalloc.start()
-        try:
-            cli._audit([session], victims=victims)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] - peaks[0] < joint_bytes / 2
 
 
 def test_bound_sweep_reports_honest_flag(capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from aqss.channels import (
     ChannelFamily,
     apply,
     apply_at,
+    conjugate_subsystem,
     epsilon_randomizing_distance,
     output_spectrum,
     perfect_pqc,
@@ -18,6 +20,7 @@ from aqss.protocol import (
     MAX_N,
     ProtocolConfig,
     ResourceGuardError,
+    audit,
     charlie_encode,
     collusion_attack,
     cooperate_decode,
@@ -114,6 +117,15 @@ def test_decode_rejects_out_of_range_key():
         cooperate_decode(session, key_indices=(0, 7))
 
 
+def test_decode_refuses_fractional_key():
+    rng = stream(3)
+    cfg = small_config(2, n=4)
+    session = charlie_encode(cfg, linalg.maximally_entangled_state(2), rng)
+    k0, k1 = session.key_indices
+    with pytest.raises(ValueError, match="not an integer"):
+        cooperate_decode(session, key_indices=(k0, k1 + 0.7))
+
+
 def test_exterior_view_with_perfect_channels():
     rng = stream(67)
     cfg = small_config(3, n=9)
@@ -183,20 +195,36 @@ def test_interior_attack_with_perfect_alice_channel():
     assert np.abs(alice_marginal - np.eye(d) / d).max() <= 1e-12
 
 
-def test_interior_attack_matches_alice_channel_on_plaintext():
-    # Bob's inversion of the key-averaged state is exactly (N_A x 1)(plaintext).
-    rng = stream(70)
+@pytest.mark.parametrize(
+    "m, colluders",
+    [(2, (1,))] + [(3, c) for c in [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]],
+    ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else f"m{v}",
+)
+def test_interior_attack_matches_alice_channel_on_plaintext(m, colluders):
+    # The colluders' key conjugations act on their own factors, so they cancel
+    # against their inversions: conjugating, averaging the honest keys and
+    # inverting gives the honest channels applied to the plaintext.
+    rng = stream(70, m)
     d = 2
-    cfg = small_config(d, n=4)
-    plaintext = random_pure_state(4, rng)
+    dims = (d,) * m
+    cfg = small_config(d, n=4, m=m)
+    plaintext = random_pure_state(d**m, rng)
     session = charlie_encode(cfg, plaintext, rng)
-    joint, alice_marginal = interior_attack_bob(session)
-    direct = apply_at(session.channels.parts[0], plaintext, (d, d), 0)
-    assert np.abs(joint - direct).max() <= 1e-12
-    # Bob's own side is fully unwound.
-    bob_marginal = linalg.partial_trace(joint, (d, d), keep=1)
-    phi_b = linalg.partial_trace(plaintext, (d, d), keep=1)
-    assert np.abs(bob_marginal - phi_b).max() <= 1e-10
+    keys = {k: session.channels.parts[k].unitaries[session.key_indices[k]] for k in colluders}
+    reference = plaintext
+    for k in colluders:
+        reference = conjugate_subsystem(reference, dims, k, keys[k])
+    for k in range(m):
+        if k not in colluders:
+            reference = apply_at(session.channels.parts[k], reference, dims, k)
+    for k in colluders:
+        reference = conjugate_subsystem(reference, dims, k, keys[k].conj().T)
+    joint = collusion_attack(session, colluders)
+    assert np.abs(joint - reference).max() <= 1e-12
+    # The colluders' own factors are fully unwound.
+    for k in colluders:
+        own = linalg.partial_trace(joint, dims, keep=k)
+        assert np.abs(own - linalg.partial_trace(plaintext, dims, keep=k)).max() <= 1e-10
 
 
 def test_channel_commutes_with_partial_trace_on_other_factor():
@@ -284,6 +312,43 @@ def test_collusion_attack_validation():
         collusion_attack(session, (0, 1, 2))
     with pytest.raises(ValueError):
         collusion_attack(session, (5,))
+    with pytest.raises(ValueError):
+        collusion_attack(session, (0.9,))
+
+
+@pytest.mark.parametrize("perfect", [True, False])
+def test_demo_victim_is_the_two_party_interior_attack(perfect):
+    d = 3
+    rng = stream(80, int(perfect))
+    parts = (perfect_pqc(d),) * 2 if perfect else (sample_ruc(d, 5, rng), sample_ruc(d, 5, rng))
+    config = ProtocolConfig(d=d, parties=2, n_per_channel=parts[0].n)
+    for _ in range(3):
+        session = charlie_encode(
+            config, random_product_pure_state(d, d, rng), rng, channels=ChannelFamily(parts)
+        )
+        _, alice = interior_attack_bob(session)
+        expected = linalg.distance_from_mixed(linalg.assert_density_matrix(alice))
+        assert audit([session], victims=[0]).victim == expected
+
+
+def test_audit_peak_memory_does_not_grow_with_victims():
+    # Each victim's joint state (16 D^2 bytes) must be released before the
+    # next collusion attack runs, so m victims peak like one.
+    d, m = 4, 4
+    rng = stream(81)
+    family = ChannelFamily((perfect_pqc(d),) * m)
+    config = ProtocolConfig(d=d, parties=m, n_per_channel=d * d)
+    session = charlie_encode(config, random_pure_state(d**m, rng), rng, channels=family)
+    joint_bytes = 16 * d ** (2 * m)
+    peaks = []
+    for victims in ([0], range(m)):
+        tracemalloc.start()
+        try:
+            audit([session], victims=victims)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < joint_bytes / 2
 
 
 def test_resource_guard_on_joint_dimension():

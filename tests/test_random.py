@@ -5,7 +5,7 @@ import pytest
 
 from aqss import linalg
 from aqss.random import (
-    _CHUNK_ENTRIES,
+    CHUNK_ENTRIES,
     haar_unitaries,
     haar_unitary,
     random_product_pure_state,
@@ -49,10 +49,10 @@ def _one_shot_haar_unitaries(d, n, rng):
 
 @pytest.mark.parametrize("chunks", [None, 0.5, 1, 3.7])
 def test_haar_streamed_matches_one_shot(chunks):
-    # None is n = 1; 3.7 chunks of _CHUNK_ENTRIES / 256 matrices ends mid-chunk,
+    # None is n = 1; 3.7 chunks of CHUNK_ENTRIES / 256 matrices ends mid-chunk,
     # so the chunk boundaries and the short tail are hit.
     d = 16
-    n = 1 if chunks is None else int(chunks * (_CHUNK_ENTRIES // (d * d)))
+    n = 1 if chunks is None else int(chunks * (CHUNK_ENTRIES // (d * d)))
     rng_new, rng_ref = stream(901, n), stream(901, n)
     u = haar_unitaries(d, n, rng_new)
     assert np.array_equal(u, _one_shot_haar_unitaries(d, n, rng_ref))

@@ -28,8 +28,11 @@ def traced_calls(*argv):
 
 def test_traced_multiparty_run_is_clean():
     calls = traced_calls("multiparty", "--d", "2", "--m", "3", "--perfect", "--seed", "9")
-    assert calls["channels.conjugate_subsystem"] > 0
-    assert calls["channels.apply_at"] > 0
+    # Three rounds (the default) of m = 3: each round's encoding and decoding
+    # conjugate every factor once, and each of the three victims' attacks
+    # applies the one honest channel. Colluders' keys cancel and are not applied.
+    assert calls["channels.conjugate_subsystem"] == 18
+    assert calls["channels.apply_at"] == 9
     # linalg.spectral_calls_per_state is computed from these two counts.
     # Three rounds (the default), each decomposing the exterior view and the
     # three victims' marginals; the colluders' joint states are checked by
