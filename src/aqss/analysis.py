@@ -2,15 +2,33 @@
 
 Trials are independent: trial i draws everything it needs from its own RNG
 stream (master_seed, i), and the aggregate is a deterministic ordered fold
-over the trial index, so results are bit-identical for a fixed seed no
-matter how trials would be scheduled.
+over the trial index, so for a fixed seed a trial's value does not depend
+on which process runs it.
+
+The one Monte Carlo loop maps trial index to value over
+min(len(os.sched_getaffinity(0)), trials) processes. The parent forks one
+child per extra core and runs the first contiguous block of trials itself;
+each child runs the next block, sends its float64 values back over a pipe
+and leaves with os._exit, so it never flushes or closes what it inherited.
+While the blocks run, every loaded OpenBLAS is pinned to one thread (found
+and set through ctypes, as threadpoolctl does), so the processes do not
+oversubscribe the cores, and the previous count is restored afterwards.
+OpenBLAS shuts its thread pool down at fork, so the children start clean.
+A run is therefore bit-identical to a serial run at one BLAS thread. Where
+fork, sched_getaffinity or an OpenBLAS thread setter is missing, or the
+caller runs other Python threads, the loop runs serially in the caller. A
+child's error reaches the caller with its type and message (the earliest
+failing trial's, as in a serial run), not its traceback. A child's memory
+is not counted in getrusage(RUSAGE_SELF).
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -90,17 +108,21 @@ class BoundCheck:
         )
 
 
+def _check_family(family: str) -> None:
+    if family not in INPUT_FAMILIES:
+        raise ValueError(f"unknown input family {family!r}; expected one of {INPUT_FAMILIES}")
+
+
 def draw_input(family: str, d: int, rng: np.random.Generator) -> np.ndarray:
+    _check_family(family)
     if family == "product_pure":
         return random_product_pure_state(d, d, rng)
     if family == "separable":
         return random_separable_state(d, d, 4, rng)
-    if family == "max_entangled":
-        return linalg.maximally_entangled_state(d)
-    raise ValueError(f"unknown input family {family!r}; expected one of {INPUT_FAMILIES}")
+    return linalg.maximally_entangled_state(d)
 
 
-def _trials(
+def _monte_carlo(
     d: int,
     n_a: int,
     n_b: int,
@@ -109,17 +131,176 @@ def _trials(
     seed: int,
     channel_factory: ChannelFactory,
     minimum: int,
-) -> Iterator[tuple[ChannelFamily, np.ndarray]]:
-    """Per trial i, from its own stream (seed, i): two fresh channels, then a
-    fresh input from the family. ValueError for fewer than `minimum` trials."""
+    measure: Callable[[ChannelFamily, np.ndarray], float],
+) -> McStats:
+    """The one Monte Carlo loop: trial i draws, from its own stream (seed, i),
+    two fresh channels and then a fresh input from the family, and measures
+    the pair. ValueError for an unknown family or fewer than `minimum`
+    trials, before anything is sampled."""
+    _check_family(input_family)
     if trials < minimum:
         raise ValueError(f"need at least {minimum} trials, got {trials}")
-    for trial in range(trials):
-        rng = stream(seed, trial)
-        family = ChannelFamily(
-            (channel_factory(d, n_a, rng), channel_factory(d, n_b, rng))
-        )
-        yield family, draw_input(input_family, d, rng)
+
+    def _trial(i: int) -> float:
+        rng = stream(seed, i)
+        family = ChannelFamily((channel_factory(d, n_a, rng), channel_factory(d, n_b, rng)))
+        return measure(family, draw_input(input_family, d, rng))
+
+    return McStats.from_values(_map_trials(_trial, trials), seed)
+
+
+def _cores() -> int:
+    """Processes the loop may use: the cores this process may run on, or 1
+    where fork or the affinity query is missing or other Python threads run
+    (a forked child gets no copy of them and may deadlock on their locks)."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0)) if threading.active_count() == 1 else 1
+
+
+def _openblas_threads() -> list[tuple[Callable[[], int], Callable[[int], None]]]:
+    """(get, set) thread-count functions of every loaded OpenBLAS; empty if none.
+
+    As threadpoolctl does, walks the loaded shared objects with
+    dl_iterate_phdr and tries the symbol names OpenBLAS builds export, bare
+    or with numpy's and scipy's scipy_ prefix and 64-bit-integer suffix.
+    """
+    import ctypes
+
+    class PhdrInfo(ctypes.Structure):  # the leading fields of struct dl_phdr_info
+        _fields_ = [("addr", ctypes.c_void_p), ("name", ctypes.c_char_p)]
+
+    callback = ctypes.CFUNCTYPE(
+        ctypes.c_int, ctypes.POINTER(PhdrInfo), ctypes.c_size_t, ctypes.c_void_p
+    )
+    try:
+        iterate = ctypes.CDLL(None).dl_iterate_phdr
+    except AttributeError:
+        return []
+    iterate.argtypes, iterate.restype = [callback, ctypes.c_void_p], ctypes.c_int
+    paths = []
+
+    def collect(info, size, data):
+        path = os.fsdecode(info.contents.name or b"")
+        if "openblas" in os.path.basename(path):
+            paths.append(path)
+        return 0
+
+    iterate(callback(collect), None)
+    names = [
+        (f"{prefix}openblas_get_num_threads{suffix}", f"{prefix}openblas_set_num_threads{suffix}")
+        for prefix in ("", "scipy_")
+        for suffix in ("", "64_", "_64")
+    ]
+    found = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        for get_name, set_name in names:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                found.append((get, set_))
+                break
+    return found
+
+
+def _map_trials(value: Callable[[int], float], trials: int) -> list[float]:
+    """[value(i) for i in range(trials)], spread in contiguous blocks over
+    min(_cores(), trials) processes at one BLAS thread each, or run serially
+    where that is one or no OpenBLAS thread setter is found."""
+    workers = min(_cores(), trials)
+    blas = _openblas_threads() if workers > 1 else []
+    if not blas:
+        return [value(i) for i in range(trials)]
+    import signal
+
+    bounds = [trials * k // workers for k in range(workers + 1)]
+    previous = [get() for get, _ in blas]
+    children = []  # (pid, read end of its pipe, first trial, end trial)
+    try:
+        for _, set_threads in blas:
+            set_threads(1)
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            children.append((*_fork_block(value, lo, hi), lo, hi))
+        values = [value(i) for i in range(bounds[1])]
+        outputs = []
+        for _, fd, _, _ in children:
+            with open(fd, "rb", closefd=False) as pipe:
+                outputs.append(pipe.read())
+    except BaseException:
+        # The parent's block is the earliest, so its error wins; stop the rest.
+        for pid, _, _, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        statuses = []
+        for pid, fd, _, _ in children:
+            os.close(fd)
+            statuses.append(os.waitpid(pid, 0)[1])
+        for (_, set_threads), count in zip(blas, previous):
+            set_threads(count)
+    for (_, _, lo, hi), data, status in zip(children, outputs, statuses):
+        values += _block_values(data, status, lo, hi)
+    return values
+
+
+def _fork_block(value: Callable[[int], float], lo: int, hi: int) -> tuple[int, int]:
+    """Fork a child that runs trials lo..hi-1; its pid and the read end of its pipe."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        # The child never returns into the caller's frames: os._exit runs no
+        # finally, atexit or flush of the buffers it inherited.
+        status = 2
+        try:
+            os.close(read_fd)
+            status = _run_block(value, lo, hi, write_fd)
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _run_block(value: Callable[[int], float], lo: int, hi: int, fd: int) -> int:
+    """In a child: write the block's float64 values to fd and return 0, or
+    write its first error, pickled, and return 1."""
+    import pickle
+
+    try:
+        data = np.array([value(i) for i in range(lo, hi)], dtype=np.float64).tobytes()
+        status = 0
+    except Exception as exc:
+        try:
+            data = pickle.dumps(exc)
+            pickle.loads(data)  # the parent must be able to rebuild it
+        except Exception:
+            data = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+        status = 1
+    with open(fd, "wb") as pipe:
+        pipe.write(data)
+    return status
+
+
+def _block_values(data: bytes, status: int, lo: int, hi: int) -> list[float]:
+    """A child's values for trials lo..hi-1, or the error that ended its block."""
+    import pickle
+
+    code = os.waitstatus_to_exitcode(status)
+    if code == 0 and len(data) == 8 * (hi - lo):
+        return np.frombuffer(data, dtype=np.float64).tolist()
+    if code == 1:
+        raise pickle.loads(data)
+    ended = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+    raise RuntimeError(f"the worker process for Monte Carlo trials {lo} to {hi - 1} {ended}")
 
 
 def mc_expected_trace_distance(
@@ -139,11 +320,9 @@ def mc_expected_trace_distance(
     meaningful for product_pure inputs only — for the other families the
     check is informational and callers should not treat it as an assertion.
     """
-    runs = _trials(
-        d, n_a, n_b, input_family, trials, seed, channel_factory, MIN_TRACE_DISTANCE_TRIALS
-    )
-    stats = McStats.from_values(
-        [linalg.distance_from_mixed(output_spectrum(family, rho)) for family, rho in runs], seed
+    stats = _monte_carlo(
+        d, n_a, n_b, input_family, trials, seed, channel_factory, MIN_TRACE_DISTANCE_TRIALS,
+        lambda family, rho: linalg.distance_from_mixed(output_spectrum(family, rho)),
     )
     return stats, BoundCheck.compare(stats.mean, d / math.sqrt(n_a * n_b))
 
@@ -166,11 +345,9 @@ def mc_purity(
     The check is the five-standard-error identity test
     |mean - (1/(n_a*n_b) + 1/d^2)| <= 5 * stderr.
     """
-    runs = _trials(
-        d, n_a, n_b, "product_pure", trials, seed, channel_factory, MIN_PURITY_TRIALS
-    )
-    stats = McStats.from_values(
-        [linalg.purity(apply_product(family, rho)) for family, rho in runs], seed
+    stats = _monte_carlo(
+        d, n_a, n_b, "product_pure", trials, seed, channel_factory, MIN_PURITY_TRIALS,
+        lambda family, rho: linalg.purity(apply_product(family, rho)),
     )
     deviation = abs(stats.mean - purity_second_moment(d, n_a, n_b))
     return stats, BoundCheck.compare(deviation, 5.0 * stats.stderr)

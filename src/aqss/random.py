@@ -2,9 +2,11 @@
 
 Every sampler takes an explicit ``numpy.random.Generator``; a generator built
 with :func:`stream` is fully determined by ``(master_seed, stream_id)``, and
-distinct stream ids give statistically independent sequences. Parallel
-Monte Carlo trials derive one stream per trial index, so results do not
-depend on scheduling.
+distinct stream ids give statistically independent sequences. Monte Carlo
+trials derive one stream per trial index, so a trial draws the same numbers
+in whichever process runs it. ``analysis`` runs blocks of trials in forked
+processes, one per core, at one BLAS thread each, and its values are those
+of a serial run at one BLAS thread.
 """
 
 from __future__ import annotations

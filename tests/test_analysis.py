@@ -1,9 +1,12 @@
 import math
+import os
+import signal
+import threading
 
 import numpy as np
 import pytest
 
-from aqss import linalg
+from aqss import analysis, linalg
 from aqss.analysis import (
     BoundCheck,
     McStats,
@@ -88,10 +91,21 @@ def test_mc_expected_trace_distance_bound_value_at_sized_n():
 
 
 def test_mc_expected_trace_distance_validation():
-    with pytest.raises(ValueError):
-        mc_expected_trace_distance(2, 4, 4, "thermal", trials=10, seed=0)
-    with pytest.raises(ValueError):
-        mc_expected_trace_distance(2, 4, 4, "product_pure", trials=5, seed=0)
+    # Bad arguments are refused before any channel is sampled.
+    def recording(d, n, rng):
+        sampled.append((d, n))
+        return sample_ruc(d, n, rng)
+
+    sampled = []
+    with pytest.raises(ValueError, match="unknown input family 'thermal'"):
+        mc_expected_trace_distance(2, 4, 4, "thermal", trials=10, seed=0, channel_factory=recording)
+    with pytest.raises(ValueError, match="at least 10 trials, got 5"):
+        mc_expected_trace_distance(
+            2, 4, 4, "product_pure", trials=5, seed=0, channel_factory=recording
+        )
+    with pytest.raises(ValueError, match="at least 30 trials, got 29"):
+        mc_purity(2, 4, 4, trials=29, seed=0, channel_factory=recording)
+    assert sampled == []
 
 
 def test_mc_expected_trace_distance_reproducible():
@@ -325,3 +339,148 @@ def test_jensen_chain_check():
 def test_jensen_holds_on_mc_output():
     stats, _ = mc_expected_trace_distance(2, 4, 4, "separable", trials=20, seed=106)
     assert jensen_chain_check(stats).satisfied
+
+
+@pytest.fixture
+def cores(monkeypatch):
+    """cores(n) makes the Monte Carlo loop see n cores and returns the list of
+    its forks so far. Every OpenBLAS starts at 2 threads; after the test it
+    is back at 2, no child is left unreaped and the open file descriptors
+    are as before. A run that hangs is stopped after 60 s."""
+    blas = analysis._openblas_threads()
+    if not blas or not os.path.isdir("/proc/self/fd"):
+        pytest.skip("no OpenBLAS thread setter or /proc: the loop always runs serially")
+    threads = [get() for get, _ in blas]
+    for _, set_threads in blas:
+        set_threads(2)
+    fds = len(os.listdir("/proc/self/fd"))
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    def pin(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+        return forks
+
+    def hung(signum, frame):
+        raise TimeoutError("the Monte Carlo loop hung")
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        yield pin
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    after = [get() for get, _ in blas]
+    for (_, set_threads), count in zip(blas, threads):
+        set_threads(count)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert len(os.listdir("/proc/self/fd")) == fds
+    assert after == [2] * len(blas)
+
+
+def both_estimators(factory):
+    """Both estimators at trial counts that 2 and 3 workers do not divide."""
+    return (
+        mc_expected_trace_distance(3, 5, 5, "separable", 11, 109, channel_factory=factory)[0],
+        mc_purity(3, 5, 5, 31, 110, channel_factory=factory)[0],
+    )
+
+
+def bits(stats):
+    return np.array([stats.mean, stats.stderr, *stats.per_trial_values]).tobytes()
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize(
+    "factory", [sample_ruc, lambda d, n, rng: perfect_pqc(d)], ids=["sampled", "perfect"]
+)
+def test_parallel_trials_equal_the_serial_run_bit_for_bit(factory, workers, cores):
+    cores(1)
+    serial = both_estimators(factory)
+    forks = cores(workers)
+    parallel = both_estimators(factory)
+    # One child per extra core for each estimator, all forked by this process.
+    assert forks == [os.getpid()] * 2 * (workers - 1)
+    assert [bits(s) for s in parallel] == [bits(s) for s in serial]
+
+
+def test_the_loop_never_starts_more_processes_than_trials(cores):
+    forks = cores(8)
+    assert analysis._map_trials(float, 3) == [0.0, 1.0, 2.0]
+    assert len(forks) == 2
+
+
+def test_blas_runs_on_one_thread_while_the_blocks_run(cores):
+    cores(2)
+    seen = []
+
+    def factory(d, n, rng):
+        seen.append([get() for get, _ in analysis._openblas_threads()])
+        return sample_ruc(d, n, rng)
+
+    mc_expected_trace_distance(2, 3, 3, "product_pure", 10, 114, channel_factory=factory)
+    # The caller's block, trials 0-4, samples two channels per trial.
+    assert seen == [[1] * len(seen[0])] * 10
+
+
+def failing_at(bad_trials):
+    """Sampler that refuses the trials in bad_trials; the trial index is the
+    spawn key of the stream it is given."""
+
+    def factory(d, n, rng):
+        trial = rng.bit_generator.seed_seq.spawn_key[0]
+        if trial in bad_trials:
+            raise ValueError(f"channel for trial {trial} refused")
+        return sample_ruc(d, n, rng)
+
+    return factory
+
+
+# 12 trials over 3 processes: the parent runs trials 0-3, its children 4-7 and 8-11.
+@pytest.mark.parametrize("bad", [{7}, {5, 9}, {2, 9}, {10, 11}])
+def test_a_failing_trial_raises_what_the_serial_run_raises(bad, cores):
+    errors = []
+    for n in (1, 3):
+        forks = cores(n)
+        with pytest.raises(ValueError) as info:
+            mc_expected_trace_distance(
+                2, 3, 3, "product_pure", 12, 111, channel_factory=failing_at(bad)
+            )
+        errors.append((type(info.value), str(info.value)))
+    assert len(forks) == 2
+    assert errors == [(ValueError, f"channel for trial {min(bad)} refused")] * 2
+
+
+def test_a_killed_worker_is_a_clear_error(cores):
+    cores(2)
+    parent = os.getpid()
+
+    def factory(d, n, rng):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return sample_ruc(d, n, rng)
+
+    with pytest.raises(RuntimeError, match="trials 5 to 9 was killed by signal 9"):
+        mc_expected_trace_distance(2, 3, 3, "product_pure", 10, 112, channel_factory=factory)
+
+
+def test_the_loop_runs_serially_beside_other_threads(cores):
+    forks = cores(2)
+    stop = threading.Event()
+    waiter = threading.Thread(target=stop.wait)
+    waiter.start()
+    try:
+        stats, _ = mc_expected_trace_distance(2, 3, 3, "product_pure", 10, 113)
+    finally:
+        stop.set()
+        waiter.join(timeout=10)
+    assert not waiter.is_alive()
+    assert forks == []
+    assert len(stats.per_trial_values) == 10

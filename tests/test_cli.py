@@ -185,14 +185,18 @@ def test_unwritable_output_is_usage_error_before_any_run(capsys, monkeypatch, tm
     assert "Traceback" not in err
 
 
-def test_python_dash_m_runs_the_cli():
+def run_module(*argv):
+    """``python -m aqss <argv>`` in a fresh process, output captured."""
     src = str(Path(aqss.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "aqss", "key-cost", "--d", "8", "--seed", "1"],
-        capture_output=True, text=True, env=env, timeout=60,
+    return subprocess.run(
+        [sys.executable, "-m", "aqss", *argv], capture_output=True, text=True, env=env, timeout=60
     )
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = run_module("key-cost", "--d", "8", "--seed", "1")
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert json.loads(proc.stdout)["config"]["n_resolved"] == 4800
@@ -366,6 +370,21 @@ def test_output_file(tmp_path, capsys):
     assert out == ""
     record = json.loads(out_path.read_text(encoding="utf-8"))
     assert record["command"] == "key-cost"
+
+
+def test_monte_carlo_workers_never_write_the_record(tmp_path):
+    # The trials run in forked workers; a worker that flushed or closed the
+    # buffers it inherited would write the record a second time.
+    argv = ["bound-sweep", "--d", "4", "--n", "16", "--trials", "40", "--seed", "3"]
+    out_path = tmp_path / "record.json"
+    to_file = run_module(*argv, "--output", str(out_path))
+    to_stdout = run_module(*argv)
+    assert to_file.returncode == to_stdout.returncode == 1  # the stated bound, red by design
+    assert to_file.stdout == ""
+    for text in (out_path.read_text(encoding="utf-8"), to_stdout.stdout):
+        assert text.count('"version"') == 1
+        assert json.loads(text)["command"] == "bound-sweep"
+    assert "Traceback" not in to_file.stderr + to_stdout.stderr
 
 
 def test_parser_lists_all_commands():

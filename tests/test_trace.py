@@ -13,15 +13,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def traced_calls(*argv):
-    """Call counts of a clean traced run of ``aqss <argv>``."""
+def traced_calls(*argv, exit_code=0):
+    """Call counts of a clean traced run of ``aqss <argv>`` that exits with exit_code."""
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "child.py"), str(ROOT / "src"), "traced", *argv],
         capture_output=True, text=True, cwd=ROOT, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
     envelope = json.loads(proc.stdout.splitlines()[-1])
-    assert envelope["exit_code"] == 0
+    assert envelope["exit_code"] == exit_code
     assert "traceback" not in envelope
     return envelope["trace"]["calls"]
 
@@ -45,3 +46,12 @@ def test_traced_demo_keeps_the_interior_attack():
     calls = traced_calls("aqss-demo", "--d", "2", "--perfect", "--seed", "1")
     assert calls["protocol.collusion_attack"] > 0
     assert calls["linalg.partial_trace"] > 0
+
+
+def test_traced_bound_sweep_forks_cleanly():
+    # The Monte Carlo trials run in forked workers; the tracer counts the
+    # caller's block only, and the estimator is entered once.
+    calls = traced_calls(
+        "bound-sweep", "--d", "4", "--n", "16", "--trials", "20", "--seed", "2", exit_code=1
+    )
+    assert calls["analysis.mc_expected_trace_distance"] == 1
