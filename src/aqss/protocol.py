@@ -20,9 +20,11 @@ import numpy as np
 from . import linalg
 from .channels import (
     ChannelFamily,
+    apply,
     apply_at,
     apply_product,
     conjugate_subsystem,
+    epsilon_randomizing_distance,
     output_spectrum,
     required_n,
     sample_ruc,
@@ -178,7 +180,8 @@ def exterior_adversary_view(session: AqssSession) -> np.ndarray:
 
 
 def collusion_attack(session: AqssSession, colluders) -> np.ndarray:
-    """Joint state described by a colluding strict subset of receivers.
+    """Joint state described by a colluding strict subset of receivers, and
+    the brute-force reference that the audit's victim step is pinned to.
 
     The colluders invert their own key conjugations on the state averaged over
     the honest receivers' keys. Those conjugations act on the colluders' own
@@ -200,25 +203,19 @@ def collusion_attack(session: AqssSession, colluders) -> np.ndarray:
     return linalg.validated(state)
 
 
-def _victim_view(session: AqssSession, victim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Joint state when every receiver but `victim` colludes, and its victim marginal."""
-    m = session.config.parties
-    joint = collusion_attack(session, [k for k in range(m) if k != victim])
-    return joint, linalg.partial_trace(joint, (session.config.d,) * m, keep=victim)
-
-
 def interior_attack_bob(session: AqssSession) -> tuple[np.ndarray, np.ndarray]:
     """Malicious second receiver: invert one's own unitary, average the other key.
 
     Returns the joint state the second receiver can describe and the first
-    receiver's marginal of it, which stays channel-randomized without the
-    first receiver's key.
+    receiver's marginal: that receiver's channel on its plaintext marginal,
+    read as in the audit, which stays channel-randomized without its key.
     """
     if session.config.parties != 2:
         raise ValueError(
             f"interior two-party attack needs exactly 2 receivers, got {session.config.parties}"
         )
-    return _victim_view(session, 0)
+    marginal = linalg.partial_trace(session.plaintext, (session.config.d,) * 2, keep=0)
+    return collusion_attack(session, [1]), apply(session.channels.parts[0], marginal)
 
 
 class AuditReport(NamedTuple):
@@ -235,10 +232,14 @@ def audit(sessions: Iterable[AqssSession], victims: Sequence[int]) -> AuditRepor
     distance, the exterior entropy deficit log2 D - S, and each victim's
     distance from 1/d on its marginal while all the other receivers collude.
 
-    With m = 2 and victim 0 the victim step is interior_attack_bob.
+    The victim's channel, the only honest one, acts on the victim's factor, so
+    the marginal is that channel on the plaintext marginal; no joint state is
+    formed. A victim not in [0, m) is refused before its round measures anything.
     """
     round_trip = exterior = deficit = victim_worst = 0.0
     for session in sessions:
+        dims = (session.config.d,) * session.config.parties
+        marginals = [linalg.partial_trace(session.plaintext, dims, keep=v) for v in victims]
         round_trip = max(
             round_trip,
             linalg.trace_norm(cooperate_decode(session) - session.plaintext),
@@ -247,10 +248,9 @@ def audit(sessions: Iterable[AqssSession], victims: Sequence[int]) -> AuditRepor
         spectrum = output_spectrum(session.channels, session.plaintext)
         exterior = max(exterior, linalg.distance_from_mixed(spectrum))
         deficit = max(deficit, math.log2(len(spectrum)) - linalg.spectrum_entropy(spectrum))
-        for victim in victims:
-            # Only the marginal is kept, so the joint state is freed before the next attack.
-            spectrum = linalg.assert_density_matrix(_victim_view(session, victim)[1])
-            victim_worst = max(victim_worst, linalg.distance_from_mixed(spectrum))
+        for victim, marginal in zip(victims, marginals):
+            channel = session.channels.parts[victim]
+            victim_worst = max(victim_worst, epsilon_randomizing_distance(channel, marginal))
     return AuditReport(round_trip, exterior, deficit, victim_worst)
 
 

@@ -1,4 +1,5 @@
-"""No module of the package imports or reads another module's private names.
+"""No module of the package imports or reads another module's private names,
+and every public function of the package has a caller in the package.
 
 A leading underscore marks a name as internal to its module; a name another
 module needs is public. Dunder names such as ``__version__`` are public.
@@ -40,3 +41,41 @@ def test_no_module_uses_another_modules_private_names():
     offenders = {path.name: private_names(path.read_text()) for path in PACKAGE.glob("*.py")}
     assert "cli.py" in offenders
     assert not any(offenders.values()), offenders
+
+
+# Public functions that only the tests call, kept because the acceptance
+# criteria import them.
+TEST_ONLY = {
+    "analysis.check_norm_relation",
+    "analysis.check_separable_2eps",
+    "linalg.von_neumann_entropy",
+    "protocol.exterior_adversary_view",
+    "protocol.interior_attack_bob",
+}
+
+
+def uncalled_functions(sources):
+    """Public module-level functions of `sources` (module name -> source) whose
+    name is read nowhere in the sources outside the function's own body."""
+    defined, used = [], set()
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            owner = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+            if owner is not None and not _private(owner):
+                defined.append(f"{module}.{owner}")
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and node.id != owner:
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute) and node.attr != owner:
+                    used.add(node.attr)
+    return sorted(name for name in defined if name.split(".")[1] not in used)
+
+
+def test_every_public_function_has_a_caller_in_the_package():
+    sample = {
+        "a": "def f(x):\n    return f(x)\n\ndef g():\n    return b.h\n\ndef _p():\n    pass\n",
+        "b": "def h():\n    pass\n",
+    }
+    assert uncalled_functions(sample) == ["a.f", "a.g"]
+    sources = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
+    assert set(uncalled_functions(sources)) == TEST_ONLY

@@ -1,10 +1,11 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from aqss import linalg
+from aqss import linalg, protocol
 from aqss.channels import (
     ChannelFamily,
     apply,
@@ -29,6 +30,7 @@ from aqss.protocol import (
     key_cost,
 )
 from aqss.random import (
+    haar_vectors,
     random_product_pure_state,
     random_pure_state,
     stream,
@@ -331,9 +333,51 @@ def test_demo_victim_is_the_two_party_interior_attack(perfect):
         assert audit([session], victims=[0]).victim == expected
 
 
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("perfect", [True, False], ids=["perfect", "sampled"])
+@pytest.mark.parametrize("plaintext", ["pure", "product"])
+def test_audit_victim_matches_the_collusion_reference(m, perfect, plaintext):
+    # The audit reads each victim's distance from its own channel on its
+    # plaintext marginal; the reference forms the joint state of all the
+    # other receivers and traces it down to the victim.
+    d = 2
+    dims = (d,) * m
+    rng = stream(83, 2 * m + int(perfect))
+    if perfect:
+        family = perfect_family(d, m=m)
+    else:
+        family = ChannelFamily(tuple(sample_ruc(d, 3, rng) for _ in range(m)))
+    if plaintext == "pure":
+        rho = random_pure_state(d**m, rng)
+    else:
+        psi = haar_vectors(dims, 1, rng)[0]
+        rho = np.outer(psi, psi.conj())
+    config = ProtocolConfig(d=d, parties=m, n_per_channel=family.parts[0].n)
+    session = charlie_encode(config, rho, rng, channels=family)
+    for victim in range(m):
+        joint = collusion_attack(session, [k for k in range(m) if k != victim])
+        marginal = linalg.partial_trace(joint, dims, keep=victim)
+        reference = linalg.distance_from_mixed(linalg.assert_density_matrix(marginal))
+        assert abs(audit([session], victims=[victim]).victim - reference) <= 1e-12
+
+
+@pytest.mark.parametrize("victim", [3, -1, 0.5])
+def test_audit_refuses_a_bad_victim_before_measuring(victim, monkeypatch):
+    rng = stream(84)
+    session = charlie_encode(small_config(2, n=2, m=3), random_pure_state(8, rng), rng)
+
+    def unreachable(*args):
+        raise AssertionError("the round was measured before its victims were checked")
+
+    monkeypatch.setattr(protocol, "cooperate_decode", unreachable)
+    monkeypatch.setattr(protocol, "output_spectrum", unreachable)
+    with pytest.raises(ValueError, match=re.escape(f"invalid subsystem {victim!r}")):
+        audit([session], victims=[0, victim])
+
+
 def test_audit_peak_memory_does_not_grow_with_victims():
-    # Each victim's joint state (16 D^2 bytes) must be released before the
-    # next collusion attack runs, so m victims peak like one.
+    # The audit forms no joint state (16 D^2 bytes) for a victim: each victim's
+    # step holds d x d matrices only, so m victims peak like one.
     d, m = 4, 4
     rng = stream(81)
     family = ChannelFamily((perfect_pqc(d),) * m)

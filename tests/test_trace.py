@@ -30,22 +30,27 @@ def traced_calls(*argv, exit_code=0):
 def test_traced_multiparty_run_is_clean():
     calls = traced_calls("multiparty", "--d", "2", "--m", "3", "--perfect", "--seed", "9")
     # Three rounds (the default) of m = 3: each round's encoding and decoding
-    # conjugate every factor once, and each of the three victims' attacks
-    # applies the one honest channel. Colluders' keys cancel and are not applied.
+    # conjugate every factor once. Each victim's channel acts on its own
+    # plaintext marginal, one partial trace per victim per round, so no
+    # channel is applied to one factor of a joint state and no colluders'
+    # joint state is formed.
     assert calls["channels.conjugate_subsystem"] == 18
-    assert calls["channels.apply_at"] == 9
+    assert calls["channels.apply_at"] == 0
+    assert calls["protocol.collusion_attack"] == 0
+    assert calls["linalg.partial_trace"] == 9
     # linalg.spectral_calls_per_state is computed from these two counts.
     # Three rounds (the default), each decomposing the exterior view and the
-    # three victims' marginals; the colluders' joint states are checked by
-    # validated without a spectrum. Only the round trip takes a trace norm.
+    # three victims' channel outputs. Only the round trip takes a trace norm.
     assert calls["linalg.assert_density_matrix"] == 12
     assert calls["linalg.trace_norm"] == 3
 
 
 def test_traced_demo_keeps_the_interior_attack():
+    # Five rounds (the default): the victim's marginal is one partial trace of
+    # the plaintext per round, and no colluders' joint state is formed.
     calls = traced_calls("aqss-demo", "--d", "2", "--perfect", "--seed", "1")
-    assert calls["protocol.collusion_attack"] > 0
-    assert calls["linalg.partial_trace"] > 0
+    assert calls["linalg.partial_trace"] == 5
+    assert calls["protocol.collusion_attack"] == 0
 
 
 def test_traced_bound_sweep_forks_cleanly():
