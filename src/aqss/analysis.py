@@ -10,16 +10,18 @@ min(len(os.sched_getaffinity(0)), trials) processes. The parent forks one
 child per extra core and runs the first contiguous block of trials itself;
 each child runs the next block, sends its float64 values back over a pipe
 and leaves with os._exit, so it never flushes or closes what it inherited.
-While the blocks run, every loaded OpenBLAS is pinned to one thread (found
-and set through ctypes, as threadpoolctl does), so the processes do not
-oversubscribe the cores, and the previous count is restored afterwards.
-OpenBLAS shuts its thread pool down at fork, so the children start clean.
-A run is therefore bit-identical to a serial run at one BLAS thread. Where
-fork, sched_getaffinity or an OpenBLAS thread setter is missing, or the
-caller runs other Python threads, the loop runs serially in the caller. A
-child's error reaches the caller with its type and message (the earliest
-failing trial's, as in a serial run), not its traceback. A child's memory
-is not counted in getrusage(RUSAGE_SELF).
+A child whose block fails exits 1 with nothing written and prints nothing;
+the caller then runs that block again itself, so a run returns or raises
+exactly what a serial run does, traceback included. While the blocks run,
+every loaded OpenBLAS (its path read from /proc/self/maps, its thread
+setter found through ctypes, as threadpoolctl does) is pinned to one
+thread, so the processes do not oversubscribe the cores, and the previous
+count is restored afterwards. OpenBLAS shuts its thread pool down at fork,
+so the children start clean. A run is therefore bit-identical to a serial
+run at one BLAS thread. Where fork, sched_getaffinity or an OpenBLAS thread
+setter is missing, or the caller runs other Python threads, the loop runs
+serially in the caller. A child's memory is not counted in
+getrusage(RUSAGE_SELF).
 """
 
 from __future__ import annotations
@@ -161,39 +163,26 @@ def _cores() -> int:
 def _openblas_threads() -> list[tuple[Callable[[], int], Callable[[int], None]]]:
     """(get, set) thread-count functions of every loaded OpenBLAS; empty if none.
 
-    As threadpoolctl does, walks the loaded shared objects with
-    dl_iterate_phdr and tries the symbol names OpenBLAS builds export, bare
-    or with numpy's and scipy's scipy_ prefix and 64-bit-integer suffix.
+    Opens each loaded shared object whose path in /proc/self/maps names
+    OpenBLAS and, as threadpoolctl does, tries the symbol names OpenBLAS
+    builds export, bare or with numpy's and scipy's scipy_ prefix and
+    64-bit-integer suffix.
     """
     import ctypes
 
-    class PhdrInfo(ctypes.Structure):  # the leading fields of struct dl_phdr_info
-        _fields_ = [("addr", ctypes.c_void_p), ("name", ctypes.c_char_p)]
-
-    callback = ctypes.CFUNCTYPE(
-        ctypes.c_int, ctypes.POINTER(PhdrInfo), ctypes.c_size_t, ctypes.c_void_p
-    )
     try:
-        iterate = ctypes.CDLL(None).dl_iterate_phdr
-    except AttributeError:
+        # Line by line, holding no copy of the file; a mapping's path is its sixth field.
+        with open("/proc/self/maps") as maps:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in maps if "openblas" in line}
+    except OSError:
         return []
-    iterate.argtypes, iterate.restype = [callback, ctypes.c_void_p], ctypes.c_int
-    paths = []
-
-    def collect(info, size, data):
-        path = os.fsdecode(info.contents.name or b"")
-        if "openblas" in os.path.basename(path):
-            paths.append(path)
-        return 0
-
-    iterate(callback(collect), None)
     names = [
         (f"{prefix}openblas_get_num_threads{suffix}", f"{prefix}openblas_set_num_threads{suffix}")
         for prefix in ("", "scipy_")
         for suffix in ("", "64_", "_64")
     ]
     found = []
-    for path in paths:
+    for path in sorted(paths):
         try:
             lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
         except OSError:
@@ -219,37 +208,46 @@ def _map_trials(value: Callable[[int], float], trials: int) -> list[float]:
     import signal
 
     bounds = [trials * k // workers for k in range(workers + 1)]
+    blocks = list(zip(bounds[1:-1], bounds[2:]))  # the children's, in trial order
     previous = [get() for get, _ in blas]
-    children = []  # (pid, read end of its pipe, first trial, end trial)
+    children = []  # (pid, read end of its pipe)
+    reaped = 0  # children[:reaped] have been waited for
     try:
         for _, set_threads in blas:
             set_threads(1)
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            children.append((*_fork_block(value, lo, hi), lo, hi))
+        for lo, hi in blocks:
+            children.append(_fork_block(value, lo, hi))
         values = [value(i) for i in range(bounds[1])]
-        outputs = []
-        for _, fd, _, _ in children:
+        for (pid, fd), (lo, hi) in zip(children, blocks):
             with open(fd, "rb", closefd=False) as pipe:
-                outputs.append(pipe.read())
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            reaped += 1
+            if status == 0 and len(data) == 8 * (hi - lo):
+                values += np.frombuffer(data, dtype=np.float64).tolist()
+            else:
+                # Trial i depends on i alone: the caller's rerun of a failed or
+                # killed block returns or raises what the serial run does.
+                values += [value(i) for i in range(lo, hi)]
     except BaseException:
-        # The parent's block is the earliest, so its error wins; stop the rest.
-        for pid, _, _, _ in children:
+        # Every earlier block has succeeded, so this error wins; stop the
+        # children not yet reaped (a reaped child's pid may be reused).
+        for pid, _ in children[reaped:]:
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        statuses = []
-        for pid, fd, _, _ in children:
+        for _, fd in children:
             os.close(fd)
-            statuses.append(os.waitpid(pid, 0)[1])
+        for pid, _ in children[reaped:]:
+            os.waitpid(pid, 0)
         for (_, set_threads), count in zip(blas, previous):
             set_threads(count)
-    for (_, _, lo, hi), data, status in zip(children, outputs, statuses):
-        values += _block_values(data, status, lo, hi)
     return values
 
 
 def _fork_block(value: Callable[[int], float], lo: int, hi: int) -> tuple[int, int]:
-    """Fork a child that runs trials lo..hi-1; its pid and the read end of its pipe."""
+    """Fork a child that writes the float64 values of trials lo..hi-1 to its
+    pipe and exits 0, or exits 1 with nothing written; its pid and the read end."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -259,48 +257,19 @@ def _fork_block(value: Callable[[int], float], lo: int, hi: int) -> tuple[int, i
         raise
     if pid == 0:
         # The child never returns into the caller's frames: os._exit runs no
-        # finally, atexit or flush of the buffers it inherited.
-        status = 2
+        # finally, atexit or flush of the buffers it inherited, and an error
+        # ends the child before anything prints it.
+        status = 1
         try:
             os.close(read_fd)
-            status = _run_block(value, lo, hi, write_fd)
+            data = np.array([value(i) for i in range(lo, hi)], dtype=np.float64).tobytes()
+            with open(write_fd, "wb") as pipe:
+                pipe.write(data)
+            status = 0
         finally:
             os._exit(status)
     os.close(write_fd)
     return pid, read_fd
-
-
-def _run_block(value: Callable[[int], float], lo: int, hi: int, fd: int) -> int:
-    """In a child: write the block's float64 values to fd and return 0, or
-    write its first error, pickled, and return 1."""
-    import pickle
-
-    try:
-        data = np.array([value(i) for i in range(lo, hi)], dtype=np.float64).tobytes()
-        status = 0
-    except Exception as exc:
-        try:
-            data = pickle.dumps(exc)
-            pickle.loads(data)  # the parent must be able to rebuild it
-        except Exception:
-            data = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
-        status = 1
-    with open(fd, "wb") as pipe:
-        pipe.write(data)
-    return status
-
-
-def _block_values(data: bytes, status: int, lo: int, hi: int) -> list[float]:
-    """A child's values for trials lo..hi-1, or the error that ended its block."""
-    import pickle
-
-    code = os.waitstatus_to_exitcode(status)
-    if code == 0 and len(data) == 8 * (hi - lo):
-        return np.frombuffer(data, dtype=np.float64).tolist()
-    if code == 1:
-        raise pickle.loads(data)
-    ended = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-    raise RuntimeError(f"the worker process for Monte Carlo trials {lo} to {hi - 1} {ended}")
 
 
 def mc_expected_trace_distance(

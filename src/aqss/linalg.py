@@ -14,8 +14,7 @@ as the map produced it and returns that ascending spectrum; the distance
 ``sum |lambda - 1/D|`` to the maximally mixed state (which commutes with
 everything) and the entropy are read off it, so no state is decomposed
 twice. The second moment ``purity`` is O(D^2) from the matrix. Callers that
-need the state itself, and no spectrum, take it from ``validated``, which
-decides positivity with one shifted Cholesky factorization instead.
+need the state itself take it from ``validated``, which runs the same check.
 """
 
 from __future__ import annotations
@@ -56,48 +55,28 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
     return h
 
 
-def _checked_state(rho: np.ndarray) -> np.ndarray:
-    """Hermitian part of rho, raising ValueError unless rho is finite,
-    Hermitian and unit-trace within 1e-10; positivity is left to the caller."""
-    assert_finite(rho)
-    state = _hermitian_part(rho)
-    tr_dev = abs(np.trace(rho) - 1.0)
-    if tr_dev > TRACE_TOL:
-        raise ValueError(f"state trace differs from 1 by {tr_dev:.3e}")
-    return state
-
-
 def assert_density_matrix(rho: np.ndarray) -> np.ndarray:
     """Raise ValueError unless rho is Hermitian, unit-trace and PSD within 1e-10.
 
     Returns the ascending eigenvalues of the Hermitian part of rho, the
     spectrum the positivity check used.
     """
-    eigs = np.linalg.eigvalsh(_checked_state(rho))
+    assert_finite(rho)
+    state = _hermitian_part(rho)
+    tr_dev = abs(np.trace(rho) - 1.0)
+    if tr_dev > TRACE_TOL:
+        raise ValueError(f"state trace differs from 1 by {tr_dev:.3e}")
+    eigs = np.linalg.eigvalsh(state)
     if eigs[0] < -EIGENVALUE_TOL:
         raise ValueError(f"state has negative eigenvalue {eigs[0]:.3e}")
     return eigs
 
 
 def validated(m: np.ndarray) -> np.ndarray:
-    """Hermitian part h of a map output, for callers that read no spectrum.
-
-    m passes assert_density_matrix's finite, Hermitian and trace checks as the
-    map produced it. h + 1e-10 I has a Cholesky factor exactly when
-    lambda_min(h) >= -1e-10, up to rounding of order D * 1e-16 * ||h||
-    (Higham, Accuracy and Stability of Numerical Algorithms, section 10.1).
-    The shift is made in place and undone from a saved copy of the diagonal,
-    so the result is exactly hermitize(m).
-    """
-    state = _checked_state(m)
-    diagonal = state.diagonal().copy()
-    np.fill_diagonal(state, diagonal + EIGENVALUE_TOL)
-    try:
-        np.linalg.cholesky(state)
-    except np.linalg.LinAlgError:
-        raise ValueError(f"state has a negative eigenvalue below {-EIGENVALUE_TOL:g}") from None
-    np.fill_diagonal(state, diagonal)
-    return state
+    """Hermitian part hermitize(m) of a map output that assert_density_matrix
+    accepts as the map produced it."""
+    assert_density_matrix(m)
+    return hermitize(m)
 
 
 def distance_from_mixed(spectrum: np.ndarray) -> float:

@@ -234,10 +234,14 @@ def audit(sessions: Iterable[AqssSession], victims: Sequence[int]) -> AuditRepor
 
     The victim's channel, the only honest one, acts on the victim's factor, so
     the marginal is that channel on the plaintext marginal; no joint state is
-    formed. A victim not in [0, m) is refused before its round measures anything.
+    formed. A victim not in [0, m) is refused before its round measures anything,
+    and no victims or no rounds, which would read as a perfect score, are refused.
     """
+    if len(victims) == 0:
+        raise ValueError("audit needs at least one victim, got none")
     round_trip = exterior = deficit = victim_worst = 0.0
-    for session in sessions:
+    rounds = 0
+    for rounds, session in enumerate(sessions, 1):
         dims = (session.config.d,) * session.config.parties
         marginals = [linalg.partial_trace(session.plaintext, dims, keep=v) for v in victims]
         round_trip = max(
@@ -251,6 +255,8 @@ def audit(sessions: Iterable[AqssSession], victims: Sequence[int]) -> AuditRepor
         for victim, marginal in zip(victims, marginals):
             channel = session.channels.parts[victim]
             victim_worst = max(victim_worst, epsilon_randomizing_distance(channel, marginal))
+    if rounds == 0:
+        raise ValueError("audit needs at least one session, got none")
     return AuditReport(round_trip, exterior, deficit, victim_worst)
 
 

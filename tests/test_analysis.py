@@ -2,6 +2,7 @@ import math
 import os
 import signal
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -458,17 +459,76 @@ def test_a_failing_trial_raises_what_the_serial_run_raises(bad, cores):
     assert errors == [(ValueError, f"channel for trial {min(bad)} refused")] * 2
 
 
-def test_a_killed_worker_is_a_clear_error(cores):
-    cores(2)
+def test_a_killed_workers_block_is_rerun_in_the_caller(cores):
     parent = os.getpid()
+    seen = {}  # trial -> BLAS thread counts, as seen by the caller
 
     def factory(d, n, rng):
         if os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
+        trial = rng.bit_generator.seed_seq.spawn_key[0]
+        seen[trial] = [get() for get, _ in analysis._openblas_threads()]
         return sample_ruc(d, n, rng)
 
-    with pytest.raises(RuntimeError, match="trials 5 to 9 was killed by signal 9"):
-        mc_expected_trace_distance(2, 3, 3, "product_pure", 10, 112, channel_factory=factory)
+    args = (2, 3, 3, "product_pure", 10, 112)
+    cores(1)
+    serial, _ = mc_expected_trace_distance(*args, channel_factory=factory)
+    seen.clear()
+    forks = cores(2)
+    rerun, _ = mc_expected_trace_distance(*args, channel_factory=factory)
+    assert len(forks) == 1
+    assert bits(rerun) == bits(serial)
+    # The caller ran its own block, trials 0-4, and then the killed child's, 5-9.
+    assert sorted(seen) == list(range(10))
+    assert all(threads == [1] * len(threads) for threads in seen.values())
+
+
+class Unpicklable(Exception):
+    """An error that pickle cannot rebuild: __init__ takes two arguments but
+    the instance's args hold one message."""
+
+    def __init__(self, trial, why):
+        super().__init__(f"trial {trial}: {why}")
+
+
+def test_an_unpicklable_error_reaches_the_caller_as_raised_and_unprinted(cores, capfd):
+    def factory(d, n, rng):
+        trial = rng.bit_generator.seed_seq.spawn_key[0]
+        if trial == 7:
+            raise Unpicklable(trial, "refused")
+        return sample_ruc(d, n, rng)
+
+    errors = []
+    for n in (1, 2):
+        # 10 trials over 2 processes: trial 7 is in the child's block, 5-9.
+        forks = cores(n)
+        with pytest.raises(Unpicklable) as info:
+            mc_expected_trace_distance(2, 3, 3, "product_pure", 10, 115, channel_factory=factory)
+        errors.append((type(info.value), str(info.value)))
+    assert len(forks) == 1
+    assert errors == [(Unpicklable, "trial 7: refused")] * 2
+    assert capfd.readouterr().err == ""
+
+
+def test_a_failed_middle_block_stops_the_children_still_running(cores):
+    parent = os.getpid()
+
+    def factory(d, n, rng):
+        trial = rng.bit_generator.seed_seq.spawn_key[0]
+        if trial == 5:
+            raise ValueError(f"channel for trial {trial} refused")
+        if trial >= 8 and os.getpid() != parent:
+            # The fixture's alarm comes first: only a SIGKILL ends the last child in time.
+            time.sleep(60)
+            os._exit(1)
+        return sample_ruc(d, n, rng)
+
+    # 12 trials over 3 processes: the middle block, 4-7, fails in its child
+    # and again in the caller's rerun while the last child, 8-11, still runs.
+    forks = cores(3)
+    with pytest.raises(ValueError, match="channel for trial 5 refused"):
+        mc_expected_trace_distance(2, 3, 3, "product_pure", 12, 116, channel_factory=factory)
+    assert len(forks) == 2
 
 
 def test_the_loop_runs_serially_beside_other_threads(cores):

@@ -212,7 +212,7 @@ JOINT_DIMS = (16, 64, 256)
     ids=[f"lambda_min={lam:g}" for lam in LAMBDA_MINS] + [f"rank16-D{d}" for d in JOINT_DIMS],
 )
 def test_validated_accepts_exactly_when_the_spectrum_does(make):
-    # The shifted Cholesky decides what eigvalsh(hermitize(m))[0] >= -1e-10 does.
+    # validated decides what eigvalsh(hermitize(m))[0] >= -1e-10 does.
     rng = stream(34)
     base = make(rng)
     m = base + 1e-12j * random_hermitian(base.shape[0], rng)  # anti-Hermitian drift
@@ -220,7 +220,7 @@ def test_validated_accepts_exactly_when_the_spectrum_does(make):
     if accepted:
         assert np.array_equal(linalg.validated(m), linalg.hermitize(m))
     else:
-        with pytest.raises(ValueError, match="negative eigenvalue below -1e-10"):
+        with pytest.raises(ValueError, match="state has negative eigenvalue"):
             linalg.validated(m)
 
 

@@ -375,6 +375,24 @@ def test_audit_refuses_a_bad_victim_before_measuring(victim, monkeypatch):
         audit([session], victims=[0, victim])
 
 
+def test_audit_refuses_no_victims_before_drawing_a_round():
+    def rounds():
+        raise AssertionError("a round was drawn before the victims were checked")
+        yield
+
+    with pytest.raises(ValueError, match="at least one victim, got none"):
+        audit(rounds(), victims=[])
+    with pytest.raises(ValueError, match="at least one victim, got none"):
+        audit([], victims=range(0))
+
+
+def test_audit_refuses_no_sessions():
+    with pytest.raises(ValueError, match="at least one session, got none"):
+        audit([], victims=[0])
+    with pytest.raises(ValueError, match="at least one session, got none"):
+        audit(iter(()), victims=[0, 1])
+
+
 def test_audit_peak_memory_does_not_grow_with_victims():
     # The audit forms no joint state (16 D^2 bytes) for a victim: each victim's
     # step holds d x d matrices only, so m victims peak like one.
