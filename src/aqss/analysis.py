@@ -8,10 +8,12 @@ on which process runs it.
 The one Monte Carlo loop maps trial index to value over
 min(len(os.sched_getaffinity(0)), trials) processes. The parent forks one
 child per extra core and runs the first contiguous block of trials itself;
-each child runs the next block, sends its float64 values back over a pipe
-and leaves with os._exit, so it never flushes or closes what it inherited.
-A child whose block fails exits 1 with nothing written and prints nothing;
-the caller then runs that block again itself, so a run returns or raises
+each child runs the next block, writes its float64 values into its own
+slice of one anonymous shared mapping and leaves with os._exit, so it never
+flushes or closes what it inherited. A child exits 0 after writing, or 1
+with nothing printed if its block fails; the exit status is the only
+signal. The caller runs itself every block whose child did not exit 0 or
+was never forked (fork ran out of processes), so a run returns or raises
 exactly what a serial run does, traceback included. While the blocks run,
 every loaded OpenBLAS (its path read from /proc/self/maps, its thread
 setter found through ctypes, as threadpoolctl does) is pinned to one
@@ -96,7 +98,6 @@ class BoundCheck:
     observed: float
     bound: float
     satisfied: bool
-    slack: float
 
     @classmethod
     def compare(cls, observed: float, bound: float) -> "BoundCheck":
@@ -106,7 +107,6 @@ class BoundCheck:
             observed=observed,
             bound=bound,
             satisfied=observed <= bound + BOUND_SLACK,
-            slack=bound - observed,
         )
 
 
@@ -205,71 +205,62 @@ def _map_trials(value: Callable[[int], float], trials: int) -> list[float]:
     blas = _openblas_threads() if workers > 1 else []
     if not blas:
         return [value(i) for i in range(trials)]
+    import mmap
     import signal
 
     bounds = [trials * k // workers for k in range(workers + 1)]
     blocks = list(zip(bounds[1:-1], bounds[2:]))  # the children's, in trial order
+    # Each child writes its block into one anonymous shared mapping at its
+    # trials' offsets; the caller keeps its own block in a list and never
+    # touches that part of the mapping.
+    shared = np.frombuffer(mmap.mmap(-1, 8 * trials), dtype=np.float64)
     previous = [get() for get, _ in blas]
-    children = []  # (pid, read end of its pipe)
+    children = []  # pids of the first blocks' children, in trial order
     reaped = 0  # children[:reaped] have been waited for
     try:
         for _, set_threads in blas:
             set_threads(1)
         for lo, hi in blocks:
-            children.append(_fork_block(value, lo, hi))
+            try:
+                pid = os.fork()
+            except OSError:
+                break  # out of processes: the caller runs every block left
+            if pid == 0:
+                # The child never returns into the caller's frames: os._exit
+                # runs no finally, atexit or flush of the buffers it inherited,
+                # and an error ends the child before anything prints it.
+                status = 1
+                try:
+                    shared[lo:hi] = [value(i) for i in range(lo, hi)]
+                    status = 0
+                finally:
+                    os._exit(status)
+            children.append(pid)
         values = [value(i) for i in range(bounds[1])]
-        for (pid, fd), (lo, hi) in zip(children, blocks):
-            with open(fd, "rb", closefd=False) as pipe:
-                data = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            reaped += 1
-            if status == 0 and len(data) == 8 * (hi - lo):
-                values += np.frombuffer(data, dtype=np.float64).tolist()
+        for k, (lo, hi) in enumerate(blocks):
+            status = 1  # a block whose fork failed has no child
+            if k < len(children):
+                status = os.waitpid(children[k], 0)[1]
+                reaped += 1
+            if status == 0:
+                values += shared[lo:hi].tolist()
             else:
-                # Trial i depends on i alone: the caller's rerun of a failed or
-                # killed block returns or raises what the serial run does.
+                # Trial i depends on i alone: the caller's run of a block whose
+                # child failed, was killed or never started returns or raises
+                # what the serial run does.
                 values += [value(i) for i in range(lo, hi)]
     except BaseException:
         # Every earlier block has succeeded, so this error wins; stop the
         # children not yet reaped (a reaped child's pid may be reused).
-        for pid, _ in children[reaped:]:
+        for pid in children[reaped:]:
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        for _, fd in children:
-            os.close(fd)
-        for pid, _ in children[reaped:]:
+        for pid in children[reaped:]:
             os.waitpid(pid, 0)
         for (_, set_threads), count in zip(blas, previous):
             set_threads(count)
     return values
-
-
-def _fork_block(value: Callable[[int], float], lo: int, hi: int) -> tuple[int, int]:
-    """Fork a child that writes the float64 values of trials lo..hi-1 to its
-    pipe and exits 0, or exits 1 with nothing written; its pid and the read end."""
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        # The child never returns into the caller's frames: os._exit runs no
-        # finally, atexit or flush of the buffers it inherited, and an error
-        # ends the child before anything prints it.
-        status = 1
-        try:
-            os.close(read_fd)
-            data = np.array([value(i) for i in range(lo, hi)], dtype=np.float64).tobytes()
-            with open(write_fd, "wb") as pipe:
-                pipe.write(data)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    return pid, read_fd
 
 
 def mc_expected_trace_distance(

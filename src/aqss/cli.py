@@ -184,12 +184,15 @@ def _randomized(name: str, distance: float, cfg: ExperimentConfig, exact_tol: fl
 
 def _run_randomize(cfg: ExperimentConfig) -> list[Metric]:
     channel = _channel_factory(cfg)(cfg.d, cfg.n, stream(cfg.seed, _CLI_STREAM_BASE))
-    probes = [
-        random_pure_state(cfg.d, stream(cfg.seed, _CLI_STREAM_BASE + 1 + i))
-        for i in range(cfg.trials)
-    ]
-    probes += [np.diag(e) for e in np.eye(cfg.d, dtype=complex)]  # basis projectors
-    probes.append(linalg.maximally_mixed(cfg.d))
+    # Lazy, so one Haar probe is alive at a time whatever --trials says.
+    probes = itertools.chain(
+        (
+            random_pure_state(cfg.d, stream(cfg.seed, _CLI_STREAM_BASE + 1 + i))
+            for i in range(cfg.trials)
+        ),
+        (np.diag(e) for e in np.eye(cfg.d, dtype=complex)),  # basis projectors
+        [linalg.maximally_mixed(cfg.d)],
+    )
     distances = [epsilon_randomizing_distance(channel, rho) for rho in probes]
     return [
         _randomized("max_randomizing_distance", max(distances), cfg, TWIRL_TOL),

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -107,6 +108,24 @@ def test_randomize_reports_without_asserting(capsys):
     metrics = metrics_by_name(json.loads(out))
     assert not metrics["max_randomizing_distance"]["asserted"]
     assert metrics["n_unitaries"]["value"] == 256.0
+
+
+def test_randomize_holds_one_probe_at_a_time(capsys):
+    # At d = 8 a list of 2000 Haar probes alone is about 2 MB; with --n 16
+    # the channel is too small to hide it under its own peak.
+    peaks = []
+    for trials in (20, 2000):
+        argv = ["randomize", "--d", "8", "--n", "16", "--trials", str(trials), "--seed", "0"]
+        tracemalloc.start()
+        try:
+            rc = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert rc == 0
+        peaks.append(peak)
+    assert peaks[1] - peaks[0] <= 0.5e6, peaks
 
 
 def test_usage_error_exit_code(capsys):
