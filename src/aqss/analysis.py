@@ -46,7 +46,7 @@ from .channels import (
     sample_ruc,
 )
 from .random import (
-    haar_unitary,
+    haar_unitaries,
     random_product_pure_state,
     random_separable_state,
     stream,
@@ -377,8 +377,8 @@ def locc_distinguishability(
     )
     rng = stream(seed)
     for _ in range(num_settings):
-        basis_a = haar_unitary(d_a, rng)
-        basis_b = haar_unitary(d_b, rng)
+        basis_a = haar_unitaries(d_a, 1, rng)[0]
+        basis_b = haar_unitaries(d_b, 1, rng)[0]
         worst = max(
             worst,
             product_basis_total_variation(state, reference, dims, basis_a, basis_b),

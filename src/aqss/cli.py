@@ -7,7 +7,8 @@ point as JSON (default) or CSV. The seed is mandatory: identical command
 lines produce byte-identical output apart from the wall-time field.
 
 Exit codes: 0 when every asserted bound check passed, 1 when one failed,
-2 for usage errors, 3 when a resource guard refused the run.
+2 for usage errors and output that cannot be written, 3 when a resource
+guard refused the run.
 """
 
 from __future__ import annotations
@@ -477,6 +478,21 @@ def render_csv(records: Sequence[ResultRecord]) -> str:
     return buffer.getvalue()
 
 
+def _write(fh, text: str, close: bool) -> None:
+    """Write text to fh, flush it and close it if close is set. On an OSError
+    fh is closed before the error propagates: a closed stream drops its
+    unwritten buffer, so no later flush retries the write."""
+    try:
+        fh.write(text)
+        fh.flush()
+        if close:
+            fh.close()
+    except OSError:
+        with contextlib.suppress(OSError):
+            fh.close()
+        raise
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -495,6 +511,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"aqss: refused: {exc}", file=sys.stderr)
         return 3
 
+    target = "stdout" if args.output is None else f"--output {args.output!r}"
     # Open the output before the first grid point runs, so a bad path costs nothing.
     try:
         sink = (
@@ -503,17 +520,15 @@ def main(argv: Sequence[str] | None = None) -> int:
             else open(args.output, "w", encoding="utf-8")
         )
     except OSError as exc:
-        print(
-            f"aqss: error: cannot write --output {args.output!r}: {exc.strerror}",
-            file=sys.stderr,
-        )
+        print(f"aqss: error: cannot write {target}: {exc.strerror}", file=sys.stderr)
         return 2
 
     with sink as fh:
         records = [run(cfg) for cfg in grid]
-        fh.write(render_csv(records) if args.format == "csv" else render_json(records))
+        try:
+            _write(fh, render_csv(records) if args.format == "csv" else render_json(records),
+                   close=args.output is not None)
+        except OSError as exc:
+            print(f"aqss: error: cannot write {target}: {exc.strerror}", file=sys.stderr)
+            return 2
     return 0 if all(r.all_asserted_satisfied for r in records) else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -39,11 +39,6 @@ def assert_square(x: np.ndarray) -> None:
         raise ValueError(f"expected a square matrix, got shape {x.shape}")
 
 
-def assert_finite(x: np.ndarray) -> None:
-    if not np.all(np.isfinite(x.real)) or not np.all(np.isfinite(x.imag)):
-        raise ValueError("matrix contains non-finite entries")
-
-
 def _hermitian_part(m: np.ndarray) -> np.ndarray:
     """(M + M†)/2 of a square M, raising ValueError unless max |M - M†| <= 1e-10
     (a NaN deviation fails too)."""
@@ -61,7 +56,8 @@ def assert_density_matrix(rho: np.ndarray) -> np.ndarray:
     Returns the ascending eigenvalues of the Hermitian part of rho, the
     spectrum the positivity check used.
     """
-    assert_finite(rho)
+    if not np.isfinite(rho).all():
+        raise ValueError("matrix contains non-finite entries")
     state = _hermitian_part(rho)
     tr_dev = abs(np.trace(rho) - 1.0)
     if tr_dev > TRACE_TOL:

@@ -66,11 +66,6 @@ def haar_unitaries(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
     return q
 
 
-def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Single Haar-random unitary."""
-    return haar_unitaries(d, 1, rng)[0]
-
-
 def weyl_heisenberg_operators(d: int) -> np.ndarray:
     """The d^2 generalized Pauli operators X^a Z^b, stacked as shape (d^2, d, d).
 
@@ -80,19 +75,10 @@ def weyl_heisenberg_operators(d: int) -> np.ndarray:
     """
     if d < 2:
         raise ValueError(f"generalized Pauli set needs d >= 2, got {d}")
-    omega = np.exp(2j * np.pi / d)
-    x = np.zeros((d, d), dtype=complex)
-    x[(np.arange(d) + 1) % d, np.arange(d)] = 1.0
-    z = np.diag(omega ** np.arange(d))
-    ops = np.empty((d * d, d, d), dtype=complex)
-    xa = np.eye(d, dtype=complex)
-    for a in range(d):
-        zb = np.eye(d, dtype=complex)
-        for b in range(d):
-            ops[a * d + b] = xa @ zb
-            zb = zb @ z
-        xa = xa @ x
-    return ops
+    a, b, k = np.ogrid[:d, :d, :d]
+    ops = np.zeros((d, d, d, d), dtype=complex)
+    ops[a, b, (k + a) % d, k] = np.exp(2j * np.pi * b * k / d)
+    return ops.reshape(d * d, d, d)
 
 
 def haar_vectors(dims: tuple[int, ...], k: int, rng: np.random.Generator) -> np.ndarray:

@@ -204,13 +204,18 @@ def test_unwritable_output_is_usage_error_before_any_run(capsys, monkeypatch, tm
     assert "Traceback" not in err
 
 
-def run_module(*argv):
-    """``python -m aqss <argv>`` in a fresh process, output captured."""
+def run_module(*argv, stdout=subprocess.PIPE):
+    """``python -m aqss <argv>`` in a fresh process, stderr and (by default) stdout captured."""
     src = str(Path(aqss.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "aqss", *argv], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-m", "aqss", *argv],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+        timeout=60,
     )
 
 
@@ -219,6 +224,23 @@ def test_python_dash_m_runs_the_cli():
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert json.loads(proc.stdout)["config"]["n_resolved"] == 4800
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("to_stdout", [False, True], ids=["output", "stdout"])
+def test_failed_write_is_a_clean_usage_error(to_stdout):
+    # /dev/full opens fine and fails every write with ENOSPC. The error must
+    # come once, from main, and not again from the interpreter's exit flush.
+    argv = ("key-cost", "--d", "2", "--seed", "0")
+    if to_stdout:
+        with open("/dev/full", "w") as full:
+            proc = run_module(*argv, stdout=full)
+        target = "stdout"
+    else:
+        proc = run_module(*argv, "--output", "/dev/full")
+        target = "--output '/dev/full'"
+    assert proc.returncode == 2
+    assert proc.stderr == f"aqss: error: cannot write {target}: No space left on device\n"
 
 
 def test_resource_guard_exit_code(capsys):

@@ -7,7 +7,6 @@ from aqss import linalg
 from aqss.random import (
     CHUNK_ENTRIES,
     haar_unitaries,
-    haar_unitary,
     random_product_pure_state,
     random_pure_state,
     random_separable_state,
@@ -36,7 +35,7 @@ def test_haar_unitarity(d):
 
 
 def test_haar_deterministic():
-    assert np.array_equal(haar_unitary(4, stream(9)), haar_unitary(4, stream(9)))
+    assert np.array_equal(haar_unitaries(4, 1, stream(9)), haar_unitaries(4, 1, stream(9)))
 
 
 def _one_shot_haar_unitaries(d, n, rng):
@@ -120,12 +119,44 @@ def test_weyl_heisenberg_qubit_set():
     assert np.abs(ops[3] - x @ z).max() <= 1e-12
 
 
-@pytest.mark.parametrize("d", [2, 3, 5])
+def _product_weyl_heisenberg_operators(d):
+    # Reference: X^a Z^b by repeated products of the shift X and the clock Z.
+    omega = np.exp(2j * np.pi / d)
+    x = np.zeros((d, d), dtype=complex)
+    x[(np.arange(d) + 1) % d, np.arange(d)] = 1.0
+    z = np.diag(omega ** np.arange(d))
+    ops = np.empty((d * d, d, d), dtype=complex)
+    xa = np.eye(d, dtype=complex)
+    for a in range(d):
+        zb = np.eye(d, dtype=complex)
+        for b in range(d):
+            ops[a * d + b] = xa @ zb
+            zb = zb @ z
+        xa = xa @ x
+    return ops
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
+def test_weyl_heisenberg_matches_product_reference(d):
+    ops = weyl_heisenberg_operators(d)
+    ref = _product_weyl_heisenberg_operators(d)
+    assert ops.shape == ref.shape == (d * d, d, d)
+    if d in (2, 4):
+        # The two constructions round alike here, which keeps the exact-channel
+        # records at d = 2 and 4 (README examples, exact-joint1024) unchanged.
+        assert np.array_equal(ops, ref)
+    else:
+        assert np.abs(ops - ref).max() <= 1e-13
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 16, 32])
 def test_weyl_heisenberg_unitary(d):
+    # Each operator is a permutation with one phase per column, so U†U is 1
+    # to the rounding of |exp(i theta)|^2 at every d.
     ops = weyl_heisenberg_operators(d)
     assert ops.shape == (d * d, d, d)
-    for op in ops:
-        assert np.abs(op.conj().T @ op - np.eye(d)).max() <= 1e-12
+    dev = np.abs(np.conj(np.swapaxes(ops, 1, 2)) @ ops - np.eye(d)).max()
+    assert dev <= 1e-15
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -190,7 +221,7 @@ def test_random_separable_rejects_zero_terms():
 # mixture of Kronecker products. They are the oracle for the Ginibre-column
 # samplers, for the states and for the generator stream position after a draw.
 def _qr_pure_state(d, rng):
-    psi = haar_unitary(d, rng)[:, 0]
+    psi = haar_unitaries(d, 1, rng)[0, :, 0]
     return np.outer(psi, psi.conj())
 
 
