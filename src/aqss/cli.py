@@ -45,7 +45,7 @@ from .protocol import (
     guard,
     key_cost,
 )
-from .random import haar_vectors, random_pure_state, stream
+from .random import haar_factors, random_pure_state, stream
 
 CSV_COLUMNS = (
     "command",
@@ -168,11 +168,15 @@ def _build_family(cfg: ExperimentConfig, rng: np.random.Generator) -> ChannelFam
     return ChannelFamily(tuple(factory(cfg.d, cfg.n, rng) for _ in range(cfg.m)))
 
 
-def _plaintext(cfg: ExperimentConfig, rng: np.random.Generator) -> np.ndarray:
-    if cfg.m == 2:
+def _plaintext(
+    cfg: ExperimentConfig, rng: np.random.Generator
+) -> np.ndarray | tuple[np.ndarray, ...]:
+    """A round's plaintext. Every m > 2 draw and the m = 2 product-pure default
+    are product states, handed over as their m factor states; the entangled
+    m = 2 families are joint states."""
+    if cfg.m == 2 and cfg.input_family != "product_pure":
         return analysis.draw_input(cfg.input_family, cfg.d, rng)
-    psi = haar_vectors((cfg.d,) * cfg.m, 1, rng)[0]
-    return np.outer(psi, psi.conj())
+    return tuple(np.outer(z[0], z[0].conj()) for z in haar_factors((cfg.d,) * cfg.m, 1, rng))
 
 
 def _randomized(name: str, distance: float, cfg: ExperimentConfig, exact_tol: float) -> Metric:
@@ -268,7 +272,7 @@ def _run_key_cost(cfg: ExperimentConfig) -> list[Metric]:
 
 def _run_locc_test(cfg: ExperimentConfig) -> list[Metric]:
     family = _build_family(cfg, stream(cfg.seed, _CLI_STREAM_BASE))
-    plaintext = _plaintext(cfg, stream(cfg.seed, _CLI_STREAM_BASE + 1))
+    plaintext = analysis.draw_input(cfg.input_family, cfg.d, stream(cfg.seed, _CLI_STREAM_BASE + 1))
     view = apply_product(family, plaintext)
     mixed = linalg.maximally_mixed(cfg.d * cfg.d)
     dims = (cfg.d, cfg.d)

@@ -7,10 +7,18 @@ cooperate invert their unitaries and recover the plaintext exactly; any
 strict subset (or an outsider with no keys at all) is left with a
 key-averaged state, which the analysis module measures against the
 maximally mixed target.
+
+A product plaintext can be handed over as its factor states. The session
+then keeps them, and the audit measures the outsider and every victim from
+the factors' channel outputs: the product channel maps a product state to
+the product of the factor outputs, so no D x D view is formed or decomposed.
+Any other plaintext is measured on the dense D x D path, the reference that
+the factored one is pinned to.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
@@ -24,7 +32,6 @@ from .channels import (
     apply_at,
     apply_product,
     conjugate_subsystem,
-    epsilon_randomizing_distance,
     output_spectrum,
     required_n,
     sample_ruc,
@@ -68,13 +75,18 @@ class ProtocolConfig:
 
 @dataclass(frozen=True)
 class AqssSession:
-    """One concrete run: channels, plaintext, drawn keys and the ciphertext."""
+    """One concrete run: channels, plaintext, drawn keys and the ciphertext.
+
+    plaintext_factors holds the m d x d factor states of a product plaintext,
+    whose Kronecker product is plaintext, and is None for any other plaintext.
+    """
 
     config: ProtocolConfig
     channels: ChannelFamily
     plaintext: np.ndarray
     key_indices: tuple[int, ...]
     ciphertext: np.ndarray
+    plaintext_factors: tuple[np.ndarray, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -106,22 +118,35 @@ def guard(config: ProtocolConfig, n: int | None = None) -> None:
 
 def charlie_encode(
     config: ProtocolConfig,
-    plaintext: np.ndarray,
+    plaintext: np.ndarray | tuple[np.ndarray, ...],
     rng: np.random.Generator,
     channels: ChannelFamily | None = None,
 ) -> AqssSession:
     """Sender-side encoding: one key per receiver, joint unitary conjugation.
 
-    Samples the per-receiver channels with uniform weights unless pre-built
-    ones are supplied, draws each key index uniformly, and conjugates the
-    plaintext by the selected unitaries. The resource guard counts the
-    unitaries of the channels used, pre-built or to be sampled, and raises
-    ResourceGuardError before anything is sampled.
+    The plaintext is a d^m x d^m state, or a tuple of the m d x d factor
+    states of a product plaintext; the joint plaintext of a tuple is their
+    Kronecker product, and the session keeps the factors. Samples the
+    per-receiver channels with uniform weights unless pre-built ones are
+    supplied, draws each key index uniformly, and conjugates the plaintext by
+    the selected unitaries. The resource guard counts the unitaries of the
+    channels used, pre-built or to be sampled, and raises ResourceGuardError
+    before anything is sampled or any joint matrix is formed; a plaintext of
+    the wrong shape or factor count is a ValueError.
     """
     guard(config, None if channels is None else max(part.n for part in channels.parts))
     m = config.parties
     dims = (config.d,) * m
-    if plaintext.shape != (config.d**m,) * 2:  # d^m is within the guard here
+    factors = None
+    if isinstance(plaintext, tuple):
+        factors = plaintext
+        if len(factors) != m or any(np.shape(f) != (config.d,) * 2 for f in factors):
+            raise ValueError(
+                f"expected {m} factor states of shape {(config.d,) * 2}, got shapes "
+                f"{[np.shape(f) for f in factors]}"
+            )
+        plaintext = functools.reduce(np.kron, factors)
+    elif plaintext.shape != (config.d**m,) * 2:  # d^m is within the guard here
         raise ValueError(f"plaintext shape {plaintext.shape} does not match d^m = {config.d**m}")
     if channels is None:
         channels = ChannelFamily(
@@ -141,6 +166,7 @@ def charlie_encode(
         plaintext=plaintext,
         key_indices=keys,
         ciphertext=ciphertext,
+        plaintext_factors=factors,
     )
 
 
@@ -227,34 +253,62 @@ class AuditReport(NamedTuple):
     victim: float
 
 
+def _round_spectra(
+    session: AqssSession, victims: Sequence[int]
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Ascending spectra of the outsider's view and of each victim's share.
+
+    The outsider's view is the key average, the product-channel output. The
+    victim's channel, the only honest one when all the other receivers
+    collude, acts on the victim's factor, so the victim's share is that
+    channel on the plaintext marginal. With plaintext factors, the marginal is
+    the victim's factor, and the view is the Kronecker product of the factor
+    outputs, whose spectrum is the sorted Kronecker product of their spectra.
+    """
+    parts = session.channels.parts
+    factors = session.plaintext_factors
+    if factors is None:
+        dims = session.channels.dims
+        shares = [
+            output_spectrum(
+                ChannelFamily((parts[v],)), linalg.partial_trace(session.plaintext, dims, keep=v)
+            )
+            for v in victims
+        ]
+        return output_spectrum(session.channels, session.plaintext), shares
+    outputs = [output_spectrum(ChannelFamily((part,)), rho) for part, rho in zip(parts, factors)]
+    view = np.sort(functools.reduce(np.multiply.outer, outputs), axis=None)
+    return view, [outputs[v] for v in victims]
+
+
 def audit(sessions: Iterable[AqssSession], victims: Sequence[int]) -> AuditReport:
     """Worst case over the rounds of the round-trip distance, the exterior
     distance, the exterior entropy deficit log2 D - S, and each victim's
     distance from 1/d on its marginal while all the other receivers collude.
 
-    The victim's channel, the only honest one, acts on the victim's factor, so
-    the marginal is that channel on the plaintext marginal; no joint state is
-    formed. A victim not in [0, m) is refused before its round measures anything,
-    and no victims or no rounds, which would read as a perfect score, are refused.
+    No joint state of colluders is formed for a victim (see _round_spectra).
+    A session with plaintext factors is measured through them, and only the
+    round trip, which measures a different matrix, decomposes a D x D matrix.
+    A victim not in [0, m) is refused before its round measures anything, and
+    no victims or no rounds, which would read as a perfect score, are refused.
     """
     if len(victims) == 0:
         raise ValueError("audit needs at least one victim, got none")
     round_trip = exterior = deficit = victim_worst = 0.0
     rounds = 0
     for rounds, session in enumerate(sessions, 1):
-        dims = (session.config.d,) * session.config.parties
-        marginals = [linalg.partial_trace(session.plaintext, dims, keep=v) for v in victims]
+        dims = session.channels.dims
+        for v in victims:  # refused before the round measures anything
+            linalg.factor_layout(len(session.plaintext), dims, v)
         round_trip = max(
             round_trip,
             linalg.trace_norm(cooperate_decode(session) - session.plaintext),
         )
-        # The outsider's view is the key average, the product-channel output.
-        spectrum = output_spectrum(session.channels, session.plaintext)
+        spectrum, shares = _round_spectra(session, victims)
         exterior = max(exterior, linalg.distance_from_mixed(spectrum))
         deficit = max(deficit, math.log2(len(spectrum)) - linalg.spectrum_entropy(spectrum))
-        for victim, marginal in zip(victims, marginals):
-            channel = session.channels.parts[victim]
-            victim_worst = max(victim_worst, epsilon_randomizing_distance(channel, marginal))
+        for share in shares:
+            victim_worst = max(victim_worst, linalg.distance_from_mixed(share))
     if rounds == 0:
         raise ValueError("audit needs at least one session, got none")
     return AuditReport(round_trip, exterior, deficit, victim_worst)

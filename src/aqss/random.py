@@ -81,8 +81,11 @@ def weyl_heisenberg_operators(d: int) -> np.ndarray:
     return ops.reshape(d * d, d, d)
 
 
-def haar_vectors(dims: tuple[int, ...], k: int, rng: np.random.Generator) -> np.ndarray:
-    """k independent product vectors with Haar-random factors, shape (k, prod(dims)).
+def haar_factors(
+    dims: tuple[int, ...], k: int, rng: np.random.Generator
+) -> tuple[np.ndarray, ...]:
+    """Factors of k independent product vectors with Haar-random factors: one
+    (k, d) array of unit vectors per entry d of dims.
 
     Each factor of dimension d is the first column of a Haar unitary, which
     after the phase fix in :func:`haar_unitaries` is exactly the normalized
@@ -95,15 +98,24 @@ def haar_vectors(dims: tuple[int, ...], k: int, rng: np.random.Generator) -> np.
     if min(dims) < 1:
         raise ValueError(f"dimension must be positive, got {min(dims)}")
     g = rng.standard_normal((k, 2 * sum(d * d for d in dims)))
-    psi = np.ones((k, 1), dtype=complex)
+    factors = []
     start = 0
     for d in dims:
         # Column 0 of a row-major d x d block is every d-th entry.
         block = g[:, start : start + 2 * d * d]
         z = block[:, : d * d : d] + 1j * block[:, d * d :: d]
         z /= np.linalg.norm(z, axis=1, keepdims=True)
-        psi = (psi[:, :, None] * z[:, None, :]).reshape(k, -1)
+        factors.append(z)
         start += 2 * d * d
+    return tuple(factors)
+
+
+def haar_vectors(dims: tuple[int, ...], k: int, rng: np.random.Generator) -> np.ndarray:
+    """k independent product vectors with Haar-random factors, shape (k, prod(dims)):
+    the Kronecker products of the factors that :func:`haar_factors` draws."""
+    psi = np.ones((k, 1), dtype=complex)
+    for z in haar_factors(dims, k, rng):
+        psi = (psi[:, :, None] * z[:, None, :]).reshape(k, -1)
     return psi
 
 

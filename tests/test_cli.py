@@ -436,3 +436,23 @@ def test_parser_lists_all_commands():
         "locc-test", "multiparty",
     ):
         assert name in text
+
+
+@pytest.mark.parametrize(
+    "argv, factored",
+    [
+        (["multiparty", "--d", "2", "--m", "3"], True),
+        (["aqss-demo", "--d", "2"], True),
+        (["aqss-demo", "--d", "2", "--family", "separable"], False),
+        (["aqss-demo", "--d", "2", "--family", "max-entangled"], False),
+    ],
+)
+def test_product_plaintexts_reach_the_audit_as_factors(argv, factored):
+    # Every m > 2 plaintext and the m = 2 product-pure default are products and
+    # are handed over as factor states; the entangled families stay dense.
+    args = build_parser().parse_args([*argv, "--perfect", "--trials", "2", "--seed", "4"])
+    (cfg,) = cli._grid(args)
+    sessions = list(cli._session_rounds(cfg))
+    assert len(sessions) == 2
+    for session in sessions:
+        assert (session.plaintext_factors is not None) == factored

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -30,6 +31,7 @@ from aqss.protocol import (
     key_cost,
 )
 from aqss.random import (
+    haar_factors,
     haar_vectors,
     random_product_pure_state,
     random_pure_state,
@@ -43,6 +45,11 @@ def small_config(d, n, m=2):
 
 def perfect_family(d, m=2):
     return ChannelFamily(tuple(perfect_pqc(d) for _ in range(m)))
+
+
+def factor_states(dims, rng):
+    """The factor states of one Haar product plaintext."""
+    return tuple(np.outer(z[0], z[0].conj()) for z in haar_factors(dims, 1, rng))
 
 
 def bipartite_states(d, count, rng):
@@ -361,10 +368,18 @@ def test_audit_victim_matches_the_collusion_reference(m, perfect, plaintext):
         assert abs(audit([session], victims=[victim]).victim - reference) <= 1e-12
 
 
-@pytest.mark.parametrize("victim", [3, -1, 0.5])
-def test_audit_refuses_a_bad_victim_before_measuring(victim, monkeypatch):
+@pytest.mark.parametrize(
+    "victim, plaintext",
+    [
+        pytest.param(v, kind, id=f"{v}" if kind == "dense" else f"{kind}-{v}")
+        for kind in ("dense", "factored")
+        for v in (3, -1, 0.5)
+    ],
+)
+def test_audit_refuses_a_bad_victim_before_measuring(victim, plaintext, monkeypatch):
     rng = stream(84)
-    session = charlie_encode(small_config(2, n=2, m=3), random_pure_state(8, rng), rng)
+    rho = random_pure_state(8, rng) if plaintext == "dense" else factor_states((2,) * 3, rng)
+    session = charlie_encode(small_config(2, n=2, m=3), rho, rng)
 
     def unreachable(*args):
         raise AssertionError("the round was measured before its victims were checked")
@@ -373,6 +388,75 @@ def test_audit_refuses_a_bad_victim_before_measuring(victim, monkeypatch):
     monkeypatch.setattr(protocol, "output_spectrum", unreachable)
     with pytest.raises(ValueError, match=re.escape(f"invalid subsystem {victim!r}")):
         audit([session], victims=[0, victim])
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+@pytest.mark.parametrize("perfect", [True, False], ids=["perfect", "sampled"])
+def test_factored_audit_matches_the_dense_reference(m, perfect):
+    # A product plaintext is measured through its factors; the same session
+    # without them is measured on the dense D x D path, the reference.
+    d = 3 if m < 5 else 2
+    dims = (d,) * m
+    rng = stream(85, 2 * m + int(perfect))
+    if perfect:
+        family = perfect_family(d, m=m)
+    else:
+        family = ChannelFamily(tuple(sample_ruc(d, 6, rng) for _ in range(m)))
+    config = ProtocolConfig(d=d, parties=m, n_per_channel=family.parts[0].n)
+    sessions = [
+        charlie_encode(config, factor_states(dims, rng), rng, channels=family) for _ in range(2)
+    ]
+    dense = [dataclasses.replace(s, plaintext_factors=None) for s in sessions]
+    for session, reference in zip(sessions, dense):
+        for k, factor in enumerate(session.plaintext_factors):
+            marginal = linalg.partial_trace(session.plaintext, dims, keep=k)
+            assert np.abs(factor - marginal).max() <= 1e-14
+        view, shares = protocol._round_spectra(session, range(m))
+        dense_view, dense_shares = protocol._round_spectra(reference, range(m))
+        exact = np.linalg.eigvalsh(exterior_adversary_view(session))
+        assert np.abs(view - exact).max() <= 1e-14
+        assert np.abs(view - dense_view).max() <= 1e-14
+        for share, dense_share in zip(shares, dense_shares):
+            distances = [linalg.distance_from_mixed(x) for x in (share, dense_share)]
+            assert abs(distances[0] - distances[1]) <= 1e-14
+    fast, slow = audit(sessions, range(m)), audit(dense, range(m))
+    assert fast.round_trip == slow.round_trip
+    for name in ("exterior", "entropy_deficit", "victim"):
+        assert abs(getattr(fast, name) - getattr(slow, name)) <= 1e-14, name
+
+
+def test_encode_forms_the_plaintext_from_its_factors():
+    rng = stream(86)
+    factors = factor_states((2, 2, 2), rng)
+    session = charlie_encode(small_config(2, n=2, m=3), factors, rng)
+    assert session.plaintext_factors is factors
+    assert np.array_equal(session.plaintext, np.kron(np.kron(factors[0], factors[1]), factors[2]))
+    dense = charlie_encode(small_config(2, n=2, m=3), session.plaintext, rng)
+    assert dense.plaintext_factors is None
+
+
+def test_encode_refuses_a_bad_factor_tuple():
+    rng = stream(87)
+    cfg = small_config(2, n=2, m=3)
+    factors = factor_states((2, 2, 2), rng)
+    with pytest.raises(ValueError, match="expected 3 factor states of shape \\(2, 2\\)"):
+        charlie_encode(cfg, factors[:2], rng)
+    with pytest.raises(ValueError, match="expected 3 factor states"):
+        charlie_encode(cfg, factors + factors[:1], rng)
+    with pytest.raises(ValueError, match="expected 3 factor states"):
+        charlie_encode(cfg, factors[:2] + (np.eye(3) / 3,), rng)
+    with pytest.raises(ValueError, match="expected 3 factor states"):
+        charlie_encode(cfg, factors[:2] + (np.full(2, 0.5),), rng)
+
+
+def test_resource_guard_runs_before_the_joint_plaintext_is_formed(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("a joint plaintext was formed before the guard ran")
+
+    monkeypatch.setattr(protocol.np, "kron", unreachable)
+    cfg = ProtocolConfig(d=2, epsilon=0.5, parties=11, n_per_channel=2)
+    with pytest.raises(ResourceGuardError, match="joint dimension"):
+        charlie_encode(cfg, (np.eye(2) / 2,) * 11, stream(88))
 
 
 def test_audit_refuses_no_victims_before_drawing_a_round():

@@ -6,7 +6,9 @@ import pytest
 from aqss import linalg
 from aqss.random import (
     CHUNK_ENTRIES,
+    haar_factors,
     haar_unitaries,
+    haar_vectors,
     random_product_pure_state,
     random_pure_state,
     random_separable_state,
@@ -269,6 +271,24 @@ def test_random_separable_state_matches_qr_reference(da, db, k):
         lambda rng: _qr_separable_state(da, db, k, rng),
         seed=700 + da * db,
     )
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (4, 4, 4, 4, 4)])
+def test_haar_factors_match_qr_reference(dims):
+    # Each factor is the first column of its own Haar unitary, drawn in order.
+    _assert_matches_qr_reference(
+        lambda rng: np.concatenate([z[0] for z in haar_factors(dims, 1, rng)]),
+        lambda rng: np.concatenate([haar_unitaries(d, 1, rng)[0, :, 0] for d in dims]),
+        seed=800 + len(dims),
+    )
+
+
+def test_haar_vectors_are_the_kronecker_products_of_haar_factors():
+    dims, k = (2, 3, 4), 5
+    psi = haar_vectors(dims, k, stream(810))
+    factors = haar_factors(dims, k, stream(810))
+    for t in range(k):
+        assert np.array_equal(psi[t], np.kron(np.kron(factors[0][t], factors[1][t]), factors[2][t]))
 
 
 def test_random_pure_state_rejects_bad_dim():

@@ -30,26 +30,40 @@ def traced_calls(*argv, exit_code=0):
 def test_traced_multiparty_run_is_clean():
     calls = traced_calls("multiparty", "--d", "2", "--m", "3", "--perfect", "--seed", "9")
     # Three rounds (the default) of m = 3: each round's encoding and decoding
-    # conjugate every factor once. Each victim's channel acts on its own
-    # plaintext marginal, one partial trace per victim per round, so no
-    # channel is applied to one factor of a joint state and no colluders'
-    # joint state is formed.
+    # conjugate every factor once. The plaintext is a product, measured through
+    # its factors: each victim's share is its own channel on its factor, so
+    # no marginal is traced out, no channel is applied to one factor of a
+    # joint state and no colluders' joint state is formed.
     assert calls["channels.conjugate_subsystem"] == 18
     assert calls["channels.apply_at"] == 0
     assert calls["protocol.collusion_attack"] == 0
-    assert calls["linalg.partial_trace"] == 9
+    assert calls["linalg.partial_trace"] == 0
     # linalg.spectral_calls_per_state is computed from these two counts.
-    # Three rounds (the default), each decomposing the exterior view and the
-    # three victims' channel outputs. Only the round trip takes a trace norm.
-    assert calls["linalg.assert_density_matrix"] == 12
+    # Three rounds (the default), each decomposing the three factor outputs,
+    # which give the exterior view and the victims' shares. Only the round
+    # trip takes a trace norm.
+    assert calls["linalg.assert_density_matrix"] == 9
     assert calls["linalg.trace_norm"] == 3
 
 
 def test_traced_demo_keeps_the_interior_attack():
-    # Five rounds (the default): the victim's marginal is one partial trace of
-    # the plaintext per round, and no colluders' joint state is formed.
+    # Five rounds (the default) of a product plaintext, measured through its
+    # factors, so no marginal is traced out and no colluders' joint state is
+    # formed.
     calls = traced_calls("aqss-demo", "--d", "2", "--perfect", "--seed", "1")
+    assert calls["linalg.partial_trace"] == 0
+    assert calls["protocol.collusion_attack"] == 0
+
+
+def test_traced_entangled_demo_keeps_the_dense_path():
+    # A separable mixture is not a product, so each of the five rounds reads
+    # the victim's marginal with one partial trace of the plaintext and
+    # decomposes the joint exterior view and the victim's share.
+    calls = traced_calls(
+        "aqss-demo", "--d", "2", "--perfect", "--family", "separable", "--seed", "1"
+    )
     assert calls["linalg.partial_trace"] == 5
+    assert calls["linalg.assert_density_matrix"] == 10
     assert calls["protocol.collusion_attack"] == 0
 
 
