@@ -152,12 +152,14 @@ def _monte_carlo(
 
 
 def _cores() -> int:
-    """Processes the loop may use: the cores this process may run on, or 1
-    where fork or the affinity query is missing or other Python threads run
-    (a forked child gets no copy of them and may deadlock on their locks)."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+    """Processes the loop may use: random.cores(), or 1 where fork is missing
+    or other Python threads run (a forked child gets no copy of them and may
+    deadlock on their locks)."""
+    from .random import cores
+
+    if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
-    return len(os.sched_getaffinity(0)) if threading.active_count() == 1 else 1
+    return cores()
 
 
 def _openblas_threads() -> list[tuple[Callable[[], int], Callable[[int], None]]]:
@@ -208,6 +210,8 @@ def _map_trials(value: Callable[[int], float], trials: int) -> list[float]:
     import mmap
     import signal
 
+    from .random import pooled
+
     bounds = [trials * k // workers for k in range(workers + 1)]
     blocks = list(zip(bounds[1:-1], bounds[2:]))  # the children's, in trial order
     # Each child writes its block into one anonymous shared mapping at its
@@ -217,49 +221,51 @@ def _map_trials(value: Callable[[int], float], trials: int) -> list[float]:
     previous = [get() for get, _ in blas]
     children = []  # pids of the first blocks' children, in trial order
     reaped = 0  # children[:reaped] have been waited for
-    try:
-        for _, set_threads in blas:
-            set_threads(1)
-        for lo, hi in blocks:
-            try:
-                pid = os.fork()
-            except OSError:
-                break  # out of processes: the caller runs every block left
-            if pid == 0:
-                # The child never returns into the caller's frames: os._exit
-                # runs no finally, atexit or flush of the buffers it inherited,
-                # and an error ends the child before anything prints it.
-                status = 1
+    # Every process of the pool samples on one thread (random.pooled).
+    with pooled():
+        try:
+            for _, set_threads in blas:
+                set_threads(1)
+            for lo, hi in blocks:
                 try:
-                    shared[lo:hi] = [value(i) for i in range(lo, hi)]
-                    status = 0
-                finally:
-                    os._exit(status)
-            children.append(pid)
-        values = [value(i) for i in range(bounds[1])]
-        for k, (lo, hi) in enumerate(blocks):
-            status = 1  # a block whose fork failed has no child
-            if k < len(children):
-                status = os.waitpid(children[k], 0)[1]
-                reaped += 1
-            if status == 0:
-                values += shared[lo:hi].tolist()
-            else:
-                # Trial i depends on i alone: the caller's run of a block whose
-                # child failed, was killed or never started returns or raises
-                # what the serial run does.
-                values += [value(i) for i in range(lo, hi)]
-    except BaseException:
-        # Every earlier block has succeeded, so this error wins; stop the
-        # children not yet reaped (a reaped child's pid may be reused).
-        for pid in children[reaped:]:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for pid in children[reaped:]:
-            os.waitpid(pid, 0)
-        for (_, set_threads), count in zip(blas, previous):
-            set_threads(count)
+                    pid = os.fork()
+                except OSError:
+                    break  # out of processes: the caller runs every block left
+                if pid == 0:
+                    # The child never returns into the caller's frames: os._exit
+                    # runs no finally, atexit or flush of the buffers it inherited,
+                    # and an error ends the child before anything prints it.
+                    status = 1
+                    try:
+                        shared[lo:hi] = [value(i) for i in range(lo, hi)]
+                        status = 0
+                    finally:
+                        os._exit(status)
+                children.append(pid)
+            values = [value(i) for i in range(bounds[1])]
+            for k, (lo, hi) in enumerate(blocks):
+                status = 1  # a block whose fork failed has no child
+                if k < len(children):
+                    status = os.waitpid(children[k], 0)[1]
+                    reaped += 1
+                if status == 0:
+                    values += shared[lo:hi].tolist()
+                else:
+                    # Trial i depends on i alone: the caller's run of a block whose
+                    # child failed, was killed or never started returns or raises
+                    # what the serial run does.
+                    values += [value(i) for i in range(lo, hi)]
+        except BaseException:
+            # Every earlier block has succeeded, so this error wins; stop the
+            # children not yet reaped (a reaped child's pid may be reused).
+            for pid in children[reaped:]:
+                os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            for pid in children[reaped:]:
+                os.waitpid(pid, 0)
+            for (_, set_threads), count in zip(blas, previous):
+                set_threads(count)
     return values
 
 

@@ -7,11 +7,14 @@ conjugations per call; instead each channel lazily caches its d^2 x d^2
 superoperator M = sum_i p_i U_i (x) conj(U_i) (row-major vec convention), so
 one application is a single matrix-vector product and a product channel
 N_A (x) N_B is applied factor-sequentially at cost n_A + n_B once, not
-n_A * n_B. M is built with one GEMM, C = sum_i p_i vec(U_i) vec(U_i)†,
-followed by an index realignment of C into M (the natural-representation
-reshuffle, Watrous, Theory of Quantum Information, §2.2): 8 n d^4 flops and
-O(n d^2 + d^4) memory, with no chunk bound; the one stack-sized temporary is
-the weighted conjugate p_i conj(U_i). A single key conjugation
+n_A * n_B. M is built from C = sum_i p_i vec(U_i) vec(U_i)†, followed by
+an index realignment of C into M (the natural-representation reshuffle,
+Watrous, Theory of Quantum Information, §2.2): 8 n d^4 flops. C is a sum of
+one GEMM per chunk of max(d^2, CHUNK_ENTRIES / d^2) unitaries, so the build
+holds one chunk's weighted conjugate p_i conj(U_i) and two d^2 x d^2
+matrices, O(max(CHUNK_ENTRIES, d^4)) memory beside the stack; a stack that
+fits in one chunk is one GEMM. A chunk of fewer than d^2 rows makes each
+GEMM too thin to run at full speed. A single key conjugation
 U rho U† is the one-Kraus superoperator U (x) conj(U), so it runs on the
 same subsystem kernel. The tests pin M against the brute-force Kronecker
 sum, the product path against the double sum, and the subsystem kernel
@@ -98,9 +101,14 @@ class RandomUnitaryChannel:
         """sum_i p_i U_i (x) conj(U_i), acting on row-major vectorized states."""
         d = self.dim
         a = self.unitaries.reshape(self.n, d * d)
-        b = a.conj()
-        b *= self.probs[:, None]
-        c = a.T @ b
+        step = max(d * d, CHUNK_ENTRIES // (d * d))
+        for s in range(0, self.n, step):
+            b = a[s : s + step].conj()
+            b *= self.probs[s : s + step, None]
+            if s == 0:
+                c = a[:step].T @ b
+            else:
+                c += a[s : s + step].T @ b
         return c.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 

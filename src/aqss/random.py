@@ -7,9 +7,19 @@ trials derive one stream per trial index, so a trial draws the same numbers
 in whichever process runs it. ``analysis`` runs blocks of trials in forked
 processes, one per core, at one BLAS thread each, and its values are those
 of a serial run at one BLAS thread.
+
+:func:`cores` is the one core count: the Monte Carlo pool forks one process
+per core it reports, and :func:`haar_unitaries` decomposes a large stack on
+one thread per core it reports. Inside :class:`pooled` it reports one, so
+the sampler runs serially in every process of a pool. Only the calling
+thread draws from a generator, and every thread a sampler starts is joined
+before it returns.
 """
 
 from __future__ import annotations
+
+import os
+import threading
 
 import numpy as np
 
@@ -24,10 +34,102 @@ def stream(master_seed: int, stream_id: int = 0) -> np.random.Generator:
     )
 
 
+_pooled = False  # True while a Monte Carlo pool runs one process per core
+
+
+def cores() -> int:
+    """Cores this process's work may spread over: the cores it may run on, or
+    1 where the affinity query is missing or inside :class:`pooled`."""
+    if _pooled or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+class pooled:
+    """Context in which :func:`cores` is 1: a Monte Carlo pool already runs
+    one process per core, and processes it forks inherit the setting."""
+
+    def __enter__(self) -> None:
+        global _pooled
+        self.previous, _pooled = _pooled, True
+
+    def __exit__(self, *exc_info) -> None:
+        global _pooled
+        _pooled = self.previous
+
+
 def _ginibre_qr(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Q and diag(R) of the QR decomposition of each Ginibre draw (re + i im)/sqrt 2."""
     q, r = np.linalg.qr((re + 1j * im) / np.sqrt(2))
     return q, np.diagonal(r, axis1=1, axis2=2).copy()
+
+
+def _threaded_qr(
+    re: np.ndarray, rng: np.random.Generator, step: int, workers: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Q and diag(R) of every Ginibre draw (re + i im)/sqrt 2, chunk by chunk.
+
+    The calling thread draws each chunk's imaginary parts, in stream order,
+    into one of workers + 1 rotating buffers, and each of `workers` threads
+    decomposes every workers-th chunk into the preallocated outputs while
+    the next chunks are drawn (numpy's LAPACK calls release the GIL). The
+    first error, in any thread, stops every thread and is raised once all
+    have been joined.
+    """
+    n, d, _ = re.shape
+    q = np.empty((n, d, d), dtype=complex)
+    diag = np.empty((n, d), dtype=complex)
+    starts = range(0, n, step)
+    slots = np.empty((workers + 1, step, d, d))
+    state = threading.Condition()
+    drawn = 0  # chunks [0, drawn) have their imaginary parts
+    done = [False] * len(starts)
+    failed: list[BaseException] = []
+
+    def decompose(first: int) -> None:
+        for k in range(first, len(starts), workers):
+            with state:
+                state.wait_for(lambda: drawn > k or failed)
+                if failed:
+                    return
+            s = starts[k]
+            try:
+                im = slots[k % (workers + 1), : min(step, n - s)]
+                q[s : s + step], diag[s : s + step] = _ginibre_qr(re[s : s + step], im)
+            except BaseException as error:
+                with state:
+                    failed.append(error)
+                    state.notify_all()
+                return
+            with state:
+                done[k] = True
+                state.notify_all()
+
+    threads = [threading.Thread(target=decompose, args=(w,)) for w in range(workers)]
+    try:
+        for thread in threads:
+            thread.start()
+        for k, s in enumerate(starts):
+            with state:
+                # The slot's previous chunk, k - workers - 1, must be decomposed.
+                state.wait_for(lambda: k <= workers or done[k - workers - 1] or failed)
+                if failed:
+                    break
+            rng.standard_normal(out=slots[k % (workers + 1), : min(step, n - s)])
+            with state:
+                drawn = k + 1
+                state.notify_all()
+    except BaseException as error:
+        with state:
+            failed.append(error)
+            state.notify_all()
+    finally:
+        for thread in threads:
+            if thread.is_alive():  # a thread that failed to start cannot be joined
+                thread.join()
+    if failed:
+        raise failed[0]
+    return q, diag
 
 
 def haar_unitaries(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -38,19 +140,27 @@ def haar_unitaries(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
     output is not unique and not Haar without this correction; Mezzadri
     2007). All real parts are drawn, then all imaginary parts. The QR and the
     phase fix are per matrix, so a stack of more than CHUNK_ENTRIES entries
-    is decomposed chunk by chunk into the output stack with the same bits;
-    the call holds the normals, the stack and one chunk.
+    is decomposed chunk by chunk into the output stack with the same bits.
+    On one core the imaginary parts are drawn at once and the call holds the
+    normals, the stack and one chunk. On more cores (see :func:`cores`) the
+    imaginary parts are drawn chunk by chunk while one thread per core
+    decomposes the chunks already drawn, and the call holds the real parts
+    (half a stack), the stack, and a few chunks per thread: its buffer and
+    its QR's temporaries.
     """
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")
     if n < 1:
         raise ValueError(f"sample count must be positive, got {n}")
     re = rng.standard_normal((n, d, d))
-    im = rng.standard_normal((n, d, d))
     step = max(1, CHUNK_ENTRIES // (d * d))
-    if n <= step:
-        q, diag = _ginibre_qr(re, im)
+    workers = min(cores(), -(-n // step))  # one thread per core, at most one per chunk
+    if workers > 1:
+        q, diag = _threaded_qr(re, rng, step, workers)
+    elif n <= step:
+        q, diag = _ginibre_qr(re, rng.standard_normal((n, d, d)))
     else:
+        im = rng.standard_normal((n, d, d))
         q = np.empty((n, d, d), dtype=complex)
         diag = np.empty((n, d), dtype=complex)
         for s in range(0, n, step):

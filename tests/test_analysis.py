@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from aqss import analysis, linalg
+from aqss import random as aqss_random
 from aqss.analysis import (
     BoundCheck,
     McStats,
@@ -23,7 +24,12 @@ from aqss.analysis import (
     purity_second_moment,
 )
 from aqss.channels import ChannelFamily, apply_product, perfect_pqc, required_n, sample_ruc
-from aqss.random import random_product_pure_state, random_pure_state, stream
+from aqss.random import (
+    haar_unitaries,
+    random_product_pure_state,
+    random_pure_state,
+    stream,
+)
 
 
 def perfect_factory(d, n, rng):
@@ -432,6 +438,16 @@ def test_blas_runs_on_one_thread_while_the_blocks_run(cores):
     mc_expected_trace_distance(2, 3, 3, "product_pure", 10, 114, channel_factory=factory)
     # The caller's block, trials 0-4, samples two channels per trial.
     assert seen == [[1] * len(seen[0])] * 10
+
+
+def test_every_process_of_the_pool_samples_on_one_thread(cores):
+    forks = cores(2)
+    # A threaded draw joins its threads, so the loop still forks afterwards.
+    haar_unitaries(16, 600, stream(118))
+    # 4 trials over 2 processes: the caller runs trials 0-1, its child 2-3.
+    assert analysis._map_trials(lambda i: float(aqss_random.cores()), 4) == [1.0] * 4
+    assert len(forks) == 1
+    assert aqss_random.cores() == 2
 
 
 def failing_at(bad_trials):

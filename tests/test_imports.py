@@ -6,6 +6,9 @@ module needs is public. Dunder names such as ``__version__`` are public.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "aqss"
@@ -79,3 +82,15 @@ def test_every_public_function_has_a_caller_in_the_package():
     assert uncalled_functions(sample) == ["a.f", "a.g"]
     sources = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
     assert set(uncalled_functions(sources)) == TEST_ONLY
+
+
+def test_the_cli_imports_no_thread_pool_module():
+    # concurrent.futures and queue cost about 0.45 MiB of resident memory on
+    # every run; the sampler's threads use threading alone.
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, aqss.cli; print(*sorted(sys.modules))"],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout.split()
+    assert "aqss.cli" in loaded
+    assert not {"concurrent.futures", "queue"} & set(loaded)

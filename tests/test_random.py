@@ -1,11 +1,18 @@
 import math
+import os
+import signal
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from aqss import linalg
+from aqss import random as aqss_random
 from aqss.random import (
     CHUNK_ENTRIES,
+    cores,
     haar_factors,
     haar_unitaries,
     haar_vectors,
@@ -48,6 +55,33 @@ def _one_shot_haar_unitaries(d, n, rng):
     return q * (diag / np.abs(diag))[:, None, :]
 
 
+@pytest.fixture
+def pin_cores(monkeypatch):
+    """pin_cores(k) makes random.cores() report k cores. Threads switch every
+    microsecond, a sampler that hangs is stopped after 60 s, and every thread
+    it started is gone afterwards."""
+
+    def pin(k):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
+        assert cores() == k
+
+    def hung(signum, frame):
+        raise TimeoutError("the sampler hung")
+
+    threads = threading.active_count()
+    previous = signal.signal(signal.SIGALRM, hung)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    signal.alarm(60)
+    try:
+        yield pin
+    finally:
+        signal.alarm(0)
+        sys.setswitchinterval(interval)
+        signal.signal(signal.SIGALRM, previous)
+    assert threading.active_count() == threads
+
+
 @pytest.mark.parametrize("chunks", [None, 0.5, 1, 3.7])
 def test_haar_streamed_matches_one_shot(chunks):
     # None is n = 1; 3.7 chunks of CHUNK_ENTRIES / 256 matrices ends mid-chunk,
@@ -61,15 +95,49 @@ def test_haar_streamed_matches_one_shot(chunks):
     assert np.array_equal(rng_new.standard_normal(8), rng_ref.standard_normal(8))
 
 
+# 1.5 and 3.7 chunks at d = 16 and 4.7 chunks of 64 matrices at d = 32, on
+# one core (serial) and on two and three threads.
+@pytest.mark.parametrize("ncores", [1, 2, 3])
+@pytest.mark.parametrize("d, n", [(16, 384), (16, 947), (32, 300)])
+def test_haar_threads_match_one_shot(d, n, ncores, pin_cores):
+    pin_cores(ncores)
+    rng_new, rng_ref = stream(904, n), stream(904, n)
+    u = haar_unitaries(d, n, rng_new)
+    assert np.array_equal(u, _one_shot_haar_unitaries(d, n, rng_ref))
+    assert np.array_equal(rng_new.standard_normal(8), rng_ref.standard_normal(8))
+
+
+def test_a_slow_chunk_keeps_its_buffer_until_decomposed(pin_cores, monkeypatch):
+    # The caller draws ahead of two slow threads: 3.7 chunks go into three
+    # buffers, so the fourth chunk's draw must wait for the first chunk's QR.
+    pin_cores(2)
+    qr = aqss_random._ginibre_qr
+
+    def slow_qr(re, im):
+        time.sleep(0.05)
+        return qr(re, im)
+
+    monkeypatch.setattr(aqss_random, "_ginibre_qr", slow_qr)
+    d, n = 16, 947
+    u = haar_unitaries(d, n, stream(906))
+    assert np.array_equal(u, _one_shot_haar_unitaries(d, n, stream(906)))
+
+
 class ScriptedNormals:
-    """Stands in for a Generator: standard_normal returns the given arrays in order."""
+    """Stands in for a Generator: standard_normal hands out the entries of the
+    given arrays in order, as many per call as the call asks for."""
 
     def __init__(self, *draws):
-        self.draws = list(draws)
+        self.normals = np.concatenate([np.ravel(draw) for draw in draws])
 
-    def standard_normal(self, shape):
-        out = self.draws.pop(0)
-        assert out.shape == shape
+    def standard_normal(self, size=None, out=None):
+        shape = size if out is None else out.shape
+        k = math.prod(shape)
+        assert k <= self.normals.size, "drew more normals than scripted"
+        values, self.normals = self.normals[:k].reshape(shape), self.normals[k:]
+        if out is None:
+            return values.copy()
+        out[...] = values
         return out
 
 
@@ -83,6 +151,59 @@ def test_haar_resamples_a_zero_draw():
     u = haar_unitaries(2, 3, ScriptedNormals(re, im, re2, im2))
     re[1], im[1] = re2[0], im2[0]
     assert np.array_equal(u, _one_shot_haar_unitaries(2, 3, ScriptedNormals(re, im)))
+
+
+@pytest.mark.parametrize("zero, ncores", [(3, 2), (300, 2), (300, 3)])
+def test_haar_resamples_a_zero_draw_on_threads(zero, ncores, pin_cores):
+    # The same at d = 16 over 1.5 chunks, decomposed on threads: the zero
+    # draw is in the first or the second chunk, and the resample comes after
+    # every chunk.
+    pin_cores(ncores)
+    d, n = 16, 384
+    rng = stream(905)
+    re, im = rng.standard_normal((n, d, d)), rng.standard_normal((n, d, d))
+    re[zero] = im[zero] = 0.0
+    re2, im2 = rng.standard_normal((1, d, d)), rng.standard_normal((1, d, d))
+    scripted = ScriptedNormals(re, im, re2, im2)
+    u = haar_unitaries(d, n, scripted)
+    assert scripted.normals.size == 0
+    re[zero], im[zero] = re2[0], im2[0]
+    assert np.array_equal(u, _one_shot_haar_unitaries(d, n, ScriptedNormals(re, im)))
+
+
+@pytest.mark.parametrize("where", ["worker", "caller"])
+def test_an_error_in_a_chunk_propagates_and_leaves_no_thread(where, pin_cores, monkeypatch):
+    # 3.7 chunks on 2 threads: the error comes from a worker's QR of the
+    # third chunk or from the caller's draw of it, and nothing waits for the
+    # chunks that will never be decomposed.
+    pin_cores(2)
+    d, n = 16, 947
+    rng = stream(903)
+    if where == "worker":
+        qr = aqss_random._ginibre_qr
+        calls = []
+
+        def failing_qr(re, im):
+            calls.append(threading.current_thread())
+            if len(calls) == 3:
+                raise FloatingPointError("chunk refused")
+            return qr(re, im)
+
+        monkeypatch.setattr(aqss_random, "_ginibre_qr", failing_qr)
+    else:
+        calls = []
+
+        class FailingDraws:
+            def standard_normal(self, size=None, out=None):
+                calls.append(threading.current_thread())
+                if len(calls) == 4:  # the real parts, then two chunks
+                    raise FloatingPointError("chunk refused")
+                return rng.standard_normal(size, out=out)
+
+        rng = FailingDraws()
+    with pytest.raises(FloatingPointError, match="chunk refused"):
+        haar_unitaries(d, n, rng)
+    assert (calls[-1] is threading.main_thread()) == (where == "caller")
 
 
 def test_haar_first_moment_twirls_to_mixed():
