@@ -46,7 +46,9 @@ from .channels import (
     sample_ruc,
 )
 from .random import (
+    cores,
     haar_unitaries,
+    pooled,
     random_product_pure_state,
     random_separable_state,
     stream,
@@ -155,8 +157,6 @@ def _cores() -> int:
     """Processes the loop may use: random.cores(), or 1 where fork is missing
     or other Python threads run (a forked child gets no copy of them and may
     deadlock on their locks)."""
-    from .random import cores
-
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
     return cores()
@@ -210,8 +210,6 @@ def _map_trials(value: Callable[[int], float], trials: int) -> list[float]:
     import mmap
     import signal
 
-    from .random import pooled
-
     bounds = [trials * k // workers for k in range(workers + 1)]
     blocks = list(zip(bounds[1:-1], bounds[2:]))  # the children's, in trial order
     # Each child writes its block into one anonymous shared mapping at its
@@ -221,7 +219,8 @@ def _map_trials(value: Callable[[int], float], trials: int) -> list[float]:
     previous = [get() for get, _ in blas]
     children = []  # pids of the first blocks' children, in trial order
     reaped = 0  # children[:reaped] have been waited for
-    # Every process of the pool samples on one thread (random.pooled).
+    # Every process of the pool decomposes its Haar stacks on one thread
+    # (random.pooled).
     with pooled():
         try:
             for _, set_threads in blas:

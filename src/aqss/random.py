@@ -10,16 +10,18 @@ of a serial run at one BLAS thread.
 
 :func:`cores` is the one core count: the Monte Carlo pool forks one process
 per core it reports, and :func:`haar_unitaries` decomposes a large stack on
-one thread per core it reports. Inside :class:`pooled` it reports one, so
-the sampler runs serially in every process of a pool. Only the calling
-thread draws from a generator, and every thread a sampler starts is joined
-before it returns.
+one thread per core it reports. Inside :func:`pooled` it reports one, so
+every process of a pool decomposes on one thread. Only the calling thread
+draws from a generator, and every thread a sampler starts is joined before
+it returns.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import threading
+from typing import Iterator
 
 import numpy as np
 
@@ -39,23 +41,22 @@ _pooled = False  # True while a Monte Carlo pool runs one process per core
 
 def cores() -> int:
     """Cores this process's work may spread over: the cores it may run on, or
-    1 where the affinity query is missing or inside :class:`pooled`."""
+    1 where the affinity query is missing or inside :func:`pooled`."""
     if _pooled or not hasattr(os, "sched_getaffinity"):
         return 1
     return len(os.sched_getaffinity(0))
 
 
-class pooled:
+@contextlib.contextmanager
+def pooled() -> Iterator[None]:
     """Context in which :func:`cores` is 1: a Monte Carlo pool already runs
     one process per core, and processes it forks inherit the setting."""
-
-    def __enter__(self) -> None:
-        global _pooled
-        self.previous, _pooled = _pooled, True
-
-    def __exit__(self, *exc_info) -> None:
-        global _pooled
-        _pooled = self.previous
+    global _pooled
+    previous, _pooled = _pooled, True
+    try:
+        yield
+    finally:
+        _pooled = previous
 
 
 def _ginibre_qr(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -70,11 +71,12 @@ def _threaded_qr(
     """Q and diag(R) of every Ginibre draw (re + i im)/sqrt 2, chunk by chunk.
 
     The calling thread draws each chunk's imaginary parts, in stream order,
-    into one of workers + 1 rotating buffers, and each of `workers` threads
-    decomposes every workers-th chunk into the preallocated outputs while
-    the next chunks are drawn (numpy's LAPACK calls release the GIL). The
-    first error, in any thread, stops every thread and is raised once all
-    have been joined.
+    into one of workers + 1 rotating buffers, and up to `workers` threads
+    take the drawn chunks in order and decompose them into the preallocated
+    outputs while the next chunks are drawn (numpy's LAPACK calls release
+    the GIL). If no thread can be started, the caller decomposes each chunk
+    after drawing it. The first error, in any thread, stops every thread and
+    is raised once all have been joined.
     """
     n, d, _ = re.shape
     q = np.empty((n, d, d), dtype=complex)
@@ -83,32 +85,47 @@ def _threaded_qr(
     slots = np.empty((workers + 1, step, d, d))
     state = threading.Condition()
     drawn = 0  # chunks [0, drawn) have their imaginary parts
+    taken = 0  # chunks [0, taken) have been taken for decomposition
     done = [False] * len(starts)
     failed: list[BaseException] = []
 
-    def decompose(first: int) -> None:
-        for k in range(first, len(starts), workers):
+    def take(wait: bool) -> bool:
+        """Decompose the next drawn chunk; False once there is none to take
+        (with wait, once every chunk is taken or an error stopped the work)."""
+        nonlocal taken
+        with state:
+            if wait:
+                state.wait_for(lambda: drawn > taken or taken == len(starts) or failed)
+            if failed or drawn == taken:
+                return False
+            k, taken = taken, taken + 1
+        s = starts[k]
+        try:
+            im = slots[k % (workers + 1), : min(step, n - s)]
+            q[s : s + step], diag[s : s + step] = _ginibre_qr(re[s : s + step], im)
+        except BaseException as error:
             with state:
-                state.wait_for(lambda: drawn > k or failed)
-                if failed:
-                    return
-            s = starts[k]
-            try:
-                im = slots[k % (workers + 1), : min(step, n - s)]
-                q[s : s + step], diag[s : s + step] = _ginibre_qr(re[s : s + step], im)
-            except BaseException as error:
-                with state:
-                    failed.append(error)
-                    state.notify_all()
-                return
-            with state:
-                done[k] = True
+                failed.append(error)
                 state.notify_all()
+            return False
+        with state:
+            done[k] = True
+            state.notify_all()
+        return True
 
-    threads = [threading.Thread(target=decompose, args=(w,)) for w in range(workers)]
+    def decompose() -> None:
+        while take(wait=True):
+            pass
+
+    threads = []
     try:
-        for thread in threads:
-            thread.start()
+        for _ in range(workers):
+            thread = threading.Thread(target=decompose)
+            try:
+                thread.start()
+            except RuntimeError:
+                break  # out of threads: the started ones, or the caller, take every chunk
+            threads.append(thread)
         for k, s in enumerate(starts):
             with state:
                 # The slot's previous chunk, k - workers - 1, must be decomposed.
@@ -119,14 +136,15 @@ def _threaded_qr(
             with state:
                 drawn = k + 1
                 state.notify_all()
+            if not threads:
+                take(wait=False)
     except BaseException as error:
         with state:
             failed.append(error)
             state.notify_all()
     finally:
         for thread in threads:
-            if thread.is_alive():  # a thread that failed to start cannot be joined
-                thread.join()
+            thread.join()
     if failed:
         raise failed[0]
     return q, diag
@@ -140,13 +158,11 @@ def haar_unitaries(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
     output is not unique and not Haar without this correction; Mezzadri
     2007). All real parts are drawn, then all imaginary parts. The QR and the
     phase fix are per matrix, so a stack of more than CHUNK_ENTRIES entries
-    is decomposed chunk by chunk into the output stack with the same bits.
-    On one core the imaginary parts are drawn at once and the call holds the
-    normals, the stack and one chunk. On more cores (see :func:`cores`) the
-    imaginary parts are drawn chunk by chunk while one thread per core
-    decomposes the chunks already drawn, and the call holds the real parts
-    (half a stack), the stack, and a few chunks per thread: its buffer and
-    its QR's temporaries.
+    is decomposed chunk by chunk into the output stack with the same bits:
+    the imaginary parts are drawn chunk by chunk while one thread per core
+    (see :func:`cores`), at most one per chunk, decomposes the chunks already
+    drawn. The call then holds the real parts (half a stack), the stack, and
+    a few chunks per thread: its buffer and its QR's temporaries.
     """
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")
@@ -154,17 +170,11 @@ def haar_unitaries(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
         raise ValueError(f"sample count must be positive, got {n}")
     re = rng.standard_normal((n, d, d))
     step = max(1, CHUNK_ENTRIES // (d * d))
-    workers = min(cores(), -(-n // step))  # one thread per core, at most one per chunk
-    if workers > 1:
-        q, diag = _threaded_qr(re, rng, step, workers)
-    elif n <= step:
+    if n <= step:
         q, diag = _ginibre_qr(re, rng.standard_normal((n, d, d)))
     else:
-        im = rng.standard_normal((n, d, d))
-        q = np.empty((n, d, d), dtype=complex)
-        diag = np.empty((n, d), dtype=complex)
-        for s in range(0, n, step):
-            q[s : s + step], diag[s : s + step] = _ginibre_qr(re[s : s + step], im[s : s + step])
+        # One thread per core, at most one per chunk.
+        q, diag = _threaded_qr(re, rng, step, min(cores(), -(-n // step)))
     # A zero diagonal entry has probability zero; resample the offending draws.
     bad = np.abs(diag) < 1e-300
     while bad.any():

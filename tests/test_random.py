@@ -96,7 +96,7 @@ def test_haar_streamed_matches_one_shot(chunks):
 
 
 # 1.5 and 3.7 chunks at d = 16 and 4.7 chunks of 64 matrices at d = 32, on
-# one core (serial) and on two and three threads.
+# one, two and three threads.
 @pytest.mark.parametrize("ncores", [1, 2, 3])
 @pytest.mark.parametrize("d, n", [(16, 384), (16, 947), (32, 300)])
 def test_haar_threads_match_one_shot(d, n, ncores, pin_cores):
@@ -153,7 +153,7 @@ def test_haar_resamples_a_zero_draw():
     assert np.array_equal(u, _one_shot_haar_unitaries(2, 3, ScriptedNormals(re, im)))
 
 
-@pytest.mark.parametrize("zero, ncores", [(3, 2), (300, 2), (300, 3)])
+@pytest.mark.parametrize("zero, ncores", [(3, 2), (300, 1), (300, 2), (300, 3)])
 def test_haar_resamples_a_zero_draw_on_threads(zero, ncores, pin_cores):
     # The same at d = 16 over 1.5 chunks, decomposed on threads: the zero
     # draw is in the first or the second chunk, and the resample comes after
@@ -204,6 +204,37 @@ def test_an_error_in_a_chunk_propagates_and_leaves_no_thread(where, pin_cores, m
     with pytest.raises(FloatingPointError, match="chunk refused"):
         haar_unitaries(d, n, rng)
     assert (calls[-1] is threading.main_thread()) == (where == "caller")
+
+
+@pytest.mark.parametrize("startable", [0, 1])
+def test_a_thread_that_cannot_start_leaves_its_chunks_to_the_rest(
+    startable, pin_cores, monkeypatch
+):
+    # 3.7 chunks on 3 cores, where only the first `startable` threads start
+    # (as under a limit on processes): the one started thread, or else the
+    # caller, decomposes every chunk, with the same bits.
+    pin_cores(3)
+    start, qr = threading.Thread.start, aqss_random._ginibre_qr
+    started, decomposers = [], set()
+
+    def limited_start(thread):
+        if len(started) == startable:
+            raise RuntimeError("can't start new thread")
+        started.append(thread)
+        start(thread)
+
+    def recorded_qr(re, im):
+        decomposers.add(threading.current_thread())
+        return qr(re, im)
+
+    monkeypatch.setattr(threading.Thread, "start", limited_start)
+    monkeypatch.setattr(aqss_random, "_ginibre_qr", recorded_qr)
+    d, n = 16, 947
+    rng_new, rng_ref = stream(907), stream(907)
+    u = haar_unitaries(d, n, rng_new)
+    assert decomposers == set(started or [threading.main_thread()])
+    assert np.array_equal(u, _one_shot_haar_unitaries(d, n, rng_ref))
+    assert np.array_equal(rng_new.standard_normal(8), rng_ref.standard_normal(8))
 
 
 def test_haar_first_moment_twirls_to_mixed():
