@@ -6,7 +6,7 @@ over the trial index, so for a fixed seed a trial's value does not depend
 on which process runs it.
 
 The one Monte Carlo loop maps trial index to value over
-min(len(os.sched_getaffinity(0)), trials) processes. The parent forks one
+min(random.cores(), trials) processes. The parent forks one
 child per extra core and runs the first contiguous block of trials itself;
 each child runs the next block, writes its float64 values into its own
 slice of one anonymous shared mapping and leaves with os._exit, so it never

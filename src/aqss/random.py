@@ -10,10 +10,10 @@ of a serial run at one BLAS thread.
 
 :func:`cores` is the one core count: the Monte Carlo pool forks one process
 per core it reports, and :func:`haar_unitaries` decomposes a large stack on
-one thread per core it reports. Inside :func:`pooled` it reports one, so
-every process of a pool decomposes on one thread. Only the calling thread
-draws from a generator, and every thread a sampler starts is joined before
-it returns.
+the calling thread and one more thread per further core it reports. Inside
+:func:`pooled` it reports one, so every process of a pool decomposes on its
+calling thread alone. Only the calling thread draws from a generator, and
+every thread a sampler starts is joined before it returns.
 """
 
 from __future__ import annotations
@@ -66,82 +66,70 @@ def _ginibre_qr(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def _threaded_qr(
-    re: np.ndarray, rng: np.random.Generator, step: int, workers: int
+    d: int, n: int, rng: np.random.Generator, step: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Q and diag(R) of every Ginibre draw (re + i im)/sqrt 2, chunk by chunk.
+    """Q and diag(R) of n Ginibre draws (re + i im)/sqrt 2, each chunk of
+    `step` draws drawn and decomposed in its own slot of the Q stack.
 
-    The calling thread draws each chunk's imaginary parts, in stream order,
-    into one of workers + 1 rotating buffers, and up to `workers` threads
-    take the drawn chunks in order and decompose them into the preallocated
-    outputs while the next chunks are drawn (numpy's LAPACK calls release
-    the GIL). If no thread can be started, the caller decomposes each chunk
-    after drawing it. The first error, in any thread, stops every thread and
-    is raised once all have been joined.
+    Viewed as float64, the slot of a chunk of m matrices is (2, m, d, d).
+    The calling thread draws every chunk's real parts into half 1, in stream
+    order, then each chunk's imaginary parts into half 0, and sets that
+    chunk's event. The caller and one thread per further core (see
+    :func:`cores`), at most one per chunk, take the chunks in order; each
+    waits for its chunk's event and writes the chunk's QR over its slot,
+    which the QR has read whole by then (numpy's LAPACK calls release the
+    GIL). A thread that cannot start leaves its chunks to the rest. The
+    first error, in any thread, stops the work and is raised once every
+    thread has been joined.
     """
-    n, d, _ = re.shape
     q = np.empty((n, d, d), dtype=complex)
     diag = np.empty((n, d), dtype=complex)
-    starts = range(0, n, step)
-    slots = np.empty((workers + 1, step, d, d))
-    state = threading.Condition()
-    drawn = 0  # chunks [0, drawn) have their imaginary parts
-    taken = 0  # chunks [0, taken) have been taken for decomposition
-    done = [False] * len(starts)
+    slots = [q[s : s + step].view(float).reshape(2, -1, d, d) for s in range(0, n, step)]
+    drawn = [threading.Event() for _ in slots]
+    chunks = iter(range(len(slots)))
+    lock = threading.Lock()
     failed: list[BaseException] = []
 
-    def take(wait: bool) -> bool:
-        """Decompose the next drawn chunk; False once there is none to take
-        (with wait, once every chunk is taken or an error stopped the work)."""
-        nonlocal taken
-        with state:
-            if wait:
-                state.wait_for(lambda: drawn > taken or taken == len(starts) or failed)
-            if failed or drawn == taken:
-                return False
-            k, taken = taken, taken + 1
-        s = starts[k]
-        try:
-            im = slots[k % (workers + 1), : min(step, n - s)]
-            q[s : s + step], diag[s : s + step] = _ginibre_qr(re[s : s + step], im)
-        except BaseException as error:
-            with state:
-                failed.append(error)
-                state.notify_all()
-            return False
-        with state:
-            done[k] = True
-            state.notify_all()
-        return True
+    def stop(error: BaseException) -> None:
+        failed.append(error)
+        for event in drawn:
+            event.set()
 
-    def decompose() -> None:
-        while take(wait=True):
-            pass
+    def take() -> None:
+        while True:
+            with lock:
+                k = next(chunks, None)
+            if k is None:
+                return
+            drawn[k].wait()
+            if failed:
+                return
+            rows = slice(k * step, (k + 1) * step)
+            try:
+                q[rows], diag[rows] = _ginibre_qr(slots[k][1], slots[k][0])
+            except BaseException as error:
+                stop(error)
+                return
 
     threads = []
+    for _ in range(min(cores(), len(slots)) - 1):
+        thread = threading.Thread(target=take)
+        try:
+            thread.start()
+        except RuntimeError:
+            break  # out of threads: the started ones and the caller take every chunk
+        threads.append(thread)
     try:
-        for _ in range(workers):
-            thread = threading.Thread(target=decompose)
-            try:
-                thread.start()
-            except RuntimeError:
-                break  # out of threads: the started ones, or the caller, take every chunk
-            threads.append(thread)
-        for k, s in enumerate(starts):
-            with state:
-                # The slot's previous chunk, k - workers - 1, must be decomposed.
-                state.wait_for(lambda: k <= workers or done[k - workers - 1] or failed)
-                if failed:
-                    break
-            rng.standard_normal(out=slots[k % (workers + 1), : min(step, n - s)])
-            with state:
-                drawn = k + 1
-                state.notify_all()
-            if not threads:
-                take(wait=False)
+        for slot in slots:
+            rng.standard_normal(out=slot[1])
+        for slot, event in zip(slots, drawn):
+            if failed:
+                break
+            rng.standard_normal(out=slot[0])
+            event.set()
+        take()
     except BaseException as error:
-        with state:
-            failed.append(error)
-            state.notify_all()
+        stop(error)
     finally:
         for thread in threads:
             thread.join()
@@ -158,23 +146,22 @@ def haar_unitaries(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
     output is not unique and not Haar without this correction; Mezzadri
     2007). All real parts are drawn, then all imaginary parts. The QR and the
     phase fix are per matrix, so a stack of more than CHUNK_ENTRIES entries
-    is decomposed chunk by chunk into the output stack with the same bits:
-    the imaginary parts are drawn chunk by chunk while one thread per core
-    (see :func:`cores`), at most one per chunk, decomposes the chunks already
-    drawn. The call then holds the real parts (half a stack), the stack, and
-    a few chunks per thread: its buffer and its QR's temporaries.
+    is drawn and decomposed chunk by chunk in the output stack with the same
+    bits: each chunk's normals go into the chunk's own slot of the stack,
+    and the caller and one thread per further core (see :func:`cores`), at
+    most one per chunk, overwrite each slot with its QR once the slot is
+    drawn. The call then holds the stack, R's diagonals and a few chunks of
+    QR temporaries per decomposing thread, the caller included.
     """
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")
     if n < 1:
         raise ValueError(f"sample count must be positive, got {n}")
-    re = rng.standard_normal((n, d, d))
     step = max(1, CHUNK_ENTRIES // (d * d))
     if n <= step:
-        q, diag = _ginibre_qr(re, rng.standard_normal((n, d, d)))
+        q, diag = _ginibre_qr(rng.standard_normal((n, d, d)), rng.standard_normal((n, d, d)))
     else:
-        # One thread per core, at most one per chunk.
-        q, diag = _threaded_qr(re, rng, step, min(cores(), -(-n // step)))
+        q, diag = _threaded_qr(d, n, rng, step)
     # A zero diagonal entry has probability zero; resample the offending draws.
     bad = np.abs(diag) < 1e-300
     while bad.any():

@@ -107,15 +107,21 @@ def test_haar_threads_match_one_shot(d, n, ncores, pin_cores):
     assert np.array_equal(rng_new.standard_normal(8), rng_ref.standard_normal(8))
 
 
-def test_a_slow_chunk_keeps_its_buffer_until_decomposed(pin_cores, monkeypatch):
-    # The caller draws ahead of two slow threads: 3.7 chunks go into three
-    # buffers, so the fourth chunk's draw must wait for the first chunk's QR.
-    pin_cores(2)
+@pytest.mark.parametrize("ncores", [2, 3])
+def test_each_chunk_is_decomposed_in_its_own_slot(ncores, pin_cores, monkeypatch):
+    # 3.7 chunks, so the short tail is hit. Each chunk's QR reads both halves
+    # of its slot, then is slow to write its result back over the slot, so
+    # the caller and the threads take chunks while others are still being
+    # drawn or written. The bits hold only if no chunk is taken before its
+    # imaginary parts are drawn and no slot is written before its QR has
+    # read it whole.
+    pin_cores(ncores)
     qr = aqss_random._ginibre_qr
 
     def slow_qr(re, im):
+        result = qr(re, im)
         time.sleep(0.05)
-        return qr(re, im)
+        return result
 
     monkeypatch.setattr(aqss_random, "_ginibre_qr", slow_qr)
     d, n = 16, 947
@@ -173,9 +179,9 @@ def test_haar_resamples_a_zero_draw_on_threads(zero, ncores, pin_cores):
 
 @pytest.mark.parametrize("where", ["worker", "caller"])
 def test_an_error_in_a_chunk_propagates_and_leaves_no_thread(where, pin_cores, monkeypatch):
-    # 3.7 chunks on 2 threads: the error comes from a worker's QR of the
-    # third chunk or from the caller's draw of it, and nothing waits for the
-    # chunks that will never be decomposed.
+    # 3.7 chunks on 2 cores: the error comes from the third QR, on either
+    # taker, or from the caller's draw of the third chunk's imaginary parts,
+    # and nothing waits for the chunks that will never be decomposed.
     pin_cores(2)
     d, n = 16, 947
     rng = stream(903)
@@ -196,14 +202,15 @@ def test_an_error_in_a_chunk_propagates_and_leaves_no_thread(where, pin_cores, m
         class FailingDraws:
             def standard_normal(self, size=None, out=None):
                 calls.append(threading.current_thread())
-                if len(calls) == 4:  # the real parts, then two chunks
+                if len(calls) == 7:  # four chunks' real parts, then two imaginary
                     raise FloatingPointError("chunk refused")
                 return rng.standard_normal(size, out=out)
 
         rng = FailingDraws()
     with pytest.raises(FloatingPointError, match="chunk refused"):
         haar_unitaries(d, n, rng)
-    assert (calls[-1] is threading.main_thread()) == (where == "caller")
+    if where == "caller":
+        assert set(calls) == {threading.main_thread()}
 
 
 @pytest.mark.parametrize("startable", [0, 1])
@@ -211,8 +218,8 @@ def test_a_thread_that_cannot_start_leaves_its_chunks_to_the_rest(
     startable, pin_cores, monkeypatch
 ):
     # 3.7 chunks on 3 cores, where only the first `startable` threads start
-    # (as under a limit on processes): the one started thread, or else the
-    # caller, decomposes every chunk, with the same bits.
+    # (as under a limit on processes): the caller and the started thread
+    # decompose every chunk, with the same bits.
     pin_cores(3)
     start, qr = threading.Thread.start, aqss_random._ginibre_qr
     started, decomposers = [], set()
@@ -232,9 +239,32 @@ def test_a_thread_that_cannot_start_leaves_its_chunks_to_the_rest(
     d, n = 16, 947
     rng_new, rng_ref = stream(907), stream(907)
     u = haar_unitaries(d, n, rng_new)
-    assert decomposers == set(started or [threading.main_thread()])
+    assert decomposers <= set(started) | {threading.main_thread()}
     assert np.array_equal(u, _one_shot_haar_unitaries(d, n, rng_ref))
     assert np.array_equal(rng_new.standard_normal(8), rng_ref.standard_normal(8))
+
+
+@pytest.mark.parametrize("ncores", [1, 2, 3])
+@pytest.mark.parametrize("n, chunks", [(200, 1), (384, 2), (947, 4)])
+def test_threads_started_per_stack(n, chunks, ncores, pin_cores, monkeypatch):
+    # At d = 16 a chunk is 256 matrices. The caller takes chunks too, so a
+    # stack of more than one chunk starts one thread per further core, at
+    # most one per chunk; a one-chunk stack, and any stack inside a Monte
+    # Carlo pool, starts none.
+    pin_cores(ncores)
+    start = threading.Thread.start
+    starts = []
+
+    def counted_start(thread):
+        starts.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    haar_unitaries(16, n, stream(908))
+    assert len(starts) == min(ncores, chunks) - 1
+    with aqss_random.pooled():
+        haar_unitaries(16, n, stream(908))
+    assert len(starts) == min(ncores, chunks) - 1
 
 
 def test_haar_first_moment_twirls_to_mixed():
