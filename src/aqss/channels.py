@@ -1,8 +1,9 @@
 """Random unitary channels, their randomizing diagnostics, and the exact
 generalized-Pauli baseline.
 
-A channel N(rho) = sum_i p_i U_i rho U_i† is stored as a stack of unitaries
-plus a probability vector. Applying it literally term by term costs n
+A channel N(rho) = sum_i p_i U_i rho U_i† is stored as its stack of n
+unitaries alone: the key that selects U_i is uniform over the n indices, so
+every weight p_i is 1/n. Applying it literally term by term costs n
 conjugations per call; instead each channel lazily caches its d^2 x d^2
 superoperator M = sum_i p_i U_i (x) conj(U_i) (row-major vec convention), so
 one application is a single matrix-vector product and a product channel
@@ -24,7 +25,7 @@ against the full Kronecker conjugation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -62,26 +63,22 @@ def _unitarity_deviation(u: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class RandomUnitaryChannel:
-    """Convex mixture of unitary conjugations on a d-dimensional system."""
+    """Uniform mixture (1/n) sum_i U_i rho U_i† of the conjugations by a stack
+    of n unitaries on a d-dimensional system, the mixture a uniform key index
+    selects from; dim = d and probs = 1/n are read from the stack."""
 
-    dim: int
     unitaries: np.ndarray  # shape (n, dim, dim)
-    probs: np.ndarray  # shape (n,)
+    dim: int = field(init=False)
+    probs: np.ndarray = field(init=False)  # shape (n,), every entry 1/n
 
     def __post_init__(self):
-        if self.dim < 2:
-            raise ValueError(f"channel dimension must be >= 2, got {self.dim}")
         u = np.ascontiguousarray(self.unitaries, dtype=complex)
-        p = np.ascontiguousarray(self.probs, dtype=float)
-        if u.ndim != 3 or u.shape[1:] != (self.dim, self.dim):
-            raise ValueError(f"unitary stack has shape {u.shape}, expected (n, d, d)")
-        n = u.shape[0]
-        if n < 1 or p.shape != (n,):
-            raise ValueError(f"probability vector shape {p.shape} does not match n={n}")
-        if not p.min() >= 0.0:  # NaN fails this comparison too
-            raise ValueError("probabilities must be finite and nonnegative")
-        if abs(p.sum() - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
+        if u.ndim != 3 or u.shape[0] < 1 or u.shape[1] != u.shape[2]:
+            raise ValueError(f"unitary stack has shape {u.shape}, expected (n, d, d) with n >= 1")
+        n, d, _ = u.shape
+        if d < 2:
+            raise ValueError(f"channel dimension must be >= 2, got {d}")
+        p = np.full(n, 1.0 / n)
         # sum |u_ij|^2 is NaN or inf for a NaN, an inf or an overflowing entry;
         # refusing those first keeps numpy from warning inside the U†U product.
         if not np.isfinite(np.vdot(u, u)):
@@ -90,6 +87,7 @@ class RandomUnitaryChannel:
         if not dev <= linalg.HERMITIAN_TOL:
             raise ValueError(f"Kraus element is not unitary: max |U†U - 1| = {dev:.3e}")
         object.__setattr__(self, "unitaries", u)
+        object.__setattr__(self, "dim", d)
         object.__setattr__(self, "probs", p)
 
     @property
@@ -130,18 +128,13 @@ class ChannelFamily:
 
 
 def sample_ruc(d: int, n: int, rng: np.random.Generator) -> RandomUnitaryChannel:
-    """Channel with n i.i.d. Haar unitaries and uniform weights 1/n."""
-    if n < 1:
-        raise ValueError(f"channel needs at least one unitary, got n={n}")
-    return RandomUnitaryChannel(
-        dim=d, unitaries=haar_unitaries(d, n, rng), probs=np.full(n, 1.0 / n)
-    )
+    """Channel with n i.i.d. Haar unitaries."""
+    return RandomUnitaryChannel(haar_unitaries(d, n, rng))
 
 
 def perfect_pqc(d: int) -> RandomUnitaryChannel:
     """Uniform channel over all d^2 generalized Paulis: an exact randomizer."""
-    ops = weyl_heisenberg_operators(d)
-    return RandomUnitaryChannel(dim=d, unitaries=ops, probs=np.full(d * d, 1.0 / (d * d)))
+    return RandomUnitaryChannel(weyl_heisenberg_operators(d))
 
 
 def _apply_superop_at(

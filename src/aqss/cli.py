@@ -412,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         if name in _FAMILY_COMMANDS:
             p.add_argument(
-                "--family", choices=["product-pure", "separable", "max-entangled"],
+                "--family", choices=[f.replace("_", "-") for f in analysis.INPUT_FAMILIES],
                 default="product-pure", help="input state family",
             )
         if name in _RECEIVER_COMMANDS:

@@ -50,12 +50,9 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
     return h
 
 
-def assert_density_matrix(rho: np.ndarray) -> np.ndarray:
-    """Raise ValueError unless rho is Hermitian, unit-trace and PSD within 1e-10.
-
-    Returns the ascending eigenvalues of the Hermitian part of rho, the
-    spectrum the positivity check used.
-    """
+def _checked_state(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hermitian part of rho and its ascending eigenvalues, raising ValueError
+    unless rho is Hermitian, unit-trace and PSD within 1e-10."""
     if not np.isfinite(rho).all():
         raise ValueError("matrix contains non-finite entries")
     state = _hermitian_part(rho)
@@ -65,14 +62,22 @@ def assert_density_matrix(rho: np.ndarray) -> np.ndarray:
     eigs = np.linalg.eigvalsh(state)
     if eigs[0] < -EIGENVALUE_TOL:
         raise ValueError(f"state has negative eigenvalue {eigs[0]:.3e}")
-    return eigs
+    return state, eigs
+
+
+def assert_density_matrix(rho: np.ndarray) -> np.ndarray:
+    """Raise ValueError unless rho is Hermitian, unit-trace and PSD within 1e-10.
+
+    Returns the ascending eigenvalues of the Hermitian part of rho, the
+    spectrum the positivity check used.
+    """
+    return _checked_state(rho)[1]
 
 
 def validated(m: np.ndarray) -> np.ndarray:
     """Hermitian part hermitize(m) of a map output that assert_density_matrix
-    accepts as the map produced it."""
-    assert_density_matrix(m)
-    return hermitize(m)
+    accepts as the map produced it, formed once for the check and the result."""
+    return _checked_state(m)[0]
 
 
 def distance_from_mixed(spectrum: np.ndarray) -> float:

@@ -127,12 +127,12 @@ def charlie_encode(
     The plaintext is a d^m x d^m state, or a tuple of the m d x d factor
     states of a product plaintext; the joint plaintext of a tuple is their
     Kronecker product, and the session keeps the factors. Samples the
-    per-receiver channels with uniform weights unless pre-built ones are
-    supplied, draws each key index uniformly, and conjugates the plaintext by
-    the selected unitaries. The resource guard counts the unitaries of the
-    channels used, pre-built or to be sampled, and raises ResourceGuardError
-    before anything is sampled or any joint matrix is formed; a plaintext of
-    the wrong shape or factor count is a ValueError.
+    per-receiver channels unless pre-built ones are supplied, draws each key
+    index uniformly, and conjugates the plaintext by the selected unitaries.
+    The resource guard counts the unitaries of the channels used, pre-built
+    or to be sampled, and raises ResourceGuardError before anything is
+    sampled or any joint matrix is formed; a plaintext of the wrong shape or
+    factor count is a ValueError.
     """
     guard(config, None if channels is None else max(part.n for part in channels.parts))
     m = config.parties
@@ -198,9 +198,9 @@ def cooperate_decode(
 def exterior_adversary_view(session: AqssSession) -> np.ndarray:
     """State described by an outsider holding no key: the key average.
 
-    The channel construction (unitary lists, weights) is public; only the
-    drawn indices are secret, so averaging the encoding over all key tuples
-    gives exactly the product-channel output.
+    The unitary stacks are public; only the drawn indices are secret, and
+    each is uniform over its stack, so averaging the encoding over all key
+    tuples gives exactly the product-channel output.
     """
     return apply_product(session.channels, session.plaintext)
 
@@ -315,7 +315,8 @@ def audit(sessions: Iterable[AqssSession], victims: Sequence[int]) -> AuditRepor
 
 
 def key_cost(config: ProtocolConfig) -> KeyCostReport:
-    """Secret-bit accounting: exact scheme 2m log2 d vs m ceil(log2 n).
+    """Secret-bit accounting: exact scheme 2m log2 d vs m ceil(log2 n), the
+    bits of one uniform key index into each receiver's stack of n unitaries.
 
     Pure arithmetic, O(1) in m; safe for dimensions far beyond anything the
     matrix code can hold. ValueError when a bit count overflows a float.

@@ -29,9 +29,7 @@ from aqss.random import (
 
 
 def identity_channel(d):
-    return RandomUnitaryChannel(
-        dim=d, unitaries=np.eye(d, dtype=complex)[None, :, :], probs=np.array([1.0])
-    )
+    return RandomUnitaryChannel(np.eye(d, dtype=complex)[None, :, :])
 
 
 def ket_projector(d, k):
@@ -87,13 +85,10 @@ def test_single_unitary_channel_is_conjugation():
 
 @pytest.mark.parametrize("d,n", [(2, 1), (3, 7), (5, 50), (8, 200), (16, 700)])
 def test_superoperator_matches_brute_force_kron_sum(d, n):
-    # n-term oracle: sum_i p_i U_i (x) conj(U_i), with non-uniform weights.
+    # n-term oracle: (1/n) sum_i U_i (x) conj(U_i).
     # At d = 16 the build sums three chunks of 256 unitaries.
-    rng = stream(47, d)
-    ch = RandomUnitaryChannel(
-        dim=d, unitaries=haar_unitaries(d, n, rng), probs=rng.dirichlet(np.ones(n))
-    )
-    brute = sum(p * np.kron(u, u.conj()) for p, u in zip(ch.probs, ch.unitaries))
+    ch = RandomUnitaryChannel(haar_unitaries(d, n, stream(47, d)))
+    brute = sum(np.kron(u, u.conj()) for u in ch.unitaries) / n
     assert np.abs(ch.superoperator - brute).max() <= 1e-13
 
 
@@ -212,16 +207,11 @@ def test_subsystem_kernel_matches_brute_force(dims, k):
     rng = stream(49, 10 * sum(dims) + k)
     total = math.prod(dims)
     x = rng.standard_normal((total, total)) + 1j * rng.standard_normal((total, total))
-    ch = RandomUnitaryChannel(
-        dim=dims[k], unitaries=haar_unitaries(dims[k], 3, rng), probs=np.array([0.5, 0.3, 0.2])
-    )
+    ch = RandomUnitaryChannel(haar_unitaries(dims[k], 3, rng))
     u = ch.unitaries[0]
     w = embed(u, dims, k)
     assert np.abs(conjugate_subsystem(x, dims, k, u) - w @ x @ w.conj().T).max() <= 1e-12
-    kraus = sum(
-        p * embed(v, dims, k) @ x @ embed(v, dims, k).conj().T
-        for p, v in zip(ch.probs, ch.unitaries)
-    )
+    kraus = sum(embed(v, dims, k) @ x @ embed(v, dims, k).conj().T for v in ch.unitaries) / 3
     assert np.abs(apply_at(ch, x, dims, k) - kraus).max() <= 1e-12
     # Same number of entries, wrong state dimension: a reshape alone would pass.
     wrong = x.reshape(total * dims[k], total // dims[k])
@@ -279,13 +269,9 @@ def test_strict_sublist_fails_to_randomize():
     # Dropping part of the generalized Pauli set leaves a witness state.
     ops = weyl_heisenberg_operators(2)
     plus = np.full((2, 2), 0.5, dtype=complex)  # |+><+|, fixed by 1 and X
-    sub = RandomUnitaryChannel(
-        dim=2, unitaries=ops[[0, 2]], probs=np.array([0.5, 0.5])
-    )
+    sub = RandomUnitaryChannel(ops[[0, 2]])
     assert epsilon_randomizing_distance(sub, plus) > 0.9
-    sub3 = RandomUnitaryChannel(
-        dim=2, unitaries=ops[[0, 1, 2]], probs=np.full(3, 1 / 3)
-    )
+    sub3 = RandomUnitaryChannel(ops[[0, 1, 2]])
     assert epsilon_randomizing_distance(sub3, plus) > 0.01
 
 
@@ -321,22 +307,19 @@ def test_decode_fixes_maximally_mixed():
 
 def test_channel_validation():
     with pytest.raises(ValueError):
-        RandomUnitaryChannel(dim=1, unitaries=np.eye(1)[None], probs=np.array([1.0]))
+        RandomUnitaryChannel(np.eye(1)[None])
     with pytest.raises(ValueError):
-        RandomUnitaryChannel(
-            dim=2, unitaries=np.eye(2)[None], probs=np.array([0.5])
-        )
-    with pytest.raises(ValueError):
-        RandomUnitaryChannel(
-            dim=2, unitaries=2 * np.eye(2)[None], probs=np.array([1.0])
-        )
+        RandomUnitaryChannel(2 * np.eye(2)[None])
+    for stack in (np.eye(2), np.zeros((0, 2, 2)), np.ones((1, 2, 3))):
+        with pytest.raises(ValueError, match="unitary stack has shape"):
+            RandomUnitaryChannel(stack)
     with pytest.raises(ValueError):
         ChannelFamily(())
     # NaN compares False with every tolerance, so each check must fail on it.
     nan_stack = np.stack([np.eye(2), np.eye(2)]).astype(complex)
     nan_stack[1, 0, 1] = np.nan
     with pytest.raises(ValueError, match="not unitary"):
-        RandomUnitaryChannel(dim=2, unitaries=nan_stack, probs=np.array([0.5, 0.5]))
+        RandomUnitaryChannel(nan_stack)
     # An inf or an overflowing entry is refused before the U†U product, so
     # numpy never warns.
     for entry in (np.inf, 1e200):
@@ -345,12 +328,7 @@ def test_channel_validation():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="not unitary"):
-                RandomUnitaryChannel(dim=2, unitaries=big_stack, probs=np.array([0.5, 0.5]))
-    for probs in ([np.nan, 1.0], [np.inf, 0.0]):
-        with pytest.raises(ValueError, match="probabilities"):
-            RandomUnitaryChannel(
-                dim=2, unitaries=np.stack([np.eye(2)] * 2), probs=np.array(probs)
-            )
+                RandomUnitaryChannel(big_stack)
 
 
 def test_apply_refuses_a_non_hermitian_map_output():
@@ -370,16 +348,15 @@ def test_apply_refuses_a_non_hermitian_map_output():
 
 def assert_unitarity_check_sees(d, n, where):
     u = haar_unitaries(d, n, stream(48, d))
-    probs = np.full(n, 1.0 / n)
 
     def perturb(delta):
         bad = u.copy()
         bad[where, 0, 1] += delta
         return bad
 
-    RandomUnitaryChannel(dim=d, unitaries=perturb(1e-13), probs=probs)
+    RandomUnitaryChannel(perturb(1e-13))
     with pytest.raises(ValueError, match="not unitary"):
-        RandomUnitaryChannel(dim=d, unitaries=perturb(1e-8), probs=probs)
+        RandomUnitaryChannel(perturb(1e-8))
 
 
 def test_unitarity_check_sees_last_element():

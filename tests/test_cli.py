@@ -438,6 +438,18 @@ def test_parser_lists_all_commands():
         assert name in text
 
 
+def test_family_choices_are_the_library_input_families():
+    # --family spells each analysis.INPUT_FAMILIES entry with hyphens, in order,
+    # and each choice reaches the run as the library's name.
+    (commands,) = [a for a in build_parser()._actions if a.choices and "aqss-demo" in a.choices]
+    for name in cli._FAMILY_COMMANDS:
+        (family,) = [a for a in commands.choices[name]._actions if a.dest == "family"]
+        assert family.choices == [f.replace("_", "-") for f in analysis.INPUT_FAMILIES]
+        for choice, f in zip(family.choices, analysis.INPUT_FAMILIES):
+            args = build_parser().parse_args([name, "--d", "2", "--family", choice, "--seed", "0"])
+            assert [cfg.input_family for cfg in cli._grid(args)] == [f]
+
+
 @pytest.mark.parametrize(
     "argv, factored",
     [

@@ -172,10 +172,15 @@ def test_assert_density_matrix_returns_the_spectrum_it_checked():
             assert np.all(np.diff(spectrum) >= 0.0)
 
 
-def test_validated_returns_the_hermitian_part_and_its_spectrum():
+def test_validated_returns_the_hermitian_part_and_its_spectrum(monkeypatch):
     rng = stream(32)
     m = random_density_matrix(6, rng) + 1e-12j * random_hermitian(6, rng)
+    calls = []
+    hermitize = linalg.hermitize
+    monkeypatch.setattr(linalg, "hermitize", lambda x: calls.append(x) or hermitize(x))
     state = linalg.validated(m)
+    assert len(calls) == 1  # the check and the result share one Hermitian part
+    monkeypatch.undo()
     spectrum = linalg.assert_density_matrix(m)
     assert np.array_equal(state, linalg.hermitize(m))
     assert np.array_equal(state, state.conj().T)

@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import itertools
 import math
 import re
 import tracemalloc
@@ -9,6 +11,7 @@ import pytest
 from aqss import linalg, protocol
 from aqss.channels import (
     ChannelFamily,
+    RandomUnitaryChannel,
     apply,
     apply_at,
     conjugate_subsystem,
@@ -191,6 +194,62 @@ def test_key_averaging_identity_exhaustive():
             w = np.kron(parts[0].unitaries[i], parts[1].unitaries[j])
             avg += w @ plaintext @ w.conj().T / 16
     assert np.abs(avg - exterior_adversary_view(session)).max() <= 1e-12
+
+
+class FixedKeys:
+    """Stands in for the generator charlie_encode draws its keys from, and
+    hands out one given key tuple."""
+
+    def __init__(self, keys):
+        self.keys = iter(keys)
+
+    def integers(self, n):
+        return next(self.keys)
+
+
+PAULI_I, PAULI_Z = np.eye(2), np.diag([1.0, -1.0])
+PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+PAULI_XZ = PAULI_X @ PAULI_Z
+
+
+@pytest.mark.parametrize(
+    "stacks, exterior",
+    [
+        # Weighted (1/12, 1/12, 1/12, 1/4, 1/4, 1/4), this stack would be the
+        # exact Pauli pad; the uniform key leaves |00> at 7/18 from 1/4.
+        ([[PAULI_I, PAULI_I, PAULI_I, PAULI_Z, PAULI_X, PAULI_XZ]] * 2, 7 / 18),
+        (
+            [
+                [PAULI_I, PAULI_Z, PAULI_X, PAULI_XZ],
+                [PAULI_I, PAULI_I, PAULI_Z, PAULI_X, PAULI_XZ],
+                [PAULI_X, PAULI_I, PAULI_X, PAULI_Z, PAULI_X, PAULI_XZ, PAULI_X],
+            ],
+            3 / 7,  # |0> flips with key probability 1/2, 2/5 and 5/7
+        ),
+    ],
+    ids=["m2", "m3"],
+)
+def test_outsider_view_is_the_average_over_every_key_encode_draws(stacks, exterior):
+    # A stack with repeated unitaries is the mixture the uniform key draws:
+    # each repeat counts once per index, so no weight vector can disagree
+    # with the keys.
+    m, dim = len(stacks), 2 ** len(stacks)
+    family = ChannelFamily(tuple(RandomUnitaryChannel(np.array(s)) for s in stacks))
+    cfg = small_config(2, n=max(part.n for part in family.parts), m=m)
+    zero = np.diag([1.0, 0.0]).astype(complex)
+    plaintext = functools.reduce(np.kron, [zero] * m)
+    tuples = list(itertools.product(*(range(part.n) for part in family.parts)))
+    average = np.zeros((dim, dim), dtype=complex)
+    for keys in tuples:
+        session = charlie_encode(cfg, plaintext, FixedKeys(keys), channels=family)
+        assert session.key_indices == keys
+        average += session.ciphertext / len(tuples)
+    distance = np.linalg.svd(average - np.eye(dim) / dim, compute_uv=False).sum()
+    assert distance == pytest.approx(exterior, abs=1e-12)
+    for form in (plaintext, (zero,) * m):
+        session = charlie_encode(cfg, form, FixedKeys(tuples[0]), channels=family)
+        assert np.abs(exterior_adversary_view(session) - average).max() <= 1e-12
+        assert audit([session], victims=[0]).exterior == pytest.approx(distance, abs=1e-12)
 
 
 def test_interior_attack_with_perfect_alice_channel():
