@@ -61,11 +61,12 @@ def _unitarity_deviation(u: np.ndarray) -> float:
     return dev
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RandomUnitaryChannel:
     """Uniform mixture (1/n) sum_i U_i rho U_i† of the conjugations by a stack
     of n unitaries on a d-dimensional system, the mixture a uniform key index
-    selects from; dim = d and probs = 1/n are read from the stack."""
+    selects from; dim = d and probs = 1/n are read from the stack. Like every
+    record that holds arrays, it equals only itself and hashes by identity."""
 
     unitaries: np.ndarray  # shape (n, dim, dim)
     dim: int = field(init=False)
@@ -110,7 +111,7 @@ class RandomUnitaryChannel:
         return c.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelFamily:
     """Ordered channels acting on the subsystems of a tensor-product space."""
 

@@ -131,23 +131,22 @@ class Metric:
 
 @dataclass(frozen=True)
 class ResultRecord:
-    """Self-describing result of one grid point."""
+    """Self-describing result of one grid point. The resolved config holds the
+    command and the seed, which the JSON record also repeats at its top."""
 
-    command: str
     config: dict
     metrics: tuple[Metric, ...]
     wall_time_ms: float
     version: str
-    seed: int
 
     def to_dict(self) -> dict:
         return {
-            "command": self.command,
+            "command": self.config["command"],
             "config": self.config,
             "metrics": [m.to_dict() for m in self.metrics],
             "wall_time_ms": self.wall_time_ms,
             "version": self.version,
-            "seed": self.seed,
+            "seed": self.config["seed"],
         }
 
     @property
@@ -326,7 +325,7 @@ COMMANDS = {
 
 # Commands that read --family and --m; no other command accepts them, so no
 # record reports an option the run ignored. Every command but key-cost reads
-# --perfect.
+# --trials and --perfect.
 _FAMILY_COMMANDS = ("aqss-demo", "bound-sweep", "locc-test")
 _RECEIVER_COMMANDS = ("multiparty", "key-cost")
 
@@ -337,12 +336,7 @@ def run(cfg: ExperimentConfig) -> ResultRecord:
     metrics = COMMANDS[cfg.command][0](cfg)
     wall_ms = (time.perf_counter() - start) * 1000.0
     return ResultRecord(
-        command=cfg.command,
-        config=cfg.to_dict(),
-        metrics=tuple(metrics),
-        wall_time_ms=wall_ms,
-        version=__version__,
-        seed=cfg.seed,
+        config=cfg.to_dict(), metrics=tuple(metrics), wall_time_ms=wall_ms, version=__version__
     )
 
 
@@ -405,11 +399,12 @@ def build_parser() -> argparse.ArgumentParser:
             "--n", type=_int_list, default=None,
             help="override unitaries per channel (default ceil(150 d/epsilon^2))",
         )
-        p.add_argument(
-            "--trials", type=_int_list, default=None,
-            help="Monte Carlo trials / protocol rounds / measurement settings / "
-            "probe states, depending on the command",
-        )
+        if name != "key-cost":
+            p.add_argument(
+                "--trials", type=_int_list, default=None,
+                help="Monte Carlo trials / protocol rounds / measurement settings / "
+                "probe states, depending on the command",
+            )
         if name in _FAMILY_COMMANDS:
             p.add_argument(
                 "--family", choices=[f.replace("_", "-") for f in analysis.INPUT_FAMILIES],
@@ -435,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _grid(args: argparse.Namespace) -> list[ExperimentConfig]:
-    trials = args.trials or [COMMANDS[args.command][1]]
+    trials = getattr(args, "trials", None) or [COMMANDS[args.command][1]]
     return [
         ExperimentConfig(
             command=args.command,
@@ -466,13 +461,13 @@ def render_csv(records: Sequence[ResultRecord]) -> str:
         for metric in record.metrics:
             writer.writerow(
                 [
-                    record.command,
+                    cfg["command"],
                     cfg["d"],
                     cfg["epsilon"],
                     cfg["n_resolved"],
                     cfg["n_resolved"],
                     cfg["trials"],
-                    record.seed,
+                    cfg["seed"],
                     metric.name,
                     repr(metric.value),
                     "" if metric.bound is None else repr(metric.bound),

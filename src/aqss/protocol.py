@@ -73,15 +73,16 @@ class ProtocolConfig:
         return required_n(self.d, self.epsilon)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AqssSession:
     """One concrete run: channels, plaintext, drawn keys and the ciphertext.
 
+    The receivers are channels.parts, and their dimensions channels.dims.
     plaintext_factors holds the m d x d factor states of a product plaintext,
     whose Kronecker product is plaintext, and is None for any other plaintext.
+    Two sessions are equal only when they are the same object.
     """
 
-    config: ProtocolConfig
     channels: ChannelFamily
     plaintext: np.ndarray
     key_indices: tuple[int, ...]
@@ -161,7 +162,6 @@ def charlie_encode(
     for k, part in enumerate(channels.parts):
         ciphertext = conjugate_subsystem(ciphertext, dims, k, part.unitaries[keys[k]])
     return AqssSession(
-        config=config,
         channels=channels,
         plaintext=plaintext,
         key_indices=keys,
@@ -170,25 +170,19 @@ def charlie_encode(
     )
 
 
-def cooperate_decode(
-    session: AqssSession, key_indices=None
-) -> np.ndarray:
-    """Joint decoding with every receiver's key; exact inverse of the encoding.
+def cooperate_decode(session: AqssSession) -> np.ndarray:
+    """Joint decoding with the session's keys; exact inverse of the encoding.
 
-    `key_indices` defaults to the session's own keys; passing an explicit
-    list models what the parties actually bring to the table. A missing
-    (None) entry aborts: no strict subset may decode alone.
+    Receivers that bring other keys are a session that holds those keys,
+    dataclasses.replace(session, key_indices=...). Every receiver's key is
+    required, so a key count other than m, or a key that is not an integer in
+    [0, n) (a missing None key included), is a ValueError.
     """
-    keys = session.key_indices if key_indices is None else tuple(key_indices)
-    if len(keys) != session.config.parties:
-        raise ValueError(
-            f"expected {session.config.parties} keys, got {len(keys)}"
-        )
-    if any(k is None for k in keys):
-        raise ValueError("lone decoding refused: every receiver's key is required")
-    dims = (session.config.d,) * session.config.parties
+    keys, parts, dims = session.key_indices, session.channels.parts, session.channels.dims
+    if len(keys) != len(parts):
+        raise ValueError(f"expected {len(parts)} keys, got {len(keys)}")
     state = session.ciphertext
-    for k, (part, key) in enumerate(zip(session.channels.parts, keys)):
+    for k, (part, key) in enumerate(zip(parts, keys)):
         if not isinstance(key, (int, np.integer)) or not 0 <= key < part.n:
             raise ValueError(f"key index {key!r} is not an integer in [0, {part.n})")
         state = conjugate_subsystem(state, dims, k, part.unitaries[key].conj().T)
@@ -215,13 +209,13 @@ def collusion_attack(session: AqssSession, colluders) -> np.ndarray:
     state is the honest channels applied to the plaintext, as
     test_interior_attack_matches_alice_channel_on_plaintext pins.
     """
-    m = session.config.parties
+    m = len(session.channels.parts)
     colluders = tuple(colluders)
     if not colluders or not all(isinstance(c, (int, np.integer)) and 0 <= c < m for c in colluders):
         raise ValueError(f"colluders {colluders} must be a nonempty subset of 0..{m - 1}")
     if len(set(colluders)) == m:
         raise ValueError("all receivers together should use cooperate_decode")
-    dims = (session.config.d,) * m
+    dims = session.channels.dims
     state = session.plaintext
     for k in range(m):
         if k not in colluders:
@@ -236,11 +230,10 @@ def interior_attack_bob(session: AqssSession) -> tuple[np.ndarray, np.ndarray]:
     receiver's marginal: that receiver's channel on its plaintext marginal,
     read as in the audit, which stays channel-randomized without its key.
     """
-    if session.config.parties != 2:
-        raise ValueError(
-            f"interior two-party attack needs exactly 2 receivers, got {session.config.parties}"
-        )
-    marginal = linalg.partial_trace(session.plaintext, (session.config.d,) * 2, keep=0)
+    dims = session.channels.dims
+    if len(dims) != 2:
+        raise ValueError(f"interior two-party attack needs exactly 2 receivers, got {len(dims)}")
+    marginal = linalg.partial_trace(session.plaintext, dims, keep=0)
     return collusion_attack(session, [1]), apply(session.channels.parts[0], marginal)
 
 

@@ -152,6 +152,7 @@ def test_usage_error_exit_code(capsys):
         ["randomize", "--d", "2", "--m", "2"],
         ["purity-check", "--d", "2", "--m", "2"],
         ["key-cost", "--d", "4", "--perfect"],
+        ["key-cost", "--d", "4", "--trials", "2"],
     ],
 )
 def test_option_the_command_ignores_is_refused(args, capsys):
@@ -330,15 +331,14 @@ def test_json_writes_non_finite_metric_values_as_null():
         raise ValueError(f"non-JSON constant {token}")
 
     record = ResultRecord(
-        command="randomize",
-        config={"d": 2, "epsilon": 0.5, "n_resolved": 8, "trials": 1},
+        config={"command": "randomize", "d": 2, "epsilon": 0.5, "n_resolved": 8, "trials": 1,
+                "seed": 1},
         metrics=(
             Metric(name="nan_value", value=float("nan"), bound=float("inf")),
             Metric(name="finite", value=0.25, bound=0.5, satisfied=True),
         ),
         wall_time_ms=1.0,
         version="test",
-        seed=1,
     )
     metrics = metrics_by_name(json.loads(render_json([record]), parse_constant=reject))
     assert metrics["nan_value"]["value"] is None

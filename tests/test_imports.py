@@ -1,5 +1,6 @@
 """No module of the package imports or reads another module's private names,
-and every public function of the package has a caller in the package.
+every public function of the package has a caller in the package, and some
+call in the package passes each of its defaulted parameters.
 
 A leading underscore marks a name as internal to its module; a name another
 module needs is public. Dunder names such as ``__version__`` are public.
@@ -82,6 +83,60 @@ def test_every_public_function_has_a_caller_in_the_package():
     assert uncalled_functions(sample) == ["a.f", "a.g"]
     sources = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
     assert set(uncalled_functions(sources)) == TEST_ONLY
+
+
+# Defaulted parameters that no call in the package passes: `python -m aqss`
+# and the console script call main() and let it read sys.argv.
+UNPASSED_DEFAULTS = {"cli.main(argv)"}
+
+
+def unpassed_defaults(sources):
+    """Defaulted parameters `module.function(parameter)` of the public
+    module-level functions of `sources` that no call in the sources passes,
+    by keyword or by position. A call is matched by the function's name."""
+    defaulted, calls = [], {}
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for top in tree.body:
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) and not _private(top.name):
+                args = top.args
+                positional = args.posonlyargs + args.args
+                first = len(positional) - len(args.defaults)
+                defaulted += [
+                    (module, top.name, p.arg, i) for i, p in enumerate(positional) if i >= first
+                ]
+                defaulted += [
+                    (module, top.name, p.arg, None)
+                    for p, default in zip(args.kwonlyargs, args.kw_defaults)
+                    if default is not None
+                ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+
+    def passed(call, parameter, position):
+        return any(k.arg in (parameter, None) for k in call.keywords) or (  # None: **kwargs
+            position is not None
+            and (position < len(call.args) or any(isinstance(a, ast.Starred) for a in call.args))
+        )
+
+    return sorted(
+        f"{module}.{function}({parameter})"
+        for module, function, parameter, position in defaulted
+        if not any(passed(call, parameter, position) for call in calls.get(function, []))
+    )
+
+
+def test_every_defaulted_parameter_is_passed_by_a_call_in_the_package():
+    sample = {
+        "a": "def f(x, y=1, *, z=2):\n    pass\n\ndef g(u=0, v=0):\n    pass\n\n"
+             "def _p(w=0):\n    pass\n",
+        "b": "f(0)\nf(0, z=3)\ng(1)\n",
+    }
+    assert unpassed_defaults(sample) == ["a.f(y)", "a.g(v)"]
+    sources = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
+    assert set(unpassed_defaults(sources)) == UNPASSED_DEFAULTS
 
 
 def test_the_cli_imports_no_thread_pool_module():

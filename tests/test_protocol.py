@@ -109,7 +109,7 @@ def test_decode_with_wrong_key_disturbs():
     session = charlie_encode(cfg, plaintext, rng)
     k0, k1 = session.key_indices
     wrong = (k0, (k1 + 5) % 16)
-    recovered = cooperate_decode(session, key_indices=wrong)
+    recovered = cooperate_decode(dataclasses.replace(session, key_indices=wrong))
     assert linalg.trace_norm(recovered - plaintext) > 0.01
 
 
@@ -117,8 +117,9 @@ def test_decode_refuses_missing_key():
     rng = stream(65)
     cfg = small_config(2, n=4)
     session = charlie_encode(cfg, linalg.maximally_entangled_state(2), rng)
-    with pytest.raises(ValueError):
-        cooperate_decode(session, key_indices=(session.key_indices[0], None))
+    missing = dataclasses.replace(session, key_indices=(session.key_indices[0], None))
+    with pytest.raises(ValueError, match="key index None is not an integer"):
+        cooperate_decode(missing)
 
 
 def test_decode_rejects_out_of_range_key():
@@ -126,7 +127,7 @@ def test_decode_rejects_out_of_range_key():
     cfg = small_config(2, n=4)
     session = charlie_encode(cfg, linalg.maximally_entangled_state(2), rng)
     with pytest.raises(ValueError):
-        cooperate_decode(session, key_indices=(0, 7))
+        cooperate_decode(dataclasses.replace(session, key_indices=(0, 7)))
 
 
 def test_decode_refuses_fractional_key():
@@ -135,7 +136,20 @@ def test_decode_refuses_fractional_key():
     session = charlie_encode(cfg, linalg.maximally_entangled_state(2), rng)
     k0, k1 = session.key_indices
     with pytest.raises(ValueError, match="not an integer"):
-        cooperate_decode(session, key_indices=(k0, k1 + 0.7))
+        cooperate_decode(dataclasses.replace(session, key_indices=(k0, k1 + 0.7)))
+
+
+def test_array_records_compare_by_identity():
+    # A generated __eq__ compares the arrays elementwise and raises, and a
+    # frozen one makes __hash__ hash the arrays, which raises too.
+    channel, family = perfect_pqc(2), perfect_family(2)
+    session = charlie_encode(small_config(2, n=4), linalg.maximally_entangled_state(2),
+                             stream(79), channels=family)
+    twins = (perfect_pqc(2), perfect_family(2), dataclasses.replace(session))
+    for record, twin in zip((channel, family, session), twins):
+        assert record == record
+        assert record != twin
+    assert len({channel, family, session}) == 3
 
 
 def test_exterior_view_with_perfect_channels():
