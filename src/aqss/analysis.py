@@ -3,34 +3,14 @@
 Trials are independent: trial i draws everything it needs from its own RNG
 stream (master_seed, i), and the aggregate is a deterministic ordered fold
 over the trial index, so for a fixed seed a trial's value does not depend
-on which process runs it.
-
-The one Monte Carlo loop maps trial index to value over
-min(random.cores(), trials) processes. The parent forks one
-child per extra core and runs the first contiguous block of trials itself;
-each child runs the next block, writes its float64 values into its own
-slice of one anonymous shared mapping and leaves with os._exit, so it never
-flushes or closes what it inherited. A child exits 0 after writing, or 1
-with nothing printed if its block fails; the exit status is the only
-signal. The caller runs itself every block whose child did not exit 0 or
-was never forked (fork ran out of processes), so a run returns or raises
-exactly what a serial run does, traceback included. While the blocks run,
-every loaded OpenBLAS (its path read from /proc/self/maps, its thread
-setter found through ctypes, as threadpoolctl does) is pinned to one
-thread, so the processes do not oversubscribe the cores, and the previous
-count is restored afterwards. OpenBLAS shuts its thread pool down at fork,
-so the children start clean. A run is therefore bit-identical to a serial
-run at one BLAS thread. Where fork, sched_getaffinity or an OpenBLAS thread
-setter is missing, or the caller runs other Python threads, the loop runs
-serially in the caller. A child's memory is not counted in
-getrusage(RUSAGE_SELF).
+on which process runs it. The one Monte Carlo loop spreads the trials over
+the cores with :func:`aqss.random.map_trials`, whose pool the
+:mod:`aqss.random` docstring describes.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -46,9 +26,8 @@ from .channels import (
     sample_ruc,
 )
 from .random import (
-    cores,
     haar_unitaries,
-    pooled,
+    map_trials,
     random_product_pure_state,
     random_separable_state,
     stream,
@@ -150,122 +129,7 @@ def _monte_carlo(
         family = ChannelFamily((channel_factory(d, n_a, rng), channel_factory(d, n_b, rng)))
         return measure(family, draw_input(input_family, d, rng))
 
-    return McStats.from_values(_map_trials(_trial, trials), seed)
-
-
-def _cores() -> int:
-    """Processes the loop may use: random.cores(), or 1 where fork is missing
-    or other Python threads run (a forked child gets no copy of them and may
-    deadlock on their locks)."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    return cores()
-
-
-def _openblas_threads() -> list[tuple[Callable[[], int], Callable[[int], None]]]:
-    """(get, set) thread-count functions of every loaded OpenBLAS; empty if none.
-
-    Opens each loaded shared object whose path in /proc/self/maps names
-    OpenBLAS and, as threadpoolctl does, tries the symbol names OpenBLAS
-    builds export, bare or with numpy's and scipy's scipy_ prefix and
-    64-bit-integer suffix.
-    """
-    import ctypes
-
-    try:
-        # Line by line, holding no copy of the file; a mapping's path is its sixth field.
-        with open("/proc/self/maps") as maps:
-            paths = {line.split(maxsplit=5)[-1].strip() for line in maps if "openblas" in line}
-    except OSError:
-        return []
-    names = [
-        (f"{prefix}openblas_get_num_threads{suffix}", f"{prefix}openblas_set_num_threads{suffix}")
-        for prefix in ("", "scipy_")
-        for suffix in ("", "64_", "_64")
-    ]
-    found = []
-    for path in sorted(paths):
-        try:
-            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
-        except OSError:
-            continue
-        for get_name, set_name in names:
-            if hasattr(lib, get_name) and hasattr(lib, set_name):
-                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                found.append((get, set_))
-                break
-    return found
-
-
-def _map_trials(value: Callable[[int], float], trials: int) -> list[float]:
-    """[value(i) for i in range(trials)], spread in contiguous blocks over
-    min(_cores(), trials) processes at one BLAS thread each, or run serially
-    where that is one or no OpenBLAS thread setter is found."""
-    workers = min(_cores(), trials)
-    blas = _openblas_threads() if workers > 1 else []
-    if not blas:
-        return [value(i) for i in range(trials)]
-    import mmap
-    import signal
-
-    bounds = [trials * k // workers for k in range(workers + 1)]
-    blocks = list(zip(bounds[1:-1], bounds[2:]))  # the children's, in trial order
-    # Each child writes its block into one anonymous shared mapping at its
-    # trials' offsets; the caller keeps its own block in a list and never
-    # touches that part of the mapping.
-    shared = np.frombuffer(mmap.mmap(-1, 8 * trials), dtype=np.float64)
-    previous = [get() for get, _ in blas]
-    children = []  # pids of the first blocks' children, in trial order
-    reaped = 0  # children[:reaped] have been waited for
-    # Every process of the pool decomposes its Haar stacks on one thread
-    # (random.pooled).
-    with pooled():
-        try:
-            for _, set_threads in blas:
-                set_threads(1)
-            for lo, hi in blocks:
-                try:
-                    pid = os.fork()
-                except OSError:
-                    break  # out of processes: the caller runs every block left
-                if pid == 0:
-                    # The child never returns into the caller's frames: os._exit
-                    # runs no finally, atexit or flush of the buffers it inherited,
-                    # and an error ends the child before anything prints it.
-                    status = 1
-                    try:
-                        shared[lo:hi] = [value(i) for i in range(lo, hi)]
-                        status = 0
-                    finally:
-                        os._exit(status)
-                children.append(pid)
-            values = [value(i) for i in range(bounds[1])]
-            for k, (lo, hi) in enumerate(blocks):
-                status = 1  # a block whose fork failed has no child
-                if k < len(children):
-                    status = os.waitpid(children[k], 0)[1]
-                    reaped += 1
-                if status == 0:
-                    values += shared[lo:hi].tolist()
-                else:
-                    # Trial i depends on i alone: the caller's run of a block whose
-                    # child failed, was killed or never started returns or raises
-                    # what the serial run does.
-                    values += [value(i) for i in range(lo, hi)]
-        except BaseException:
-            # Every earlier block has succeeded, so this error wins; stop the
-            # children not yet reaped (a reaped child's pid may be reused).
-            for pid in children[reaped:]:
-                os.kill(pid, signal.SIGKILL)
-            raise
-        finally:
-            for pid in children[reaped:]:
-                os.waitpid(pid, 0)
-            for (_, set_threads), count in zip(blas, previous):
-                set_threads(count)
-    return values
+    return McStats.from_values(map_trials(_trial, trials), seed)
 
 
 def mc_expected_trace_distance(

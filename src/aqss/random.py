@@ -1,27 +1,43 @@
-"""Deterministic, seedable sampling of Haar-random unitaries and test states.
+"""Deterministic, seedable sampling of Haar-random unitaries and test states,
+and the spread of seeded work over the cores.
 
 Every sampler takes an explicit ``numpy.random.Generator``; a generator built
 with :func:`stream` is fully determined by ``(master_seed, stream_id)``, and
 distinct stream ids give statistically independent sequences. Monte Carlo
 trials derive one stream per trial index, so a trial draws the same numbers
-in whichever process runs it. ``analysis`` runs blocks of trials in forked
-processes, one per core, at one BLAS thread each, and its values are those
-of a serial run at one BLAS thread.
+in whichever process runs it.
 
-:func:`cores` is the one core count: the Monte Carlo pool forks one process
-per core it reports, and :func:`haar_unitaries` decomposes a large stack on
-the calling thread and one more thread per further core it reports. Inside
-:func:`pooled` it reports one, so every process of a pool decomposes on its
+:func:`cores` is the one core count. :func:`map_trials` maps trial index to
+value over min(cores(), trials) processes. The caller forks one child per
+extra core and runs the first contiguous block of trials itself; each child
+runs the next block, writes its float64 values into its own slice of one
+anonymous shared mapping and leaves with os._exit, so it never flushes or
+closes what it inherited. A child exits 0 after writing, or 1 with nothing
+printed if its block fails; the exit status is the only signal. The caller
+runs itself every block whose child did not exit 0 or was never forked
+(fork ran out of processes), so a run returns or raises exactly what a
+serial run does, traceback included. While the blocks run, every loaded
+OpenBLAS (its path read from /proc/self/maps, its thread setter found
+through ctypes, as threadpoolctl does) is pinned to one thread, so the
+processes do not oversubscribe the cores, and the previous count is
+restored afterwards. OpenBLAS shuts its thread pool down at fork, so the
+children start clean. A run is therefore bit-identical to a serial run at
+one BLAS thread. Where fork, sched_getaffinity or an OpenBLAS thread setter
+is missing, or the caller runs other Python threads, the loop runs serially
+in the caller. A child's memory is not counted in getrusage(RUSAGE_SELF).
+
+:func:`haar_unitaries` decomposes a large stack on the calling thread and
+one more thread per further core that :func:`cores` reports. Inside the pool
+:func:`cores` reports one, so every process of a pool decomposes on its
 calling thread alone. Only the calling thread draws from a generator, and
 every thread a sampler starts is joined before it returns.
 """
 
 from __future__ import annotations
 
-import contextlib
 import os
 import threading
-from typing import Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -41,22 +57,121 @@ _pooled = False  # True while a Monte Carlo pool runs one process per core
 
 def cores() -> int:
     """Cores this process's work may spread over: the cores it may run on, or
-    1 where the affinity query is missing or inside :func:`pooled`."""
+    1 where the affinity query is missing or inside a :func:`map_trials` pool."""
     if _pooled or not hasattr(os, "sched_getaffinity"):
         return 1
     return len(os.sched_getaffinity(0))
 
 
-@contextlib.contextmanager
-def pooled() -> Iterator[None]:
-    """Context in which :func:`cores` is 1: a Monte Carlo pool already runs
-    one process per core, and processes it forks inherit the setting."""
-    global _pooled
-    previous, _pooled = _pooled, True
+def _openblas_threads() -> list[tuple[Callable[[], int], Callable[[int], None]]]:
+    """(get, set) thread-count functions of every loaded OpenBLAS; empty if none.
+
+    Opens each loaded shared object whose path in /proc/self/maps names
+    OpenBLAS and, as threadpoolctl does, tries the symbol names OpenBLAS
+    builds export, bare or with numpy's and scipy's scipy_ prefix and
+    64-bit-integer suffix.
+    """
+    import ctypes
+
     try:
-        yield
+        # Line by line, holding no copy of the file; a mapping's path is its sixth field.
+        with open("/proc/self/maps") as maps:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in maps if "openblas" in line}
+    except OSError:
+        return []
+    names = [
+        (f"{prefix}openblas_get_num_threads{suffix}", f"{prefix}openblas_set_num_threads{suffix}")
+        for prefix in ("", "scipy_")
+        for suffix in ("", "64_", "_64")
+    ]
+    found = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        for get_name, set_name in names:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                found.append((get, set_))
+                break
+    return found
+
+
+def map_trials(value: Callable[[int], float], trials: int) -> list[float]:
+    """[value(i) for i in range(trials)], spread in contiguous blocks over
+    min(cores(), trials) processes at one BLAS thread each (see the module
+    docstring), or run serially where that is one, fork is missing, other
+    Python threads run (a forked child gets no copy of them and may deadlock
+    on their locks) or no OpenBLAS thread setter is found."""
+    global _pooled
+    forkable = hasattr(os, "fork") and threading.active_count() == 1
+    workers = min(cores(), trials) if forkable else 1
+    blas = _openblas_threads() if workers > 1 else []
+    if not blas:
+        return [value(i) for i in range(trials)]
+    import mmap
+    import signal
+
+    bounds = [trials * k // workers for k in range(workers + 1)]
+    blocks = list(zip(bounds[1:-1], bounds[2:]))  # the children's, in trial order
+    # Each child writes its block into one anonymous shared mapping at its
+    # trials' offsets; the caller keeps its own block in a list and never
+    # touches that part of the mapping.
+    shared = np.frombuffer(mmap.mmap(-1, 8 * trials), dtype=np.float64)
+    previous = [get() for get, _ in blas]
+    children = []  # pids of the first blocks' children, in trial order
+    reaped = 0  # children[:reaped] have been waited for
+    try:
+        # Every process of the pool decomposes its Haar stacks on one thread:
+        # cores() reads _pooled, and the children inherit it.
+        _pooled = True
+        for _, set_threads in blas:
+            set_threads(1)
+        for lo, hi in blocks:
+            try:
+                pid = os.fork()
+            except OSError:
+                break  # out of processes: the caller runs every block left
+            if pid == 0:
+                # The child never returns into the caller's frames: os._exit
+                # runs no finally, atexit or flush of the buffers it inherited,
+                # and an error ends the child before anything prints it.
+                status = 1
+                try:
+                    shared[lo:hi] = [value(i) for i in range(lo, hi)]
+                    status = 0
+                finally:
+                    os._exit(status)
+            children.append(pid)
+        values = [value(i) for i in range(bounds[1])]
+        for k, (lo, hi) in enumerate(blocks):
+            status = 1  # a block whose fork failed has no child
+            if k < len(children):
+                status = os.waitpid(children[k], 0)[1]
+                reaped += 1
+            if status == 0:
+                values += shared[lo:hi].tolist()
+            else:
+                # Trial i depends on i alone: the caller's run of a block whose
+                # child failed, was killed or never started returns or raises
+                # what the serial run does.
+                values += [value(i) for i in range(lo, hi)]
+    except BaseException:
+        # Every earlier block has succeeded, so this error wins; stop the
+        # children not yet reaped (a reaped child's pid may be reused).
+        for pid in children[reaped:]:
+            os.kill(pid, signal.SIGKILL)
+        raise
     finally:
-        _pooled = previous
+        for pid in children[reaped:]:
+            os.waitpid(pid, 0)
+        for (_, set_threads), count in zip(blas, previous):
+            set_threads(count)
+        _pooled = False  # a pooled caller has one core and never gets here
+    return values
 
 
 def _ginibre_qr(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from aqss import analysis, linalg
+from aqss import linalg
 from aqss import random as aqss_random
 from aqss.analysis import (
     BoundCheck,
@@ -357,7 +357,7 @@ def cores(monkeypatch):
     is back at 2, no child is left unreaped and the open file descriptors
     are as before (the loop's shared mapping holds none). A run that hangs
     is stopped after 60 s."""
-    blas = analysis._openblas_threads()
+    blas = aqss_random._openblas_threads()
     if not blas or not os.path.isdir("/proc/self/fd"):
         pytest.skip("no OpenBLAS thread setter or /proc: the loop always runs serially")
     threads = [get() for get, _ in blas]
@@ -423,7 +423,7 @@ def test_parallel_trials_equal_the_serial_run_bit_for_bit(factory, workers, core
 
 def test_the_loop_never_starts_more_processes_than_trials(cores):
     forks = cores(8)
-    assert analysis._map_trials(float, 3) == [0.0, 1.0, 2.0]
+    assert aqss_random.map_trials(float, 3) == [0.0, 1.0, 2.0]
     assert len(forks) == 2
 
 
@@ -432,7 +432,7 @@ def test_blas_runs_on_one_thread_while_the_blocks_run(cores):
     seen = []
 
     def factory(d, n, rng):
-        seen.append([get() for get, _ in analysis._openblas_threads()])
+        seen.append([get() for get, _ in aqss_random._openblas_threads()])
         return sample_ruc(d, n, rng)
 
     mc_expected_trace_distance(2, 3, 3, "product_pure", 10, 114, channel_factory=factory)
@@ -445,7 +445,7 @@ def test_every_process_of_the_pool_samples_on_one_thread(cores):
     # A threaded draw joins its threads, so the loop still forks afterwards.
     haar_unitaries(16, 600, stream(118))
     # 4 trials over 2 processes: the caller runs trials 0-1, its child 2-3.
-    assert analysis._map_trials(lambda i: float(aqss_random.cores()), 4) == [1.0] * 4
+    assert aqss_random.map_trials(lambda i: float(aqss_random.cores()), 4) == [1.0] * 4
     assert len(forks) == 1
     assert aqss_random.cores() == 2
 
@@ -486,7 +486,7 @@ def test_a_killed_workers_block_is_rerun_in_the_caller(cores):
         if os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
         trial = rng.bit_generator.seed_seq.spawn_key[0]
-        seen[trial] = [get() for get, _ in analysis._openblas_threads()]
+        seen[trial] = [get() for get, _ in aqss_random._openblas_threads()]
         return sample_ruc(d, n, rng)
 
     args = (2, 3, 3, "product_pure", 10, 112)

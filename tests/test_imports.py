@@ -1,6 +1,7 @@
 """No module of the package imports or reads another module's private names,
-every public function of the package has a caller in the package, and some
-call in the package passes each of its defaulted parameters.
+every public function of the package has a caller in the package, some call
+in the package passes each of its defaulted parameters, and one module
+decides how work spreads over the cores.
 
 A leading underscore marks a name as internal to its module; a name another
 module needs is public. Dunder names such as ``__version__`` are public.
@@ -137,6 +138,35 @@ def test_every_defaulted_parameter_is_passed_by_a_call_in_the_package():
     assert unpassed_defaults(sample) == ["a.f(y)", "a.g(v)"]
     sources = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
     assert set(unpassed_defaults(sources)) == UNPASSED_DEFAULTS
+
+
+# How seeded work spreads over the cores is one decision, made in random.py:
+# it alone forks, reads the core affinity or starts threads.
+SPREADING = {("os", "fork"), ("os", "sched_getaffinity"), ("threading", "Thread")}
+
+
+def spreading_names(source):
+    """`module.name` for each name of SPREADING that `source` reads off its
+    module or imports from it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            pairs = [(node.value.id, node.attr)]
+        elif isinstance(node, ast.ImportFrom):
+            pairs = [(node.module, alias.name) for alias in node.names]
+        else:
+            continue
+        found += [f"{module}.{name}" for module, name in pairs if (module, name) in SPREADING]
+    return sorted(found)
+
+
+def test_only_random_spreads_work_over_the_cores():
+    sample = "import os\nfrom threading import Thread\nos.fork()\nos.getpid()\nx.os.fork()\n"
+    assert spreading_names(sample) == ["os.fork", "threading.Thread"]
+    names = {path.name: spreading_names(path.read_text()) for path in PACKAGE.glob("*.py")}
+    held = set(names.pop("random.py"))
+    assert not any(names.values()), names
+    assert held == {f"{module}.{name}" for module, name in SPREADING}
 
 
 def test_the_cli_imports_no_thread_pool_module():

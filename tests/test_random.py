@@ -262,8 +262,8 @@ def test_threads_started_per_stack(n, chunks, ncores, pin_cores, monkeypatch):
     monkeypatch.setattr(threading.Thread, "start", counted_start)
     haar_unitaries(16, n, stream(908))
     assert len(starts) == min(ncores, chunks) - 1
-    with aqss_random.pooled():
-        haar_unitaries(16, n, stream(908))
+    monkeypatch.setattr(aqss_random, "_pooled", True)
+    haar_unitaries(16, n, stream(908))
     assert len(starts) == min(ncores, chunks) - 1
 
 
