@@ -3,12 +3,16 @@ generalized-Pauli baseline.
 
 A channel N(rho) = sum_i p_i U_i rho U_i† is stored as its stack of n
 unitaries alone: the key that selects U_i is uniform over the n indices, so
-every weight p_i is 1/n. Applying it literally term by term costs n
-conjugations per call; instead each channel lazily caches its d^2 x d^2
-superoperator M = sum_i p_i U_i (x) conj(U_i) (row-major vec convention), so
-one application is a single matrix-vector product and a product channel
-N_A (x) N_B is applied factor-sequentially at cost n_A + n_B once, not
-n_A * n_B. M is built from C = sum_i p_i vec(U_i) vec(U_i)†, followed by
+every weight p_i is 1/n. On a pure input psi the output is read from the
+stack itself: with V = U psi (one row U_i psi per unitary), N(psi psi†) =
+V^T conj(V) / n, 2 n d^2 multiply-adds. Applied term by term to a mixed or
+joint state, the channel would cost n conjugations per call; instead such a
+state is mapped through the channel's d^2 x d^2 superoperator
+M = sum_i p_i U_i (x) conj(U_i) (row-major vec convention), built on first
+use and cached, so one application is a single matrix-vector product and a
+product channel N_A (x) N_B is applied factor-sequentially at cost
+n_A + n_B once, not n_A * n_B. M is built from
+C = sum_i p_i vec(U_i) vec(U_i)†, followed by
 an index realignment of C into M (the natural-representation reshuffle,
 Watrous, Theory of Quantum Information, §2.2): 8 n d^4 flops. C is a sum of
 one GEMM per chunk of max(d^2, CHUNK_ENTRIES / d^2) unitaries, so the build
@@ -18,8 +22,9 @@ fits in one chunk is one GEMM. A chunk of fewer than d^2 rows makes each
 GEMM too thin to run at full speed. A single key conjugation
 U rho U† is the one-Kraus superoperator U (x) conj(U), so it runs on the
 same subsystem kernel. The tests pin M against the brute-force Kronecker
-sum, the product path against the double sum, and the subsystem kernel
-against the full Kronecker conjugation.
+sum, the product path against the double sum, the pure-input output against
+the superoperator's, and the subsystem kernel against the full Kronecker
+conjugation.
 """
 
 from __future__ import annotations
@@ -174,11 +179,28 @@ def apply_at(
     return _apply_superop_at(channel.superoperator, rho, dims, subsystem)
 
 
-def _apply_product(family: ChannelFamily, rho: np.ndarray) -> np.ndarray:
+def _apply_product(family: ChannelFamily, state: np.ndarray) -> np.ndarray:
     """Product-channel output as the maps produce it; apply_product and
-    output_spectrum validate it."""
+    output_spectrum validate it.
+
+    The path is chosen by the input's shape. A 2-D state is a density matrix,
+    mapped through the superoperators. A 1-D state is a pure state psi on a
+    one-part family, whose output V^T conj(V) / n with V = U psi is read from
+    the unitary stack, so no superoperator is built; a 1-D state on more
+    parts is a ValueError.
+    """
+    if np.ndim(state) == 1:
+        if len(family.parts) != 1:
+            raise ValueError(
+                f"a pure input needs a one-part family, got {len(family.parts)} parts"
+            )
+        (part,) = family.parts
+        # Rows U_i psi as one product over the flattened stack; the stacked
+        # matmul runs one small product per unitary and takes twice as long.
+        v = (part.unitaries.reshape(-1, part.dim) @ state).reshape(part.n, part.dim)
+        return (v.T @ v.conj()) / part.n
     dims = family.dims
-    out = rho
+    out = state
     for k, part in enumerate(family.parts):
         out = _apply_superop_at(part.superoperator, out, dims, k)
     return out
@@ -194,11 +216,12 @@ def apply_product(family: ChannelFamily, rho: np.ndarray) -> np.ndarray:
     return linalg.validated(_apply_product(family, rho))
 
 
-def output_spectrum(family: ChannelFamily, rho: np.ndarray) -> np.ndarray:
+def output_spectrum(family: ChannelFamily, state: np.ndarray) -> np.ndarray:
     """Ascending spectrum of the product-channel output, which is checked as a
     density matrix as the maps produced it; every measured quantity of a map
-    output (distance from 1/D, entropy) is read from this one decomposition."""
-    return linalg.assert_density_matrix(_apply_product(family, rho))
+    output (distance from 1/D, entropy) is read from this one decomposition.
+    A 1-D state is a pure input, read from the unitary stack (_apply_product)."""
+    return linalg.assert_density_matrix(_apply_product(family, state))
 
 
 def epsilon_randomizing_distance(channel: RandomUnitaryChannel, rho: np.ndarray) -> float:

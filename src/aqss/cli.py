@@ -171,11 +171,11 @@ def _plaintext(
     cfg: ExperimentConfig, rng: np.random.Generator
 ) -> np.ndarray | tuple[np.ndarray, ...]:
     """A round's plaintext. Every m > 2 draw and the m = 2 product-pure default
-    are product states, handed over as their m factor states; the entangled
-    m = 2 families are joint states."""
+    are pure product states, handed over as their m factor unit vectors; the
+    entangled m = 2 families are joint states."""
     if cfg.m == 2 and cfg.input_family != "product_pure":
         return analysis.draw_input(cfg.input_family, cfg.d, rng)
-    return tuple(np.outer(z[0], z[0].conj()) for z in haar_factors((cfg.d,) * cfg.m, 1, rng))
+    return tuple(z[0] for z in haar_factors((cfg.d,) * cfg.m, 1, rng))
 
 
 def _randomized(name: str, distance: float, cfg: ExperimentConfig, exact_tol: float) -> Metric:

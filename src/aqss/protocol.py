@@ -8,12 +8,13 @@ strict subset (or an outsider with no keys at all) is left with a
 key-averaged state, which the analysis module measures against the
 maximally mixed target.
 
-A product plaintext can be handed over as its factor states. The session
-then keeps them, and the audit measures the outsider and every victim from
-the factors' channel outputs: the product channel maps a product state to
-the product of the factor outputs, so no D x D view is formed or decomposed.
-Any other plaintext is measured on the dense D x D path, the reference that
-the factored one is pinned to.
+A pure product plaintext can be handed over as its m factor vectors. The
+session then keeps them, and the audit measures the outsider and every
+victim from the factors' channel outputs: the product channel maps a product
+state to the product of the factor outputs, so no D x D view is formed or
+decomposed, and each factor output is read from its channel's unitary stack,
+so no superoperator is built. Any other plaintext is measured on the dense
+D x D path, the reference that the factored one is pinned to.
 """
 
 from __future__ import annotations
@@ -78,8 +79,9 @@ class AqssSession:
     """One concrete run: channels, plaintext, drawn keys and the ciphertext.
 
     The receivers are channels.parts, and their dimensions channels.dims.
-    plaintext_factors holds the m d x d factor states of a product plaintext,
-    whose Kronecker product is plaintext, and is None for any other plaintext.
+    plaintext_factors holds the m unit vectors psi_k of shape (d,) of a pure
+    product plaintext, which is outer(psi, conj(psi)) with psi their Kronecker
+    product, and is None for any other plaintext.
     Two sessions are equal only when they are the same object.
     """
 
@@ -125,11 +127,12 @@ def charlie_encode(
 ) -> AqssSession:
     """Sender-side encoding: one key per receiver, joint unitary conjugation.
 
-    The plaintext is a d^m x d^m state, or a tuple of the m d x d factor
-    states of a product plaintext; the joint plaintext of a tuple is their
-    Kronecker product, and the session keeps the factors. Samples the
-    per-receiver channels unless pre-built ones are supplied, draws each key
-    index uniformly, and conjugates the plaintext by the selected unitaries.
+    The plaintext is a d^m x d^m state, or a tuple of the m unit vectors of
+    shape (d,) of a pure product plaintext; the joint plaintext of a tuple is
+    outer(psi, conj(psi)) with psi their Kronecker product, and the session
+    keeps the vectors. Samples the per-receiver channels unless pre-built
+    ones are supplied, draws each key index uniformly, and conjugates the
+    plaintext by the selected unitaries.
     The resource guard counts the unitaries of the channels used, pre-built
     or to be sampled, and raises ResourceGuardError before anything is
     sampled or any joint matrix is formed; a plaintext of the wrong shape or
@@ -141,12 +144,13 @@ def charlie_encode(
     factors = None
     if isinstance(plaintext, tuple):
         factors = plaintext
-        if len(factors) != m or any(np.shape(f) != (config.d,) * 2 for f in factors):
+        if len(factors) != m or any(np.shape(f) != (config.d,) for f in factors):
             raise ValueError(
-                f"expected {m} factor states of shape {(config.d,) * 2}, got shapes "
+                f"expected {m} factor vectors of shape {(config.d,)}, got shapes "
                 f"{[np.shape(f) for f in factors]}"
             )
-        plaintext = functools.reduce(np.kron, factors)
+        psi = functools.reduce(np.kron, factors)
+        plaintext = np.outer(psi, psi.conj())
     elif plaintext.shape != (config.d**m,) * 2:  # d^m is within the guard here
         raise ValueError(f"plaintext shape {plaintext.shape} does not match d^m = {config.d**m}")
     if channels is None:
@@ -255,7 +259,8 @@ def _round_spectra(
     victim's channel, the only honest one when all the other receivers
     collude, acts on the victim's factor, so the victim's share is that
     channel on the plaintext marginal. With plaintext factors, the marginal is
-    the victim's factor, and the view is the Kronecker product of the factor
+    the victim's pure factor, whose output output_spectrum reads from the
+    unitary stack, and the view is the Kronecker product of the factor
     outputs, whose spectrum is the sorted Kronecker product of their spectra.
     """
     parts = session.channels.parts
@@ -269,7 +274,7 @@ def _round_spectra(
             for v in victims
         ]
         return output_spectrum(session.channels, session.plaintext), shares
-    outputs = [output_spectrum(ChannelFamily((part,)), rho) for part, rho in zip(parts, factors)]
+    outputs = [output_spectrum(ChannelFamily((part,)), psi) for part, psi in zip(parts, factors)]
     view = np.sort(functools.reduce(np.multiply.outer, outputs), axis=None)
     return view, [outputs[v] for v in victims]
 

@@ -145,6 +145,8 @@ def test_apply_output_invariants():
 def test_apply_dimension_mismatch():
     with pytest.raises(ValueError):
         apply(sample_ruc(3, 2, stream(8)), np.eye(4) / 4)
+    with pytest.raises(ValueError):
+        apply(sample_ruc(3, 2, stream(8)), np.array([1.0, 0.0]))  # a pure input
 
 
 def test_apply_product_matches_brute_force_double_sum():
@@ -187,6 +189,8 @@ def test_apply_product_dimension_mismatch():
     fam = ChannelFamily((identity_channel(2), identity_channel(2)))
     with pytest.raises(ValueError):
         apply_product(fam, np.eye(6) / 6)
+    with pytest.raises(ValueError, match="a pure input needs a one-part family, got 2 parts"):
+        apply_product(fam, np.array([1.0, 0.0, 0.0, 0.0]))
 
 
 def embed(u, dims, k):

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import aqss
-from aqss import analysis, cli
+from aqss import analysis, channels, cli
 from aqss.cli import (
     CSV_COLUMNS,
     Metric,
@@ -468,3 +468,25 @@ def test_product_plaintexts_reach_the_audit_as_factors(argv, factored):
     assert len(sessions) == 2
     for session in sessions:
         assert (session.plaintext_factors is not None) == factored
+
+
+@pytest.mark.parametrize(
+    "argv, builds",
+    [
+        (["aqss-demo", "--d", "4", "--trials", "2"], 0),
+        (["multiparty", "--d", "3", "--m", "3", "--perfect", "--trials", "1"], 0),
+        (["bound-sweep", "--d", "2", "--n", "4", "--trials", "10"], 2 * 10),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else None,
+)
+def test_superoperator_builds_per_run(argv, builds, monkeypatch, capsys):
+    # The audit reads every pure factor output from its unitary stack, so the
+    # protocol commands build no superoperator; the Monte Carlo estimator maps
+    # joint states and builds both channels' per trial. On one reported core
+    # every trial runs in this process, where the builds are counted.
+    superoperator = channels.RandomUnitaryChannel.__dict__["superoperator"]
+    build, built = superoperator.func, []
+    monkeypatch.setattr(superoperator, "func", lambda channel: built.append(1) or build(channel))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    run_cli([*argv, "--seed", "0"], capsys)
+    assert len(built) == builds

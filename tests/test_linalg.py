@@ -1,6 +1,8 @@
 import functools
 import itertools
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -158,6 +160,40 @@ def test_trace_norm_refuses_non_hermitian_input():
     # Anti-Hermitian drift within HERMITIAN_TOL is measured on the Hermitian part.
     drift = 4e-11j * np.array([[0.0, 1.0], [1.0, 0.0]])
     assert linalg.trace_norm(np.diag([0.5, -0.5]) + drift) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_the_last_row_block_is_checked_for_hermiticity():
+    # The deviation is taken row block by row block. A NaN on the diagonal of
+    # the last block stays in that block, and Python's max(0.0, nan) is 0.0.
+    d = 1024
+    x = np.eye(d, dtype=complex) / d
+    x[-1, -1] = np.nan
+    with pytest.raises(ValueError, match="not Hermitian: max \\|M - M†\\| = nan"):
+        linalg.trace_norm(x)
+    for check in (linalg.assert_density_matrix, linalg.validated):
+        with pytest.raises(ValueError, match="non-finite"):
+            check(x)
+    # A finite deviation there is reported at the whole matrix's max |M - M†|.
+    x[-1, -1] = 1.0 / d
+    x[-1, -2] = 3e-10
+    dev = np.abs(x - x.conj().T).max()
+    for check in (linalg.trace_norm, linalg.assert_density_matrix, linalg.validated):
+        with pytest.raises(ValueError, match=re.escape(f"max |M - M†| = {dev:.3e}")):
+            check(x)
+
+
+def test_trace_norm_holds_one_hermitian_part_beside_its_argument():
+    # The Hermitian part is D x D; the check adds one row block, not two D x D
+    # temporaries (2.5 D x D in all before the check was taken in blocks).
+    d = 1024
+    x = random_hermitian(d, stream(35))
+    tracemalloc.start()
+    try:
+        linalg.trace_norm(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * x.nbytes
 
 
 def test_assert_density_matrix_returns_the_spectrum_it_checked():

@@ -50,9 +50,9 @@ def perfect_family(d, m=2):
     return ChannelFamily(tuple(perfect_pqc(d) for _ in range(m)))
 
 
-def factor_states(dims, rng):
-    """The factor states of one Haar product plaintext."""
-    return tuple(np.outer(z[0], z[0].conj()) for z in haar_factors(dims, 1, rng))
+def factor_vectors(dims, rng):
+    """The factor unit vectors of one Haar product plaintext."""
+    return tuple(z[0] for z in haar_factors(dims, 1, rng))
 
 
 def bipartite_states(d, count, rng):
@@ -250,8 +250,8 @@ def test_outsider_view_is_the_average_over_every_key_encode_draws(stacks, exteri
     m, dim = len(stacks), 2 ** len(stacks)
     family = ChannelFamily(tuple(RandomUnitaryChannel(np.array(s)) for s in stacks))
     cfg = small_config(2, n=max(part.n for part in family.parts), m=m)
-    zero = np.diag([1.0, 0.0]).astype(complex)
-    plaintext = functools.reduce(np.kron, [zero] * m)
+    zero = np.array([1.0, 0.0])
+    plaintext = np.diag(functools.reduce(np.kron, [zero] * m)).astype(complex)
     tuples = list(itertools.product(*(range(part.n) for part in family.parts)))
     average = np.zeros((dim, dim), dtype=complex)
     for keys in tuples:
@@ -451,7 +451,7 @@ def test_audit_victim_matches_the_collusion_reference(m, perfect, plaintext):
 )
 def test_audit_refuses_a_bad_victim_before_measuring(victim, plaintext, monkeypatch):
     rng = stream(84)
-    rho = random_pure_state(8, rng) if plaintext == "dense" else factor_states((2,) * 3, rng)
+    rho = random_pure_state(8, rng) if plaintext == "dense" else factor_vectors((2,) * 3, rng)
     session = charlie_encode(small_config(2, n=2, m=3), rho, rng)
 
     def unreachable(*args):
@@ -477,13 +477,13 @@ def test_factored_audit_matches_the_dense_reference(m, perfect):
         family = ChannelFamily(tuple(sample_ruc(d, 6, rng) for _ in range(m)))
     config = ProtocolConfig(d=d, parties=m, n_per_channel=family.parts[0].n)
     sessions = [
-        charlie_encode(config, factor_states(dims, rng), rng, channels=family) for _ in range(2)
+        charlie_encode(config, factor_vectors(dims, rng), rng, channels=family) for _ in range(2)
     ]
     dense = [dataclasses.replace(s, plaintext_factors=None) for s in sessions]
     for session, reference in zip(sessions, dense):
-        for k, factor in enumerate(session.plaintext_factors):
+        for k, psi in enumerate(session.plaintext_factors):
             marginal = linalg.partial_trace(session.plaintext, dims, keep=k)
-            assert np.abs(factor - marginal).max() <= 1e-14
+            assert np.abs(np.outer(psi, psi.conj()) - marginal).max() <= 1e-14
         view, shares = protocol._round_spectra(session, range(m))
         dense_view, dense_shares = protocol._round_spectra(reference, range(m))
         exact = np.linalg.eigvalsh(exterior_adversary_view(session))
@@ -500,10 +500,11 @@ def test_factored_audit_matches_the_dense_reference(m, perfect):
 
 def test_encode_forms_the_plaintext_from_its_factors():
     rng = stream(86)
-    factors = factor_states((2, 2, 2), rng)
+    factors = factor_vectors((2, 2, 2), rng)
     session = charlie_encode(small_config(2, n=2, m=3), factors, rng)
     assert session.plaintext_factors is factors
-    assert np.array_equal(session.plaintext, np.kron(np.kron(factors[0], factors[1]), factors[2]))
+    psi = np.kron(np.kron(factors[0], factors[1]), factors[2])
+    assert np.array_equal(session.plaintext, np.outer(psi, psi.conj()))
     dense = charlie_encode(small_config(2, n=2, m=3), session.plaintext, rng)
     assert dense.plaintext_factors is None
 
@@ -511,15 +512,15 @@ def test_encode_forms_the_plaintext_from_its_factors():
 def test_encode_refuses_a_bad_factor_tuple():
     rng = stream(87)
     cfg = small_config(2, n=2, m=3)
-    factors = factor_states((2, 2, 2), rng)
-    with pytest.raises(ValueError, match="expected 3 factor states of shape \\(2, 2\\)"):
+    factors = factor_vectors((2, 2, 2), rng)
+    with pytest.raises(ValueError, match="expected 3 factor vectors of shape \\(2,\\)"):
         charlie_encode(cfg, factors[:2], rng)
-    with pytest.raises(ValueError, match="expected 3 factor states"):
+    with pytest.raises(ValueError, match="expected 3 factor vectors"):
         charlie_encode(cfg, factors + factors[:1], rng)
-    with pytest.raises(ValueError, match="expected 3 factor states"):
-        charlie_encode(cfg, factors[:2] + (np.eye(3) / 3,), rng)
-    with pytest.raises(ValueError, match="expected 3 factor states"):
-        charlie_encode(cfg, factors[:2] + (np.full(2, 0.5),), rng)
+    with pytest.raises(ValueError, match="expected 3 factor vectors"):
+        charlie_encode(cfg, factors[:2] + (np.full(3, 3**-0.5),), rng)
+    with pytest.raises(ValueError, match="expected 3 factor vectors"):
+        charlie_encode(cfg, factors[:2] + (np.eye(2) / 2,), rng)
 
 
 def test_resource_guard_runs_before_the_joint_plaintext_is_formed(monkeypatch):
@@ -529,7 +530,7 @@ def test_resource_guard_runs_before_the_joint_plaintext_is_formed(monkeypatch):
     monkeypatch.setattr(protocol.np, "kron", unreachable)
     cfg = ProtocolConfig(d=2, epsilon=0.5, parties=11, n_per_channel=2)
     with pytest.raises(ResourceGuardError, match="joint dimension"):
-        charlie_encode(cfg, (np.eye(2) / 2,) * 11, stream(88))
+        charlie_encode(cfg, (np.array([1.0, 0.0]),) * 11, stream(88))
 
 
 def test_audit_refuses_no_victims_before_drawing_a_round():
