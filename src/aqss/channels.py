@@ -36,7 +36,8 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .random import CHUNK_ENTRIES, haar_unitaries, weyl_heisenberg_operators
+from .linalg import CHUNK_ENTRIES
+from .random import haar_unitaries, weyl_heisenberg_operators
 
 
 def required_n(d: int, epsilon: float) -> int:

@@ -26,6 +26,9 @@ import numpy as np
 HERMITIAN_TOL = 1e-10
 TRACE_TOL = 1e-10
 EIGENVALUE_TOL = 1e-10
+# Matrix entries per chunk of a chunked pass (a QR, a unitarity or Hermiticity
+# check, a superoperator GEMM): 65536 complex entries, 1 MiB.
+CHUNK_ENTRIES = 1 << 16
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
@@ -45,8 +48,6 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
     so the check holds one block of temporaries beside (M + M†)/2; each
     block's max starts from the running one (numpy's max keeps a NaN, where
     Python's max could drop it)."""
-    from .random import CHUNK_ENTRIES  # here, so the base kernel imports no sibling
-
     assert_square(m)
     h = hermitize(m)
     step = max(1, CHUNK_ENTRIES // max(1, len(m)))

@@ -8,13 +8,17 @@ strict subset (or an outsider with no keys at all) is left with a
 key-averaged state, which the analysis module measures against the
 maximally mixed target.
 
-A pure product plaintext can be handed over as its m factor vectors. The
-session then keeps them, and the audit measures the outsider and every
-victim from the factors' channel outputs: the product channel maps a product
-state to the product of the factor outputs, so no D x D view is formed or
-decomposed, and each factor output is read from its channel's unitary stack,
-so no superoperator is built. Any other plaintext is measured on the dense
-D x D path, the reference that the factored one is pinned to.
+A pure product plaintext can be handed over as its m factor vectors, and
+then it travels as factors from encoding to the audit. Each receiver's key
+conjugates that receiver's factor alone, so the ciphertext and the decoded
+state are the m vectors U psi_k and U† phi_k, and no D x D matrix is formed.
+The audit measures the outsider and every victim from the factors' channel
+outputs: the product channel maps a product state to the product of the
+factor outputs, and each factor output is read from its channel's unitary
+stack, so no superoperator is built. The round trip compares the two
+product vectors psi and phi inside their span, where the difference of
+their projectors is a 2 x 2 matrix. Any other plaintext is measured on the
+dense D x D path, the reference that the factored one is pinned to.
 """
 
 from __future__ import annotations
@@ -79,17 +83,17 @@ class AqssSession:
     """One concrete run: channels, plaintext, drawn keys and the ciphertext.
 
     The receivers are channels.parts, and their dimensions channels.dims.
-    plaintext_factors holds the m unit vectors psi_k of shape (d,) of a pure
-    product plaintext, which is outer(psi, conj(psi)) with psi their Kronecker
-    product, and is None for any other plaintext.
+    The plaintext and the ciphertext are both D x D states, or both m-tuples
+    of unit vectors of shape (d,): the factors psi_k of a pure product
+    plaintext, which is outer(psi, conj(psi)) with psi their Kronecker
+    product, and the encoded factors U_k psi_k.
     Two sessions are equal only when they are the same object.
     """
 
     channels: ChannelFamily
-    plaintext: np.ndarray
+    plaintext: np.ndarray | tuple[np.ndarray, ...]
     key_indices: tuple[int, ...]
-    ciphertext: np.ndarray
-    plaintext_factors: tuple[np.ndarray, ...] | None = None
+    ciphertext: np.ndarray | tuple[np.ndarray, ...]
 
 
 @dataclass(frozen=True)
@@ -128,11 +132,11 @@ def charlie_encode(
     """Sender-side encoding: one key per receiver, joint unitary conjugation.
 
     The plaintext is a d^m x d^m state, or a tuple of the m unit vectors of
-    shape (d,) of a pure product plaintext; the joint plaintext of a tuple is
-    outer(psi, conj(psi)) with psi their Kronecker product, and the session
-    keeps the vectors. Samples the per-receiver channels unless pre-built
-    ones are supplied, draws each key index uniformly, and conjugates the
-    plaintext by the selected unitaries.
+    shape (d,) of a pure product plaintext. Samples the per-receiver channels
+    unless pre-built ones are supplied, draws each key index uniformly, and
+    conjugates the plaintext by the selected unitaries. The ciphertext has
+    the plaintext's form: the D x D state conjugated factor by factor, or the
+    tuple of vectors U_k psi_k, m d^2 work with no joint state formed.
     The resource guard counts the unitaries of the channels used, pre-built
     or to be sampled, and raises ResourceGuardError before anything is
     sampled or any joint matrix is formed; a plaintext of the wrong shape or
@@ -141,16 +145,13 @@ def charlie_encode(
     guard(config, None if channels is None else max(part.n for part in channels.parts))
     m = config.parties
     dims = (config.d,) * m
-    factors = None
-    if isinstance(plaintext, tuple):
-        factors = plaintext
-        if len(factors) != m or any(np.shape(f) != (config.d,) for f in factors):
+    factored = isinstance(plaintext, tuple)
+    if factored:
+        if len(plaintext) != m or any(np.shape(f) != (config.d,) for f in plaintext):
             raise ValueError(
                 f"expected {m} factor vectors of shape {(config.d,)}, got shapes "
-                f"{[np.shape(f) for f in factors]}"
+                f"{[np.shape(f) for f in plaintext]}"
             )
-        psi = functools.reduce(np.kron, factors)
-        plaintext = np.outer(psi, psi.conj())
     elif plaintext.shape != (config.d**m,) * 2:  # d^m is within the guard here
         raise ValueError(f"plaintext shape {plaintext.shape} does not match d^m = {config.d**m}")
     if channels is None:
@@ -162,35 +163,73 @@ def charlie_encode(
             f"channel dims {channels.dims} do not match protocol dims {dims}"
         )
     keys = tuple(int(rng.integers(part.n)) for part in channels.parts)
-    ciphertext = plaintext
-    for k, part in enumerate(channels.parts):
-        ciphertext = conjugate_subsystem(ciphertext, dims, k, part.unitaries[keys[k]])
+    keyed = [part.unitaries[key] for part, key in zip(channels.parts, keys)]
+    if factored:
+        ciphertext = tuple(u @ psi for u, psi in zip(keyed, plaintext))
+    else:
+        ciphertext = plaintext
+        for k, u in enumerate(keyed):
+            ciphertext = conjugate_subsystem(ciphertext, dims, k, u)
     return AqssSession(
-        channels=channels,
-        plaintext=plaintext,
-        key_indices=keys,
-        ciphertext=ciphertext,
-        plaintext_factors=factors,
+        channels=channels, plaintext=plaintext, key_indices=keys, ciphertext=ciphertext
     )
 
 
-def cooperate_decode(session: AqssSession) -> np.ndarray:
+def cooperate_decode(session: AqssSession) -> np.ndarray | tuple[np.ndarray, ...]:
     """Joint decoding with the session's keys; exact inverse of the encoding.
 
+    Returns the ciphertext's form: the D x D state, or the tuple of vectors
+    U_k† phi_k of a factored session.
     Receivers that bring other keys are a session that holds those keys,
     dataclasses.replace(session, key_indices=...). Every receiver's key is
     required, so a key count other than m, or a key that is not an integer in
-    [0, n) (a missing None key included), is a ValueError.
+    [0, n) (a missing None key included), is a ValueError, raised before
+    anything is decoded.
     """
     keys, parts, dims = session.key_indices, session.channels.parts, session.channels.dims
     if len(keys) != len(parts):
         raise ValueError(f"expected {len(parts)} keys, got {len(keys)}")
-    state = session.ciphertext
-    for k, (part, key) in enumerate(zip(parts, keys)):
+    for part, key in zip(parts, keys):
         if not isinstance(key, (int, np.integer)) or not 0 <= key < part.n:
             raise ValueError(f"key index {key!r} is not an integer in [0, {part.n})")
-        state = conjugate_subsystem(state, dims, k, part.unitaries[key].conj().T)
+    inverses = [part.unitaries[key].conj().T for part, key in zip(parts, keys)]
+    if isinstance(session.ciphertext, tuple):
+        return tuple(u @ phi for u, phi in zip(inverses, session.ciphertext))
+    state = session.ciphertext
+    for k, u in enumerate(inverses):
+        state = conjugate_subsystem(state, dims, k, u)
     return state
+
+
+def _product(vectors: Sequence[np.ndarray]) -> np.ndarray:
+    """Kronecker product of the factor vectors, factor 0 leftmost."""
+    return functools.reduce(np.kron, vectors)
+
+
+def _joint_plaintext(session: AqssSession) -> np.ndarray:
+    """The session's plaintext as a D x D state, formed from its factors when
+    it has them; the attack functions, which act on joint states, read it."""
+    if not isinstance(session.plaintext, tuple):
+        return session.plaintext
+    psi = _product(session.plaintext)
+    return np.outer(psi, psi.conj())
+
+
+def _round_trip(session: AqssSession) -> float:
+    """Trace distance ||decoded - plaintext||_1 of the session's round trip.
+
+    For factored sessions, psi psi† - phi phi† with psi and phi the two
+    product vectors lives in span{psi, phi}. It is measured there, in the
+    orthonormal basis Q of a D x 2 QR, as a 2 x 2 matrix with the same
+    nonzero spectrum, so nothing of size D x D is formed.
+    """
+    decoded = cooperate_decode(session)
+    if not isinstance(decoded, tuple):
+        return linalg.trace_norm(decoded - session.plaintext)
+    psi, phi = _product(session.plaintext), _product(decoded)
+    q = np.linalg.qr(np.stack([psi, phi], axis=1))[0]
+    a, b = q.conj().T @ psi, q.conj().T @ phi
+    return linalg.trace_norm(np.outer(b, b.conj()) - np.outer(a, a.conj()))
 
 
 def exterior_adversary_view(session: AqssSession) -> np.ndarray:
@@ -200,7 +239,7 @@ def exterior_adversary_view(session: AqssSession) -> np.ndarray:
     each is uniform over its stack, so averaging the encoding over all key
     tuples gives exactly the product-channel output.
     """
-    return apply_product(session.channels, session.plaintext)
+    return apply_product(session.channels, _joint_plaintext(session))
 
 
 def collusion_attack(session: AqssSession, colluders) -> np.ndarray:
@@ -220,7 +259,7 @@ def collusion_attack(session: AqssSession, colluders) -> np.ndarray:
     if len(set(colluders)) == m:
         raise ValueError("all receivers together should use cooperate_decode")
     dims = session.channels.dims
-    state = session.plaintext
+    state = _joint_plaintext(session)
     for k in range(m):
         if k not in colluders:
             state = apply_at(session.channels.parts[k], state, dims, k)
@@ -237,7 +276,7 @@ def interior_attack_bob(session: AqssSession) -> tuple[np.ndarray, np.ndarray]:
     dims = session.channels.dims
     if len(dims) != 2:
         raise ValueError(f"interior two-party attack needs exactly 2 receivers, got {len(dims)}")
-    marginal = linalg.partial_trace(session.plaintext, dims, keep=0)
+    marginal = linalg.partial_trace(_joint_plaintext(session), dims, keep=0)
     return collusion_attack(session, [1]), apply(session.channels.parts[0], marginal)
 
 
@@ -258,14 +297,13 @@ def _round_spectra(
     The outsider's view is the key average, the product-channel output. The
     victim's channel, the only honest one when all the other receivers
     collude, acts on the victim's factor, so the victim's share is that
-    channel on the plaintext marginal. With plaintext factors, the marginal is
-    the victim's pure factor, whose output output_spectrum reads from the
+    channel on the plaintext marginal. With a factored plaintext, the marginal
+    is the victim's pure factor, whose output output_spectrum reads from the
     unitary stack, and the view is the Kronecker product of the factor
     outputs, whose spectrum is the sorted Kronecker product of their spectra.
     """
     parts = session.channels.parts
-    factors = session.plaintext_factors
-    if factors is None:
+    if not isinstance(session.plaintext, tuple):
         dims = session.channels.dims
         shares = [
             output_spectrum(
@@ -274,7 +312,9 @@ def _round_spectra(
             for v in victims
         ]
         return output_spectrum(session.channels, session.plaintext), shares
-    outputs = [output_spectrum(ChannelFamily((part,)), psi) for part, psi in zip(parts, factors)]
+    outputs = [
+        output_spectrum(ChannelFamily((part,)), psi) for part, psi in zip(parts, session.plaintext)
+    ]
     view = np.sort(functools.reduce(np.multiply.outer, outputs), axis=None)
     return view, [outputs[v] for v in victims]
 
@@ -285,8 +325,10 @@ def audit(sessions: Iterable[AqssSession], victims: Sequence[int]) -> AuditRepor
     distance from 1/d on its marginal while all the other receivers collude.
 
     No joint state of colluders is formed for a victim (see _round_spectra).
-    A session with plaintext factors is measured through them, and only the
-    round trip, which measures a different matrix, decomposes a D x D matrix.
+    A factored session is measured through its factors from end to end: its
+    round trip is a 2 x 2 trace norm (see _round_trip), and no D x D matrix
+    is formed or decomposed. A dense session's round trip decomposes the
+    D x D difference, the reference for the factored one.
     A victim not in [0, m) is refused before its round measures anything, and
     no victims or no rounds, which would read as a perfect score, are refused.
     """
@@ -297,11 +339,8 @@ def audit(sessions: Iterable[AqssSession], victims: Sequence[int]) -> AuditRepor
     for rounds, session in enumerate(sessions, 1):
         dims = session.channels.dims
         for v in victims:  # refused before the round measures anything
-            linalg.factor_layout(len(session.plaintext), dims, v)
-        round_trip = max(
-            round_trip,
-            linalg.trace_norm(cooperate_decode(session) - session.plaintext),
-        )
+            linalg.factor_layout(math.prod(dims), dims, v)
+        round_trip = max(round_trip, _round_trip(session))
         spectrum, shares = _round_spectra(session, victims)
         exterior = max(exterior, linalg.distance_from_mixed(spectrum))
         deficit = max(deficit, math.log2(len(spectrum)) - linalg.spectrum_entropy(spectrum))

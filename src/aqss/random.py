@@ -41,8 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-# Matrix entries per QR or unitarity-check chunk: 65536 complex entries, 1 MiB.
-CHUNK_ENTRIES = 1 << 16
+from .linalg import CHUNK_ENTRIES
 
 
 def stream(master_seed: int, stream_id: int = 0) -> np.random.Generator:

@@ -128,6 +128,22 @@ def test_randomize_holds_one_probe_at_a_time(capsys):
     assert peaks[1] - peaks[0] <= 0.5e6, peaks
 
 
+def test_factored_multiparty_forms_no_joint_matrix(capsys):
+    # D = 4^5 = 1024: one D x D complex matrix is 16 MiB. A product plaintext
+    # travels as its factor vectors from encoding through the audit, so the
+    # whole run peaks far below a single joint matrix.
+    argv = ["multiparty", "--d", "4", "--m", "5", "--perfect", "--trials", "1", "--seed", "0"]
+    tracemalloc.start()
+    try:
+        rc = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert rc == 0
+    assert peak < 2 * 2**20, peak
+
+
 def test_usage_error_exit_code(capsys):
     rc, _, _ = run_cli(["bound-sweep", "--d", "4", "--epsilon", "1.5", "--seed", "1"], capsys)
     assert rc == 2
@@ -461,13 +477,15 @@ def test_family_choices_are_the_library_input_families():
 )
 def test_product_plaintexts_reach_the_audit_as_factors(argv, factored):
     # Every m > 2 plaintext and the m = 2 product-pure default are products and
-    # are handed over as factor states; the entangled families stay dense.
+    # travel as factor vectors, ciphertext included; the entangled families
+    # stay dense.
     args = build_parser().parse_args([*argv, "--perfect", "--trials", "2", "--seed", "4"])
     (cfg,) = cli._grid(args)
     sessions = list(cli._session_rounds(cfg))
     assert len(sessions) == 2
     for session in sessions:
-        assert (session.plaintext_factors is not None) == factored
+        assert isinstance(session.plaintext, tuple) == factored
+        assert isinstance(session.ciphertext, tuple) == factored
 
 
 @pytest.mark.parametrize(

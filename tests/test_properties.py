@@ -28,6 +28,36 @@ from aqss.random import haar_factors, haar_unitaries, map_trials, random_pure_st
 fixed = settings(derandomize=True, database=None, deadline=None)
 
 
+def joint(state):
+    """A state as a D x D matrix: a tuple of factor vectors becomes the
+    projector onto their Kronecker product, factor 0 leftmost."""
+    if not isinstance(state, tuple):
+        return state
+    psi = functools.reduce(np.kron, state)
+    return np.outer(psi, psi.conj())
+
+
+class FixedKeys:
+    """Stands in for the generator charlie_encode draws its keys from."""
+
+    def __init__(self, keys):
+        self.keys = iter(keys)
+
+    def integers(self, n):
+        return next(self.keys)
+
+
+def dense_twin(session, keys=None):
+    """The session's plaintext encoded as one D x D state on the same
+    channels with the same keys: the dense path, the reference."""
+    dims = session.channels.dims
+    config = ProtocolConfig(d=dims[0], parties=len(dims))
+    twin = charlie_encode(
+        config, joint(session.plaintext), FixedKeys(session.key_indices), channels=session.channels
+    )
+    return twin if keys is None else dataclasses.replace(twin, key_indices=keys)
+
+
 @fixed
 @given(
     m=st.sampled_from([2, 3]),
@@ -47,12 +77,14 @@ def test_decode_inverts_the_kronecker_product_of_the_keys_it_holds(m, d, seed, f
     else:
         plaintext = random_pure_state(d**m, rng)
     session = charlie_encode(ProtocolConfig(d=d, parties=m), plaintext, rng, channels=family)
+    ciphertext = joint(session.ciphertext)
     drawn = tuple(data.draw(st.integers(0, len(p) - 1)) for p in picks)
     for keys in (drawn, session.key_indices):
         w = functools.reduce(np.kron, [part.unitaries[k] for part, k in zip(family.parts, keys)])
         decoded = cooperate_decode(dataclasses.replace(session, key_indices=keys))
-        assert np.abs(decoded - w.conj().T @ session.ciphertext @ w).max() <= 1e-12
-    assert np.abs(decoded - session.plaintext).max() <= 1e-12
+        assert isinstance(decoded, tuple) == factored
+        assert np.abs(joint(decoded) - w.conj().T @ ciphertext @ w).max() <= 1e-12
+    assert np.abs(joint(decoded) - joint(session.plaintext)).max() <= 1e-12
 
 
 @fixed
@@ -141,7 +173,7 @@ def test_a_pure_input_output_is_the_superoperator_output(d, seed, data):
     data=st.data(),
 )
 def test_the_factored_audit_is_the_dense_audit(m, d, seed, data):
-    # The same sessions without their factor vectors take the dense D x D path.
+    # The same plaintexts encoded as D x D states take the dense path.
     # With few unitaries the view is rank deficient, and -lam log2 lam of the
     # dense spectrum's rounding noise moves the entropy deficit by up to 1e-13
     # at D = 243, so it is held to the outputs' 1e-12.
@@ -153,9 +185,9 @@ def test_the_factored_audit_is_the_dense_audit(m, d, seed, data):
     for _ in range(2):
         factors = tuple(z[0] for z in haar_factors((d,) * m, 1, rng))
         sessions.append(charlie_encode(config, factors, rng, channels=family))
-    dense = [dataclasses.replace(s, plaintext_factors=None) for s in sessions]
+    dense = [dense_twin(s) for s in sessions]
     fast, slow = audit(sessions, range(m)), audit(dense, range(m))
-    assert fast.round_trip == slow.round_trip
+    assert abs(fast.round_trip - slow.round_trip) <= 1e-13
     assert abs(fast.entropy_deficit - slow.entropy_deficit) <= 1e-12
     for name in ("exterior", "victim"):
         assert abs(getattr(fast, name) - getattr(slow, name)) <= 1e-14, name
@@ -164,3 +196,28 @@ def test_the_factored_audit_is_the_dense_audit(m, d, seed, data):
         for share, dense_share in zip(shares, protocol._round_spectra(reference, range(m))[1]):
             distances = [linalg.distance_from_mixed(x) for x in (share, dense_share)]
             assert abs(distances[0] - distances[1]) <= 1e-14
+
+
+@settings(fixed, max_examples=30)
+@given(
+    m=st.integers(2, 5),
+    d=st.sampled_from([2, 3]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_the_factored_round_trip_is_the_dense_round_trip(m, d, seed, data):
+    # The factored round trip compares two product vectors in their 2-D span;
+    # the dense one decomposes the D x D difference. With the session's own
+    # keys both read rounding noise; with another key tuple the decoded state
+    # is usually far from the plaintext (about 1.99 at D = 243), so the two
+    # paths are compared where the distance is not 0.
+    rng = stream(seed)
+    stacks = [stack_with_repeats(d, data.draw(st.integers(1, 5)), rng, data) for _ in range(m)]
+    family = ChannelFamily(tuple(RandomUnitaryChannel(u) for u in stacks))
+    factors = tuple(z[0] for z in haar_factors((d,) * m, 1, rng))
+    session = charlie_encode(ProtocolConfig(d=d, parties=m), factors, rng, channels=family)
+    other = tuple(data.draw(st.integers(0, len(u) - 1)) for u in stacks)
+    for keys in (session.key_indices, other):
+        fast = audit([dataclasses.replace(session, key_indices=keys)], [0]).round_trip
+        slow = audit([dense_twin(session, keys)], [0]).round_trip
+        assert abs(fast - slow) <= 1e-13, (keys, fast, slow)

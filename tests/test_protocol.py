@@ -466,8 +466,9 @@ def test_audit_refuses_a_bad_victim_before_measuring(victim, plaintext, monkeypa
 @pytest.mark.parametrize("m", [2, 3, 5])
 @pytest.mark.parametrize("perfect", [True, False], ids=["perfect", "sampled"])
 def test_factored_audit_matches_the_dense_reference(m, perfect):
-    # A product plaintext is measured through its factors; the same session
-    # without them is measured on the dense D x D path, the reference.
+    # A product plaintext is measured through its factors; the same plaintext
+    # encoded as a D x D state with the same keys is measured on the dense
+    # path, the reference.
     d = 3 if m < 5 else 2
     dims = (d,) * m
     rng = stream(85, 2 * m + int(perfect))
@@ -479,10 +480,14 @@ def test_factored_audit_matches_the_dense_reference(m, perfect):
     sessions = [
         charlie_encode(config, factor_vectors(dims, rng), rng, channels=family) for _ in range(2)
     ]
-    dense = [dataclasses.replace(s, plaintext_factors=None) for s in sessions]
+    dense = [
+        charlie_encode(config, protocol._joint_plaintext(s), FixedKeys(s.key_indices),
+                       channels=family)
+        for s in sessions
+    ]
     for session, reference in zip(sessions, dense):
-        for k, psi in enumerate(session.plaintext_factors):
-            marginal = linalg.partial_trace(session.plaintext, dims, keep=k)
+        for k, psi in enumerate(session.plaintext):
+            marginal = linalg.partial_trace(reference.plaintext, dims, keep=k)
             assert np.abs(np.outer(psi, psi.conj()) - marginal).max() <= 1e-14
         view, shares = protocol._round_spectra(session, range(m))
         dense_view, dense_shares = protocol._round_spectra(reference, range(m))
@@ -493,20 +498,56 @@ def test_factored_audit_matches_the_dense_reference(m, perfect):
             distances = [linalg.distance_from_mixed(x) for x in (share, dense_share)]
             assert abs(distances[0] - distances[1]) <= 1e-14
     fast, slow = audit(sessions, range(m)), audit(dense, range(m))
-    assert fast.round_trip == slow.round_trip
+    assert abs(fast.round_trip - slow.round_trip) <= 1e-13
     for name in ("exterior", "entropy_deficit", "victim"):
         assert abs(getattr(fast, name) - getattr(slow, name)) <= 1e-14, name
 
 
 def test_encode_forms_the_plaintext_from_its_factors():
+    # The session keeps the factors, and the ciphertext is each factor under
+    # its own receiver's key. The attack functions read the joint plaintext,
+    # formed with factor 0 leftmost, and see what they see on the dense
+    # session with the same keys.
     rng = stream(86)
     factors = factor_vectors((2, 2, 2), rng)
-    session = charlie_encode(small_config(2, n=2, m=3), factors, rng)
-    assert session.plaintext_factors is factors
+    config = small_config(2, n=3, m=3)
+    family = ChannelFamily(tuple(sample_ruc(2, 3, rng) for _ in range(3)))
+    session = charlie_encode(config, factors, FixedKeys((2, 0, 1)), channels=family)
+    assert session.plaintext is factors
+    for k, key in enumerate((2, 0, 1)):
+        assert np.array_equal(session.ciphertext[k], family.parts[k].unitaries[key] @ factors[k])
     psi = np.kron(np.kron(factors[0], factors[1]), factors[2])
-    assert np.array_equal(session.plaintext, np.outer(psi, psi.conj()))
-    dense = charlie_encode(small_config(2, n=2, m=3), session.plaintext, rng)
-    assert dense.plaintext_factors is None
+    assert np.array_equal(protocol._joint_plaintext(session), np.outer(psi, psi.conj()))
+    dense = charlie_encode(config, np.outer(psi, psi.conj()), FixedKeys((2, 0, 1)),
+                           channels=family)
+    assert not isinstance(dense.ciphertext, tuple)
+    assert np.abs(exterior_adversary_view(session) - exterior_adversary_view(dense)).max() <= 1e-14
+    for colluders in ((0,), (1, 2)):
+        joint = collusion_attack(session, colluders)
+        assert np.abs(joint - collusion_attack(dense, colluders)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("factored", [True, False], ids=["factored", "dense"])
+def test_decode_checks_every_key_before_decoding(factored, monkeypatch):
+    rng = stream(89)
+    factors = factor_vectors((2, 2, 2), rng)
+    psi = functools.reduce(np.kron, factors)
+    plaintext = factors if factored else np.outer(psi, psi.conj())
+    session = charlie_encode(small_config(2, n=2, m=3), plaintext, rng)
+    decoded = cooperate_decode(session)
+    assert isinstance(decoded, tuple) == factored
+    if factored:
+        for psi, phi in zip(session.plaintext, decoded):
+            assert np.abs(psi - phi).max() <= 1e-14
+
+    def unreachable(*args):
+        raise AssertionError("a factor was decoded before every key was checked")
+
+    monkeypatch.setattr(protocol, "conjugate_subsystem", unreachable)
+    with pytest.raises(ValueError, match="key index 2 is not an integer"):
+        cooperate_decode(dataclasses.replace(session, key_indices=(0, 1, 2)))
+    with pytest.raises(ValueError, match="expected 3 keys"):
+        cooperate_decode(dataclasses.replace(session, key_indices=(0, 1)))
 
 
 def test_encode_refuses_a_bad_factor_tuple():

@@ -29,19 +29,20 @@ def traced_calls(*argv, exit_code=0):
 
 def test_traced_multiparty_run_is_clean():
     calls = traced_calls("multiparty", "--d", "2", "--m", "3", "--perfect", "--seed", "9")
-    # Three rounds (the default) of m = 3: each round's encoding and decoding
-    # conjugate every factor once. The plaintext is a product, measured through
-    # its factors: each victim's share is its own channel on its factor, so
-    # no marginal is traced out, no channel is applied to one factor of a
-    # joint state and no colluders' joint state is formed.
-    assert calls["channels.conjugate_subsystem"] == 18
+    # Three rounds (the default) of m = 3. The plaintext is a product and
+    # travels as its factor vectors: encoding and decoding multiply each
+    # vector by its key, so no joint state is conjugated. Each victim's share
+    # is its own channel on its factor, so no marginal is traced out, no
+    # channel is applied to one factor of a joint state and no colluders'
+    # joint state is formed.
+    assert calls["channels.conjugate_subsystem"] == 0
     assert calls["channels.apply_at"] == 0
     assert calls["protocol.collusion_attack"] == 0
     assert calls["linalg.partial_trace"] == 0
     # linalg.spectral_calls_per_state is computed from these two counts.
     # Three rounds (the default), each decomposing the three factor outputs,
     # which give the exterior view and the victims' shares. Only the round
-    # trip takes a trace norm.
+    # trip takes a trace norm, of a 2 x 2 matrix.
     assert calls["linalg.assert_density_matrix"] == 9
     assert calls["linalg.trace_norm"] == 3
 
@@ -65,6 +66,11 @@ def test_traced_entangled_demo_keeps_the_dense_path():
     assert calls["linalg.partial_trace"] == 5
     assert calls["linalg.assert_density_matrix"] == 10
     assert calls["protocol.collusion_attack"] == 0
+    # The mixture travels as a D x D state: each round's encoding and
+    # decoding conjugate both factors once, and its round trip takes one
+    # trace norm of the D x D difference.
+    assert calls["channels.conjugate_subsystem"] == 20
+    assert calls["linalg.trace_norm"] == 5
 
 
 def test_traced_bound_sweep_forks_cleanly():
