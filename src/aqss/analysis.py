@@ -20,18 +20,11 @@ from . import linalg
 from .channels import (
     ChannelFamily,
     RandomUnitaryChannel,
-    apply_product,
     epsilon_randomizing_distance,
     output_spectrum,
     sample_ruc,
 )
-from .random import (
-    haar_unitaries,
-    map_trials,
-    random_product_pure_state,
-    random_separable_state,
-    stream,
-)
+from .random import haar_factors, haar_unitaries, map_trials, random_separable_state, stream
 
 BOUND_SLACK = 1e-12
 
@@ -96,10 +89,17 @@ def _check_family(family: str) -> None:
         raise ValueError(f"unknown input family {family!r}; expected one of {INPUT_FAMILIES}")
 
 
-def draw_input(family: str, d: int, rng: np.random.Generator) -> np.ndarray:
+def draw_input(
+    family: str, d: int, rng: np.random.Generator, parts: int = 2
+) -> np.ndarray | tuple[np.ndarray, ...]:
+    """A fresh input on `parts` qudits of dimension d: for product_pure the tuple
+    of its Haar factor vectors of shape (d,), drawn from the normals of the
+    D x D random_product_pure_state; for the others a D x D state on two parts."""
     _check_family(family)
     if family == "product_pure":
-        return random_product_pure_state(d, d, rng)
+        return tuple(z[0] for z in haar_factors((d,) * parts, 1, rng))
+    if parts != 2:
+        raise ValueError(f"a {family} input has two parts, got {parts}")
     if family == "separable":
         return random_separable_state(d, d, 4, rng)
     return linalg.maximally_entangled_state(d)
@@ -176,7 +176,7 @@ def mc_purity(
     """
     stats = _monte_carlo(
         d, n_a, n_b, "product_pure", trials, seed, channel_factory, MIN_PURITY_TRIALS,
-        lambda family, rho: linalg.purity(apply_product(family, rho)),
+        lambda family, factors: float(np.square(output_spectrum(family, factors)).sum()),
     )
     deviation = abs(stats.mean - purity_second_moment(d, n_a, n_b))
     return stats, BoundCheck.compare(deviation, 5.0 * stats.stderr)

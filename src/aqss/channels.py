@@ -3,11 +3,13 @@ generalized-Pauli baseline.
 
 A channel N(rho) = sum_i p_i U_i rho U_i† is stored as its stack of n
 unitaries alone: the key that selects U_i is uniform over the n indices, so
-every weight p_i is 1/n. On a pure input psi the output is read from the
-stack itself: with V = U psi (one row U_i psi per unitary), N(psi psi†) =
-V^T conj(V) / n, 2 n d^2 multiply-adds. Applied term by term to a mixed or
-joint state, the channel would cost n conjugations per call; instead such a
-state is mapped through the channel's d^2 x d^2 superoperator
+every weight p_i is 1/n. A pure product input is the tuple of its (d,)
+factor vectors psi_k, one per part, and its output is the Kronecker product
+of the factor outputs, each read from its stack: with V = U psi (one row
+U_i psi per unitary), N(psi psi†) = V^T conj(V) / n, 2 n d^2 multiply-adds.
+Applied term by term to a mixed or joint D x D state, the channel would cost
+n conjugations per call; instead such a state is mapped through the
+channel's d^2 x d^2 superoperator
 M = sum_i p_i U_i (x) conj(U_i) (row-major vec convention), built on first
 use and cached, so one application is a single matrix-vector product and a
 product channel N_A (x) N_B is applied factor-sequentially at cost
@@ -22,16 +24,16 @@ fits in one chunk is one GEMM. A chunk of fewer than d^2 rows makes each
 GEMM too thin to run at full speed. A single key conjugation
 U rho U† is the one-Kraus superoperator U (x) conj(U), so it runs on the
 same subsystem kernel. The tests pin M against the brute-force Kronecker
-sum, the product path against the double sum, the pure-input output against
-the superoperator's, and the subsystem kernel against the full Kronecker
-conjugation.
+sum, the product path against the double sum, the pure product output
+against the superoperators' and the key average, and the subsystem kernel
+against the full Kronecker conjugation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -147,7 +149,8 @@ def perfect_pqc(d: int) -> RandomUnitaryChannel:
 def _apply_superop_at(
     m: np.ndarray, rho: np.ndarray, dims: tuple[int, ...], subsystem: int
 ) -> np.ndarray:
-    """Apply a one-subsystem superoperator to a state on a tensor-product space."""
+    """Apply a one-subsystem superoperator to a square state on a tensor-product space."""
+    linalg.assert_square(rho)
     d_left, d, d_right = linalg.factor_layout(rho.shape[0], dims, subsystem)
     if m.shape != (d * d, d * d):
         raise ValueError(f"map of shape {m.shape} does not act on factor {subsystem} of {dims}")
@@ -181,25 +184,8 @@ def apply_at(
 
 
 def _apply_product(family: ChannelFamily, state: np.ndarray) -> np.ndarray:
-    """Product-channel output as the maps produce it; apply_product and
-    output_spectrum validate it.
-
-    The path is chosen by the input's shape. A 2-D state is a density matrix,
-    mapped through the superoperators. A 1-D state is a pure state psi on a
-    one-part family, whose output V^T conj(V) / n with V = U psi is read from
-    the unitary stack, so no superoperator is built; a 1-D state on more
-    parts is a ValueError.
-    """
-    if np.ndim(state) == 1:
-        if len(family.parts) != 1:
-            raise ValueError(
-                f"a pure input needs a one-part family, got {len(family.parts)} parts"
-            )
-        (part,) = family.parts
-        # Rows U_i psi as one product over the flattened stack; the stacked
-        # matmul runs one small product per unitary and takes twice as long.
-        v = (part.unitaries.reshape(-1, part.dim) @ state).reshape(part.n, part.dim)
-        return (v.T @ v.conj()) / part.n
+    """Product-channel output of a D x D state as the maps produce it;
+    apply_product and output_spectrum validate it."""
     dims = family.dims
     out = state
     for k, part in enumerate(family.parts):
@@ -207,22 +193,39 @@ def _apply_product(family: ChannelFamily, state: np.ndarray) -> np.ndarray:
     return out
 
 
-def apply_product(family: ChannelFamily, rho: np.ndarray) -> np.ndarray:
+def _factor_outputs(family: ChannelFamily, factors: tuple[np.ndarray, ...]):
+    """Each part's output V^T conj(V) / n, V = U psi_k, on its factor psi_k, read
+    from the unitary stack; a factor count other than the part count is a ValueError."""
+    for part, psi in zip(family.parts, factors, strict=True):
+        # Rows U_i psi as one product over the flattened stack; the stacked
+        # matmul runs one small product per unitary and takes twice as long.
+        v = (part.unitaries.reshape(-1, part.dim) @ psi).reshape(part.n, part.dim)
+        yield (v.T @ v.conj()) / part.n
+
+
+def apply_product(family: ChannelFamily, rho: np.ndarray | tuple[np.ndarray, ...]) -> np.ndarray:
     """Product-channel output, applied factor-sequentially.
 
     Mathematically equal to the full sum over all index tuples
     (checked exhaustively against the brute-force double sum in the tests),
-    at cost sum_k n_k conjugations instead of prod_k n_k.
+    at cost sum_k n_k conjugations instead of prod_k n_k. A tuple of factor
+    vectors maps to the Kronecker product of the checked factor outputs.
     """
+    if isinstance(rho, tuple):
+        return reduce(np.kron, map(linalg.validated, _factor_outputs(family, rho)))
     return linalg.validated(_apply_product(family, rho))
 
 
-def output_spectrum(family: ChannelFamily, state: np.ndarray) -> np.ndarray:
+def output_spectrum(family: ChannelFamily, rho: np.ndarray | tuple[np.ndarray, ...]) -> np.ndarray:
     """Ascending spectrum of the product-channel output, which is checked as a
     density matrix as the maps produced it; every measured quantity of a map
-    output (distance from 1/D, entropy) is read from this one decomposition.
-    A 1-D state is a pure input, read from the unitary stack (_apply_product)."""
-    return linalg.assert_density_matrix(_apply_product(family, state))
+    output (distance from 1/D, entropy, purity) is read from this one
+    decomposition. A tuple of factor vectors has each d x d factor output
+    checked and decomposed, and the spectrum is their Kronecker product."""
+    if isinstance(rho, tuple):
+        spectra = [linalg.assert_density_matrix(x) for x in _factor_outputs(family, rho)]
+        return linalg.kron_spectrum(spectra)
+    return linalg.assert_density_matrix(_apply_product(family, rho))
 
 
 def epsilon_randomizing_distance(channel: RandomUnitaryChannel, rho: np.ndarray) -> float:

@@ -45,7 +45,7 @@ from .protocol import (
     guard,
     key_cost,
 )
-from .random import haar_factors, random_pure_state, stream
+from .random import random_pure_state, stream
 
 CSV_COLUMNS = (
     "command",
@@ -167,17 +167,6 @@ def _build_family(cfg: ExperimentConfig, rng: np.random.Generator) -> ChannelFam
     return ChannelFamily(tuple(factory(cfg.d, cfg.n, rng) for _ in range(cfg.m)))
 
 
-def _plaintext(
-    cfg: ExperimentConfig, rng: np.random.Generator
-) -> np.ndarray | tuple[np.ndarray, ...]:
-    """A round's plaintext. Every m > 2 draw and the m = 2 product-pure default
-    are pure product states, handed over as their m factor unit vectors; the
-    entangled m = 2 families are joint states."""
-    if cfg.m == 2 and cfg.input_family != "product_pure":
-        return analysis.draw_input(cfg.input_family, cfg.d, rng)
-    return tuple(z[0] for z in haar_factors((cfg.d,) * cfg.m, 1, rng))
-
-
 def _randomized(name: str, distance: float, cfg: ExperimentConfig, exact_tol: float) -> Metric:
     """Distance from the maximally mixed target, asserted to exact_tol for the
     exact channels. A sampled draw is expected, not guaranteed, to land within
@@ -211,7 +200,8 @@ def _session_rounds(cfg: ExperimentConfig) -> Iterator[AqssSession]:
     config = cfg.protocol
     for i in range(cfg.trials):
         rng = stream(cfg.seed, _CLI_STREAM_BASE + 1 + i)
-        yield charlie_encode(config, _plaintext(cfg, rng), rng, channels=family)
+        plaintext = analysis.draw_input(cfg.input_family, cfg.d, rng, cfg.m)
+        yield charlie_encode(config, plaintext, rng, channels=family)
 
 
 def _run_aqss_demo(cfg: ExperimentConfig) -> list[Metric]:

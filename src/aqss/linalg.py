@@ -19,6 +19,7 @@ need the state itself take it from ``validated``, which runs the same check.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -105,6 +106,12 @@ def spectrum_entropy(spectrum: np.ndarray) -> float:
     if eigs.size == 0:
         return 0.0
     return float(-(eigs * np.log2(eigs)).sum())
+
+
+def kron_spectrum(spectra: list[np.ndarray]) -> np.ndarray:
+    """Ascending spectrum of the Kronecker product of Hermitian matrices with
+    these spectra: every product of one eigenvalue per factor, sorted."""
+    return np.sort(functools.reduce(np.multiply.outer, spectra), axis=None)
 
 
 def factor_layout(n: int, dims: tuple[int, ...], k: int) -> tuple[int, int, int]:

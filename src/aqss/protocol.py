@@ -12,13 +12,12 @@ A pure product plaintext can be handed over as its m factor vectors, and
 then it travels as factors from encoding to the audit. Each receiver's key
 conjugates that receiver's factor alone, so the ciphertext and the decoded
 state are the m vectors U psi_k and U† phi_k, and no D x D matrix is formed.
-The audit measures the outsider and every victim from the factors' channel
-outputs: the product channel maps a product state to the product of the
-factor outputs, and each factor output is read from its channel's unitary
-stack, so no superoperator is built. The round trip compares the two
-product vectors psi and phi inside their span, where the difference of
-their projectors is a 2 x 2 matrix. Any other plaintext is measured on the
-dense D x D path, the reference that the factored one is pinned to.
+The audit measures the outsider and every victim through the factors'
+channel outputs (channels.output_spectrum), so no superoperator is built.
+The round trip compares the two product vectors psi and phi inside their
+span, where the difference of their projectors is a 2 x 2 matrix. Any
+other plaintext is measured on the dense D x D path, the reference that
+the factored one is pinned to.
 """
 
 from __future__ import annotations
@@ -297,10 +296,9 @@ def _round_spectra(
     The outsider's view is the key average, the product-channel output. The
     victim's channel, the only honest one when all the other receivers
     collude, acts on the victim's factor, so the victim's share is that
-    channel on the plaintext marginal. With a factored plaintext, the marginal
-    is the victim's pure factor, whose output output_spectrum reads from the
-    unitary stack, and the view is the Kronecker product of the factor
-    outputs, whose spectrum is the sorted Kronecker product of their spectra.
+    channel on the plaintext marginal. With a factored plaintext, each factor
+    output is decomposed once: a victim's share is its factor's spectrum, and
+    the view's spectrum is the Kronecker product of them all.
     """
     parts = session.channels.parts
     if not isinstance(session.plaintext, tuple):
@@ -313,10 +311,10 @@ def _round_spectra(
         ]
         return output_spectrum(session.channels, session.plaintext), shares
     outputs = [
-        output_spectrum(ChannelFamily((part,)), psi) for part, psi in zip(parts, session.plaintext)
+        output_spectrum(ChannelFamily((part,)), (psi,))
+        for part, psi in zip(parts, session.plaintext)
     ]
-    view = np.sort(functools.reduce(np.multiply.outer, outputs), axis=None)
-    return view, [outputs[v] for v in victims]
+    return linalg.kron_spectrum(outputs), [outputs[v] for v in victims]
 
 
 def audit(sessions: Iterable[AqssSession], victims: Sequence[int]) -> AuditReport:

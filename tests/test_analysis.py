@@ -1,4 +1,5 @@
 import errno
+import functools
 import math
 import os
 import signal
@@ -70,11 +71,23 @@ def test_bound_check_boundary():
 
 
 def test_draw_input_families():
+    # A product_pure input is its tuple of factor vectors, drawn from the
+    # normals of the D x D product state and leaving the stream where it would.
+    for parts in (2, 3):
+        rng, reference = stream(80), stream(80)
+        factors = draw_input("product_pure", 3, rng, parts)
+        assert len(factors) == parts
+        assert all(f.shape == (3,) and abs(np.linalg.norm(f) - 1) <= 1e-12 for f in factors)
+        if parts == 2:
+            assert np.array_equal(dense(factors), random_product_pure_state(3, 3, reference))
+            assert rng.standard_normal() == reference.standard_normal()
     rng = stream(80)
-    for family in ("product_pure", "separable", "max_entangled"):
+    for family in ("separable", "max_entangled"):
         rho = draw_input(family, 3, rng)
         linalg.assert_density_matrix(rho)
         assert rho.shape == (9, 9)
+        with pytest.raises(ValueError, match=f"a {family} input has two parts, got 3"):
+            draw_input(family, 3, rng, 3)
     with pytest.raises(ValueError):
         draw_input("thermal", 3, rng)
 
@@ -123,13 +136,23 @@ def test_mc_expected_trace_distance_reproducible():
     assert a == b
 
 
+def dense(state):
+    """A state as a D x D matrix: a tuple of factor vectors becomes the
+    projector onto their Kronecker product, factor 0 leftmost."""
+    if not isinstance(state, tuple):
+        return state
+    psi = functools.reduce(np.kron, state)
+    return np.outer(psi, psi.conj())
+
+
 def reference_trials(d, n, input_family, trials, seed, factory):
     """The estimators' trial loop written out: per trial i, stream (seed, i)
-    draws channel A, channel B, then the input."""
+    draws channel A, channel B, then the input, which is handed on as a D x D
+    state, so the reference maps it through both superoperators."""
     for trial in range(trials):
         rng = stream(seed, trial)
         family = ChannelFamily((factory(d, n, rng), factory(d, n, rng)))
-        yield family, draw_input(input_family, d, rng)
+        yield family, dense(draw_input(input_family, d, rng))
 
 
 @pytest.mark.parametrize("factory", [sample_ruc, perfect_factory], ids=["sampled", "perfect"])

@@ -15,6 +15,7 @@ from aqss.channels import (
     apply_product,
     conjugate_subsystem,
     epsilon_randomizing_distance,
+    output_spectrum,
     perfect_pqc,
     required_n,
     sample_ruc,
@@ -146,7 +147,7 @@ def test_apply_dimension_mismatch():
     with pytest.raises(ValueError):
         apply(sample_ruc(3, 2, stream(8)), np.eye(4) / 4)
     with pytest.raises(ValueError):
-        apply(sample_ruc(3, 2, stream(8)), np.array([1.0, 0.0]))  # a pure input
+        apply(sample_ruc(3, 2, stream(8)), np.array([1.0, 0.0]))  # a pure input is a tuple
 
 
 def test_apply_product_matches_brute_force_double_sum():
@@ -187,10 +188,19 @@ def test_apply_product_perfect_pair_twirls_entangled_input():
 
 def test_apply_product_dimension_mismatch():
     fam = ChannelFamily((identity_channel(2), identity_channel(2)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="state dimension 6 does not match"):
         apply_product(fam, np.eye(6) / 6)
-    with pytest.raises(ValueError, match="a pure input needs a one-part family, got 2 parts"):
-        apply_product(fam, np.array([1.0, 0.0, 0.0, 0.0]))
+    # A pure product input is a tuple of factor vectors, never a 1-D vector,
+    # and a state that is not square is refused before any reshape.
+    with pytest.raises(ValueError, match=r"expected a square matrix, got shape \(4,\)"):
+        apply_product(fam, np.ones(4) / 2)
+    with pytest.raises(ValueError, match=r"expected a square matrix, got shape \(4, 3\)"):
+        apply_product(fam, np.zeros((4, 3)))
+    psi = np.array([1.0, 0.0])
+    with pytest.raises(ValueError, match=r"zip\(\) argument 2 is shorter than argument 1"):
+        apply_product(fam, (psi,))
+    with pytest.raises(ValueError, match=r"zip\(\) argument 2 is longer than argument 1"):
+        output_spectrum(fam, (psi, psi, psi))
 
 
 def embed(u, dims, k):
@@ -217,11 +227,11 @@ def test_subsystem_kernel_matches_brute_force(dims, k):
     assert np.abs(conjugate_subsystem(x, dims, k, u) - w @ x @ w.conj().T).max() <= 1e-12
     kraus = sum(embed(v, dims, k) @ x @ embed(v, dims, k).conj().T for v in ch.unitaries) / 3
     assert np.abs(apply_at(ch, x, dims, k) - kraus).max() <= 1e-12
-    # Same number of entries, wrong state dimension: a reshape alone would pass.
+    # Same number of entries, not square: a reshape alone would pass.
     wrong = x.reshape(total * dims[k], total // dims[k])
-    with pytest.raises(ValueError, match="state dimension"):
+    with pytest.raises(ValueError, match="expected a square matrix"):
         conjugate_subsystem(wrong, dims, k, u)
-    with pytest.raises(ValueError, match="state dimension"):
+    with pytest.raises(ValueError, match="expected a square matrix"):
         apply_at(ch, wrong, dims, k)
     with pytest.raises(ValueError, match="invalid subsystem"):
         apply_at(ch, x, dims, len(dims))

@@ -493,15 +493,22 @@ def test_product_plaintexts_reach_the_audit_as_factors(argv, factored):
     [
         (["aqss-demo", "--d", "4", "--trials", "2"], 0),
         (["multiparty", "--d", "3", "--m", "3", "--perfect", "--trials", "1"], 0),
-        (["bound-sweep", "--d", "2", "--n", "4", "--trials", "10"], 2 * 10),
+        (["bound-sweep", "--d", "2", "--n", "4", "--trials", "10"], 0),
+        (["purity-check", "--d", "2", "--n", "4", "--trials", "30"], 0),
+        (["locc-test", "--d", "2", "--n", "4", "--trials", "2"], 0),
+        (["bound-sweep", "--d", "2", "--n", "4", "--trials", "10", "--family", "separable"], 20),
+        (["locc-test", "--d", "2", "--n", "4", "--trials", "2", "--family", "max-entangled"], 2),
     ],
     ids=lambda v: v[0] if isinstance(v, list) else None,
 )
 def test_superoperator_builds_per_run(argv, builds, monkeypatch, capsys):
-    # The audit reads every pure factor output from its unitary stack, so the
-    # protocol commands build no superoperator; the Monte Carlo estimator maps
-    # joint states and builds both channels' per trial. On one reported core
-    # every trial runs in this process, where the builds are counted.
+    # A pure product input is its tuple of factor vectors, and every factor
+    # output is read from its unitary stack, so the protocol commands, the
+    # Monte Carlo estimators and locc-test build no superoperator on one. A
+    # joint input is mapped through both channels' superoperators, built once
+    # per channel: per trial in bound-sweep, once in locc-test. On one
+    # reported core every trial runs in this process, where the builds are
+    # counted.
     superoperator = channels.RandomUnitaryChannel.__dict__["superoperator"]
     build, built = superoperator.func, []
     monkeypatch.setattr(superoperator, "func", lambda channel: built.append(1) or build(channel))

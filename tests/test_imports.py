@@ -49,13 +49,15 @@ def test_no_module_uses_another_modules_private_names():
 
 
 # Public functions that only the tests call, kept because the acceptance
-# criteria import them.
+# criteria import them. random_product_pure_state is also the dense form of
+# the factor tuple that analysis.draw_input returns for product_pure.
 TEST_ONLY = {
     "analysis.check_norm_relation",
     "analysis.check_separable_2eps",
     "linalg.von_neumann_entropy",
     "protocol.exterior_adversary_view",
     "protocol.interior_attack_bob",
+    "random.random_product_pure_state",
 }
 
 

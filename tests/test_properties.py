@@ -1,6 +1,6 @@
 """Property checks of the decode path against explicit Kronecker products,
 of the chunked and parallel paths against their one-piece references, and of
-the pure-input and factored paths against the dense ones.
+the pure-input and factored paths against the dense ones and the key average.
 
 Hypothesis draws the shapes, stacks, plaintexts, keys, trial counts and
 reported core counts; every array is drawn from a seeded stream. The
@@ -11,6 +11,7 @@ Hypothesis refuses function-scoped fixtures.
 
 import dataclasses
 import functools
+import itertools
 import math
 import os
 from unittest import mock
@@ -19,9 +20,16 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aqss import channels, linalg, protocol
+from aqss import analysis, channels, linalg, protocol
 from aqss import random as aqss_random
-from aqss.channels import ChannelFamily, RandomUnitaryChannel, apply, conjugate_subsystem
+from aqss.channels import (
+    ChannelFamily,
+    RandomUnitaryChannel,
+    apply,
+    apply_product,
+    conjugate_subsystem,
+    output_spectrum,
+)
 from aqss.protocol import ProtocolConfig, audit, charlie_encode, cooperate_decode
 from aqss.random import haar_factors, haar_unitaries, map_trials, random_pure_state, stream
 
@@ -162,7 +170,59 @@ def test_a_pure_input_output_is_the_superoperator_output(d, seed, data):
     n = data.draw(st.integers(1, 2 * d * d))
     channel = RandomUnitaryChannel(stack_with_repeats(d, n, rng, data))
     (psi,) = haar_factors((d,), 1, rng)[0]
-    assert np.abs(apply(channel, psi) - apply(channel, np.outer(psi, psi.conj()))).max() <= 1e-14
+    dense = apply(channel, np.outer(psi, psi.conj()))
+    assert np.abs(apply(channel, (psi,)) - dense).max() <= 1e-14
+
+
+@fixed
+@given(d=st.sampled_from([2, 3]), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_the_factored_output_is_the_average_over_every_key_tuple(d, seed, data):
+    # Stacks of up to 4 unitaries from a pool of 3, so repeats are common and
+    # there are at most 16 key tuples. The reference encodes the factors with
+    # every key tuple through charlie_encode and averages the ciphertexts; it
+    # shares no code with the stack-read factor outputs.
+    rng = stream(seed)
+    pool = haar_unitaries(d, 3, rng)
+    picks = [data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=4)) for _ in range(2)]
+    family = ChannelFamily(tuple(RandomUnitaryChannel(pool[p]) for p in picks))
+    factors = tuple(z[0] for z in haar_factors((d, d), 1, rng))
+    tuples = list(itertools.product(*(range(len(p)) for p in picks)))
+    average = sum(
+        joint(charlie_encode(ProtocolConfig(d=d), factors, FixedKeys(keys), family).ciphertext)
+        for keys in tuples
+    ) / len(tuples)
+    assert np.abs(apply_product(family, factors) - average).max() <= 1e-13
+    assert np.abs(output_spectrum(family, factors) - np.linalg.eigvalsh(average)).max() <= 1e-13
+
+
+def perfect_factory(d, n, rng):
+    return channels.perfect_pqc(d)
+
+
+@settings(fixed, max_examples=40)
+@given(
+    d=st.sampled_from([2, 3]),
+    n=st.integers(1, 18),
+    seed=st.integers(0, 2**32 - 1),
+    factory=st.sampled_from([channels.sample_ruc, perfect_factory]),
+)
+def test_each_estimators_trial_on_the_factors_is_the_dense_trial(d, n, seed, factory):
+    # Trial i's stream draws both channels and then the factors; the dense
+    # reference maps their D x D product state through both superoperators.
+    # The two estimators share the streams, so their first trials coincide.
+    with reported_cores(1):
+        distances = analysis.mc_expected_trace_distance(d, n, n, "product_pure", 10, seed, factory)
+        purities = analysis.mc_purity(d, n, n, 30, seed, factory)
+    for i, purity in enumerate(purities[0].per_trial_values):
+        rng = stream(seed, i)
+        family = ChannelFamily((factory(d, n, rng), factory(d, n, rng)))
+        factors = analysis.draw_input("product_pure", d, rng)
+        dense = apply_product(family, joint(factors))
+        assert np.abs(apply_product(family, factors) - dense).max() <= 1e-14
+        assert abs(purity - linalg.purity(dense)) <= 1e-14
+        if i < 10:
+            reference = linalg.distance_from_mixed(np.linalg.eigvalsh(dense))
+            assert abs(distances[0].per_trial_values[i] - reference) <= 1e-14
 
 
 @settings(fixed, max_examples=30)
