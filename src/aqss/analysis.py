@@ -232,27 +232,23 @@ def locc_distinguishability(
 ) -> float:
     """Worst one-round local distinguishing advantage found by sampling.
 
-    Each setting measures both states in an independent pair of Haar-random
-    local bases (product projective POVM) and accumulates the total
-    variation distance of the outcome distributions; the computational basis
-    is always included as a deterministic baseline setting. Returns the
-    maximum over settings, a value in [0, 2].
+    Each setting measures both states in a pair of local bases, a product
+    projective POVM, and gives the total variation distance of the outcome
+    distributions. Setting zero is the computational basis; each of the
+    num_settings after it is a fresh Haar-random pair drawn from stream(seed).
+    Returns the maximum over settings, a value in [0, 2].
     """
     if num_settings < 0:
         raise ValueError(f"number of settings must be nonnegative, got {num_settings}")
     d_a, d_b = int(dims[0]), int(dims[1])
-    worst = product_basis_total_variation(
-        state, reference, dims, np.eye(d_a, dtype=complex), np.eye(d_b, dtype=complex)
-    )
-    rng = stream(seed)
-    for _ in range(num_settings):
-        basis_a = haar_unitaries(d_a, 1, rng)[0]
-        basis_b = haar_unitaries(d_b, 1, rng)[0]
-        worst = max(
-            worst,
-            product_basis_total_variation(state, reference, dims, basis_a, basis_b),
-        )
-    return worst
+
+    def settings():
+        yield np.eye(d_a, dtype=complex), np.eye(d_b, dtype=complex)
+        rng = stream(seed)
+        for _ in range(num_settings):
+            yield haar_unitaries(d_a, 1, rng)[0], haar_unitaries(d_b, 1, rng)[0]
+
+    return max(product_basis_total_variation(state, reference, dims, a, b) for a, b in settings())
 
 
 def check_norm_relation(x: np.ndarray, d_sq: int) -> BoundCheck:

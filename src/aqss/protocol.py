@@ -122,6 +122,15 @@ def guard(config: ProtocolConfig, n: int | None = None) -> None:
         raise ResourceGuardError(f"n = {n} exceeds the guard {MAX_N}")
 
 
+def _conjugate(text, dims: tuple[int, ...], unitaries: Sequence[np.ndarray]):
+    """Factor k of the text conjugated by unitaries[k], in the text's own form."""
+    if isinstance(text, tuple):
+        return tuple(u @ psi for u, psi in zip(unitaries, text))
+    for k, u in enumerate(unitaries):
+        text = conjugate_subsystem(text, dims, k, u)
+    return text
+
+
 def charlie_encode(
     config: ProtocolConfig,
     plaintext: np.ndarray | tuple[np.ndarray, ...],
@@ -144,8 +153,7 @@ def charlie_encode(
     guard(config, None if channels is None else max(part.n for part in channels.parts))
     m = config.parties
     dims = (config.d,) * m
-    factored = isinstance(plaintext, tuple)
-    if factored:
+    if isinstance(plaintext, tuple):
         if len(plaintext) != m or any(np.shape(f) != (config.d,) for f in plaintext):
             raise ValueError(
                 f"expected {m} factor vectors of shape {(config.d,)}, got shapes "
@@ -163,12 +171,7 @@ def charlie_encode(
         )
     keys = tuple(int(rng.integers(part.n)) for part in channels.parts)
     keyed = [part.unitaries[key] for part, key in zip(channels.parts, keys)]
-    if factored:
-        ciphertext = tuple(u @ psi for u, psi in zip(keyed, plaintext))
-    else:
-        ciphertext = plaintext
-        for k, u in enumerate(keyed):
-            ciphertext = conjugate_subsystem(ciphertext, dims, k, u)
+    ciphertext = _conjugate(plaintext, dims, keyed)
     return AqssSession(
         channels=channels, plaintext=plaintext, key_indices=keys, ciphertext=ciphertext
     )
@@ -192,12 +195,7 @@ def cooperate_decode(session: AqssSession) -> np.ndarray | tuple[np.ndarray, ...
         if not isinstance(key, (int, np.integer)) or not 0 <= key < part.n:
             raise ValueError(f"key index {key!r} is not an integer in [0, {part.n})")
     inverses = [part.unitaries[key].conj().T for part, key in zip(parts, keys)]
-    if isinstance(session.ciphertext, tuple):
-        return tuple(u @ phi for u, phi in zip(inverses, session.ciphertext))
-    state = session.ciphertext
-    for k, u in enumerate(inverses):
-        state = conjugate_subsystem(state, dims, k, u)
-    return state
+    return _conjugate(session.ciphertext, dims, inverses)
 
 
 def _product(vectors: Sequence[np.ndarray]) -> np.ndarray:
