@@ -195,8 +195,11 @@ def _apply_product(family: ChannelFamily, state: np.ndarray) -> np.ndarray:
 
 def _factor_outputs(family: ChannelFamily, factors: tuple[np.ndarray, ...]):
     """Each part's output V^T conj(V) / n, V = U psi_k, on its factor psi_k, read
-    from the unitary stack; a factor count other than the part count is a ValueError."""
-    for part, psi in zip(family.parts, factors, strict=True):
+    from the unitary stack; a factor count other than the part count, or a factor
+    of a shape other than its part's (d,), is a ValueError."""
+    for k, (part, psi) in enumerate(zip(family.parts, factors, strict=True)):
+        if np.shape(psi) != (part.dim,):
+            raise ValueError(f"factor {k} has shape {np.shape(psi)}, expected {(part.dim,)}")
         # Rows U_i psi as one product over the flattened stack; the stacked
         # matmul runs one small product per unitary and takes twice as long.
         v = (part.unitaries.reshape(-1, part.dim) @ psi).reshape(part.n, part.dim)

@@ -316,6 +316,8 @@ def haar_factors(
     generator stream and its position match the QR path draw for draw. An
     all-zero first column has probability zero and is not resampled.
     """
+    if not dims:
+        raise ValueError("a product vector needs at least one factor, got dims ()")
     if min(dims) < 1:
         raise ValueError(f"dimension must be positive, got {min(dims)}")
     g = rng.standard_normal((k, 2 * sum(d * d for d in dims)))

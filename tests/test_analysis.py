@@ -2,6 +2,7 @@ import errno
 import functools
 import math
 import os
+import re
 import signal
 import threading
 import time
@@ -26,6 +27,7 @@ from aqss.analysis import (
 )
 from aqss.channels import ChannelFamily, apply_product, perfect_pqc, required_n, sample_ruc
 from aqss.random import (
+    haar_factors,
     haar_unitaries,
     random_product_pure_state,
     random_pure_state,
@@ -90,6 +92,17 @@ def test_draw_input_families():
             draw_input(family, 3, rng, 3)
     with pytest.raises(ValueError):
         draw_input("thermal", 3, rng)
+
+
+def test_an_empty_product_is_refused_by_name():
+    rng = stream(81)
+    for draw in (
+        lambda: draw_input("product_pure", 2, rng, 0),
+        lambda: draw_input("product_pure", 2, rng, -1),
+        lambda: haar_factors((), 1, rng),
+    ):
+        with pytest.raises(ValueError, match=re.escape("needs at least one factor, got dims ()")):
+            draw()
 
 
 def test_mc_expected_trace_distance_perfect_channels():
@@ -301,6 +314,21 @@ def test_locc_symmetric_and_bounded():
     ba = locc_distinguishability(b, a, (2, 2), num_settings=20, seed=4)
     assert ab == pytest.approx(ba, abs=1e-12)
     assert 0.0 <= ab <= 2.0
+
+
+@pytest.mark.parametrize("num_settings", [0, 1, 5])
+def test_locc_is_the_max_over_the_computational_basis_and_the_drawn_pairs(num_settings):
+    # The definition, written out as a list: setting zero is the identity
+    # pair, then each setting draws basis_a (d = 2) and then basis_b (d = 3)
+    # from stream(seed). Unequal dims make a swapped draw change the bases.
+    rng = stream(104)
+    a, b = random_density_matrix(6, rng), random_density_matrix(6, rng)
+    settings = [(np.eye(2, dtype=complex), np.eye(3, dtype=complex))]
+    draws = stream(6)
+    for _ in range(num_settings):
+        settings.append((haar_unitaries(2, 1, draws)[0], haar_unitaries(3, 1, draws)[0]))
+    expected = max(product_basis_total_variation(a, b, (2, 3), u, v) for u, v in settings)
+    assert locc_distinguishability(a, b, (2, 3), num_settings, seed=6) == expected
 
 
 def test_check_norm_relation_equality_at_mixed():

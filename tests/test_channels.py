@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import tracemalloc
 import warnings
 
@@ -201,6 +202,16 @@ def test_apply_product_dimension_mismatch():
         apply_product(fam, (psi,))
     with pytest.raises(ValueError, match=r"zip\(\) argument 2 is longer than argument 1"):
         output_spectrum(fam, (psi, psi, psi))
+
+
+@pytest.mark.parametrize("measure", [apply_product, output_spectrum])
+@pytest.mark.parametrize("shape", [(3,), (2, 2)])
+def test_a_factor_of_the_wrong_shape_is_named(measure, shape):
+    # Refused before numpy sees the bad factor, naming its index and both shapes.
+    fam = ChannelFamily((perfect_pqc(2), perfect_pqc(2)))
+    factors = (np.array([1.0, 0.0]), np.ones(shape, dtype=complex) / 2)
+    with pytest.raises(ValueError, match=re.escape(f"factor 1 has shape {shape}, expected (2,)")):
+        measure(fam, factors)
 
 
 def embed(u, dims, k):
