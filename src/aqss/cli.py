@@ -9,6 +9,11 @@ lines produce byte-identical output apart from the wall-time field.
 Exit codes: 0 when every asserted bound check passed, 1 when one failed,
 2 for usage errors and output that cannot be written, 3 when a resource
 guard refused the run.
+
+Each run builds only what it reads: ``main`` builds the parser of the one
+command its argv names (all seven for ``--help``, an empty argv or one that
+does not start with a command), and ``--perfect`` builds one exact channel
+per grid point, shared by every receiver and every trial.
 """
 
 from __future__ import annotations
@@ -159,12 +164,17 @@ def _checked(name: str, check: BoundCheck, asserted: bool) -> Metric:
 
 
 def _channel_factory(cfg: ExperimentConfig) -> analysis.ChannelFactory:
-    return (lambda d, n, rng: perfect_pqc(d)) if cfg.perfect else sample_ruc
+    """Channel sampler of the grid point. The exact channel is deterministic
+    and frozen, so one is built and handed to every receiver and trial."""
+    if not cfg.perfect:
+        return sample_ruc
+    exact = perfect_pqc(cfg.d)
+    return lambda d, n, rng: exact
 
 
 def _build_family(cfg: ExperimentConfig, rng: np.random.Generator) -> ChannelFamily:
-    factory = _channel_factory(cfg)
-    return ChannelFamily(tuple(factory(cfg.d, cfg.n, rng) for _ in range(cfg.m)))
+    factory, n = _channel_factory(cfg), cfg.n
+    return ChannelFamily(tuple(factory(cfg.d, n, rng) for _ in range(cfg.m)))
 
 
 def _randomized(name: str, distance: float, cfg: ExperimentConfig, exact_tol: float) -> Metric:
@@ -366,7 +376,14 @@ def _float_list(text: str) -> list[float]:
     return _comma_list(text, float, "numbers")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser: every command's, or only the named command's.
+
+    A one-command parser spells all seven commands in its usage line, so its
+    errors read as the full parser's. The full parser leaves the metavar
+    unset, because argparse names the argument ``command`` in the errors
+    about a missing or unknown command, which only it can report.
+    """
     parser = argparse.ArgumentParser(
         prog="aqss",
         description=(
@@ -374,9 +391,13 @@ def build_parser() -> argparse.ArgumentParser:
             "channels. Comma lists on --d/--epsilon/--n/--trials run a grid."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, _, _, text) in COMMANDS.items():
-        p = sub.add_parser(name, help=text)
+    sub = parser.add_subparsers(
+        dest="command",
+        required=True,
+        metavar=None if command is None else "{" + ",".join(COMMANDS) + "}",
+    )
+    for name in COMMANDS if command is None else (command,):
+        p = sub.add_parser(name, help=COMMANDS[name][3])
         p.add_argument(
             "--d", type=_int_list, required=True,
             help="qudit dimension (comma list for a grid)",
@@ -483,7 +504,8 @@ def _write(fh, text: str, close: bool) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
         grid = _grid(args)

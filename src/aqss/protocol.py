@@ -200,7 +200,7 @@ def cooperate_decode(session: AqssSession) -> np.ndarray | tuple[np.ndarray, ...
 
 def _product(vectors: Sequence[np.ndarray]) -> np.ndarray:
     """Kronecker product of the factor vectors, factor 0 leftmost."""
-    return functools.reduce(np.kron, vectors)
+    return functools.reduce(np.multiply.outer, vectors).ravel()
 
 
 def _joint_plaintext(session: AqssSession) -> np.ndarray:

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -454,6 +455,105 @@ def test_parser_lists_all_commands():
         assert name in text
 
 
+def _valid_argv(name):
+    """Every option the command takes, set away from its default."""
+    argv = [name, "--d", "2,3", "--epsilon", "0.4", "--n", "8", "--seed", "3", "--format", "csv"]
+    if name != "key-cost":
+        argv += ["--trials", "2", "--perfect"]
+    if name in cli._FAMILY_COMMANDS:
+        argv += ["--family", "separable"]
+    if name in cli._RECEIVER_COMMANDS:
+        argv += ["--m", "4"]
+    return argv
+
+
+PARSER_BATTERY = [
+    argv
+    for name in cli.COMMANDS
+    for argv in (
+        [name, "--help"],
+        _valid_argv(name),
+        [name, "--d", "2", "--bogus", "--seed", "0"],
+        [name, "--d", "two", "--seed", "0"],
+        [name, "--d", "2"],
+    )
+]
+
+
+def parsed(parser, argv, capsys):
+    """Exit code, Namespace (None on exit), stdout and stderr of one parse."""
+    try:
+        code, args = 0, parser.parse_args(argv)
+    except SystemExit as exc:
+        code, args = exc.code, None
+    captured = capsys.readouterr()
+    return code, args, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", PARSER_BATTERY, ids=" ".join)
+def test_one_command_parser_parses_as_the_full_parser(argv, capsys):
+    # main builds only the named command's parser; its help, its Namespace and
+    # every usage error, the usage line included, must read as the full one's.
+    assert parsed(build_parser(argv[0]), argv, capsys) == parsed(build_parser(), argv, capsys)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["--help"],
+        ["-h", "aqss-demo"],
+        ["nope", "--d", "2", "--seed", "0"],
+        ["--", "key-cost", "--d", "2", "--seed", "0", "--format", "csv"],
+        ["key-cost", "--d", "4", "--trials", "2", "--seed", "0"],
+        ["multiparty", "--d", "2", "--m", "2", "--seed", "0"],
+        ["aqss-demo", "--d", "64", "--seed", "0"],
+        ["multiparty", "--d", "2", "--perfect", "--seed", "0", "--format", "csv"],
+    ],
+    ids=lambda argv: " ".join(argv) or "empty",
+)
+def test_main_answers_as_with_every_command_built(argv, monkeypatch, capsys):
+    answer = run_cli(argv, capsys)
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert answer == run_cli(argv, capsys)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], ["multiparty", "--d", "2", "--perfect", "--seed", "0", "--format", "csv"]],
+    ids=" ".join,
+)
+def test_main_reads_sys_argv_when_given_none(argv, monkeypatch, capsys):
+    # The aqss script calls main() with no argv.
+    answer = run_cli(argv, capsys)
+    monkeypatch.setattr(sys, "argv", ["aqss", *argv])
+    assert answer == run_cli(None, capsys)
+
+
+def test_a_perfect_run_builds_one_parser_and_one_exact_channel(monkeypatch, capsys):
+    # The top-level parser plus the one command's, and one exact channel that
+    # every receiver of every round shares (8 parsers and 5 channels when every
+    # command and every receiver's channel was built).
+    made = {"parsers": 0, "channels": 0}
+
+    def counted(cls, key):
+        init = cls.__init__
+
+        def counting(self, *args, **kwargs):
+            made[key] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+
+    counted(argparse.ArgumentParser, "parsers")
+    counted(channels.RandomUnitaryChannel, "channels")
+    argv = ["multiparty", "--d", "2", "--m", "5", "--perfect", "--trials", "2", "--seed", "0"]
+    rc, _, _ = run_cli(argv, capsys)
+    assert rc == 0
+    assert made == {"parsers": 2, "channels": 1}
+
+
 def test_family_choices_are_the_library_input_families():
     # --family spells each analysis.INPUT_FAMILIES entry with hyphens, in order,
     # and each choice reaches the run as the library's name.
@@ -498,6 +598,7 @@ def test_product_plaintexts_reach_the_audit_as_factors(argv, factored):
         (["locc-test", "--d", "2", "--n", "4", "--trials", "2"], 0),
         (["bound-sweep", "--d", "2", "--n", "4", "--trials", "10", "--family", "separable"], 20),
         (["locc-test", "--d", "2", "--n", "4", "--trials", "2", "--family", "max-entangled"], 2),
+        (["bound-sweep", "--d", "2", "--trials", "10", "--perfect", "--family", "separable"], 1),
     ],
     ids=lambda v: v[0] if isinstance(v, list) else None,
 )
@@ -506,9 +607,10 @@ def test_superoperator_builds_per_run(argv, builds, monkeypatch, capsys):
     # output is read from its unitary stack, so the protocol commands, the
     # Monte Carlo estimators and locc-test build no superoperator on one. A
     # joint input is mapped through both channels' superoperators, built once
-    # per channel: per trial in bound-sweep, once in locc-test. On one
-    # reported core every trial runs in this process, where the builds are
-    # counted.
+    # per channel: per trial in bound-sweep, once in locc-test. With --perfect
+    # every receiver and trial shares one exact channel, whose superoperator
+    # is built once per process. On one reported core every trial runs in
+    # this process, where the builds are counted.
     superoperator = channels.RandomUnitaryChannel.__dict__["superoperator"]
     build, built = superoperator.func, []
     monkeypatch.setattr(superoperator, "func", lambda channel: built.append(1) or build(channel))

@@ -71,6 +71,34 @@ MUTANTS = (
         "",
         ("tests/test_analysis.py",),
     ),
+    # A one-command parser whose usage line spells only its own command.
+    (
+        "src/aqss/cli.py",
+        'metavar=None if command is None else "{" + ",".join(COMMANDS) + "}"',
+        "metavar=None",
+        ("tests/test_cli.py",),
+    ),
+    # A product vector with its factors in reversed Kronecker order.
+    (
+        "src/aqss/protocol.py",
+        "functools.reduce(np.multiply.outer, vectors).ravel()",
+        "functools.reduce(np.multiply.outer, vectors[::-1]).ravel()",
+        ("tests/test_protocol.py",),
+    ),
+    # Encoding each factor with another receiver's key.
+    (
+        "src/aqss/protocol.py",
+        "for part, key in zip(channels.parts, keys)]",
+        "for part, key in zip(channels.parts, keys[::-1])]",
+        ("tests/test_protocol.py",),
+    ),
+    # A factor output transposed: V† V instead of V^T conj(V).
+    (
+        "src/aqss/channels.py",
+        "yield (v.T @ v.conj()) / part.n",
+        "yield (v.conj().T @ v) / part.n",
+        ("tests/test_properties.py",),
+    ),
 )
 
 
