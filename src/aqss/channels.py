@@ -197,7 +197,9 @@ def _factor_outputs(family: ChannelFamily, factors: tuple[np.ndarray, ...]):
     """Each part's output V^T conj(V) / n, V = U psi_k, on its factor psi_k, read
     from the unitary stack; a factor count other than the part count, or a factor
     of a shape other than its part's (d,), is a ValueError."""
-    for k, (part, psi) in enumerate(zip(family.parts, factors, strict=True)):
+    if len(factors) != len(family.parts):
+        raise ValueError(f"expected {len(family.parts)} factors, got {len(factors)}")
+    for k, (part, psi) in enumerate(zip(family.parts, factors)):
         if np.shape(psi) != (part.dim,):
             raise ValueError(f"factor {k} has shape {np.shape(psi)}, expected {(part.dim,)}")
         # Rows U_i psi as one product over the flattened stack; the stacked

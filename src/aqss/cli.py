@@ -1,10 +1,13 @@
 """Batch experiment runner with seeded reproducibility and machine-readable output.
 
 Every invocation resolves one or more experiment configurations (comma lists
-on ``--d``, ``--epsilon``, ``--n`` and ``--trials`` form a grid), validates
-the whole grid up front, runs each point, and emits one result record per
-point as JSON (default) or CSV. The seed is mandatory: identical command
-lines produce byte-identical output apart from the wall-time field.
+on ``--d``, ``--epsilon``, ``--n`` and ``--trials`` form a grid), runs each
+point, and emits one result record per point as JSON (default) or CSV.
+Before anything runs, ``_grid`` resolves and checks each point once, in grid
+order, and reports the first bad value of the first bad point; every usage
+error comes before any resource-guard refusal. The seed is mandatory:
+identical command lines produce byte-identical output apart from the
+wall-time field.
 
 Exit codes: 0 when every asserted bound check passed, 1 when one failed,
 2 for usage errors and output that cannot be written, 3 when a resource
@@ -27,7 +30,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -86,28 +89,12 @@ class ExperimentConfig:
     m: int
     seed: int
     perfect: bool
-
-    @property
-    def n(self) -> int:
-        """Unitaries per channel: d^2 for the exact channel, else the override or
-        the sized default."""
-        return self.protocol.resolved_n
+    n_resolved: int  # unitaries per channel: d^2 for the exact channel, else --n or sized
 
     @property
     def protocol(self) -> ProtocolConfig:
-        """The protocol parameters; building them validates d, epsilon, m and --n.
-
-        The exact channel has n = d^2 unitaries whatever --n says.
-        """
-        config = ProtocolConfig(
-            d=self.d, epsilon=self.epsilon, parties=self.m, n_per_channel=self.n_override
-        )
-        return replace(config, n_per_channel=self.d * self.d) if self.perfect else config
-
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        out["n_resolved"] = self.n
-        return out
+        """The protocol parameters, with n_resolved unitaries per channel."""
+        return ProtocolConfig(self.d, self.epsilon, self.m, n_per_channel=self.n_resolved)
 
 
 @dataclass(frozen=True)
@@ -173,8 +160,8 @@ def _channel_factory(cfg: ExperimentConfig) -> analysis.ChannelFactory:
 
 
 def _build_family(cfg: ExperimentConfig, rng: np.random.Generator) -> ChannelFamily:
-    factory, n = _channel_factory(cfg), cfg.n
-    return ChannelFamily(tuple(factory(cfg.d, n, rng) for _ in range(cfg.m)))
+    factory = _channel_factory(cfg)
+    return ChannelFamily(tuple(factory(cfg.d, cfg.n_resolved, rng) for _ in range(cfg.m)))
 
 
 def _randomized(name: str, distance: float, cfg: ExperimentConfig, exact_tol: float) -> Metric:
@@ -186,7 +173,7 @@ def _randomized(name: str, distance: float, cfg: ExperimentConfig, exact_tol: fl
 
 
 def _run_randomize(cfg: ExperimentConfig) -> list[Metric]:
-    channel = _channel_factory(cfg)(cfg.d, cfg.n, stream(cfg.seed, _CLI_STREAM_BASE))
+    channel = _channel_factory(cfg)(cfg.d, cfg.n_resolved, stream(cfg.seed, _CLI_STREAM_BASE))
     # Lazy, so one Haar probe is alive at a time whatever --trials says.
     probes = itertools.chain(
         (
@@ -229,8 +216,8 @@ def _run_aqss_demo(cfg: ExperimentConfig) -> list[Metric]:
 def _run_bound_sweep(cfg: ExperimentConfig) -> list[Metric]:
     stats, check = analysis.mc_expected_trace_distance(
         cfg.d,
-        cfg.n,
-        cfg.n,
+        cfg.n_resolved,
+        cfg.n_resolved,
         cfg.input_family,
         cfg.trials,
         cfg.seed,
@@ -247,7 +234,8 @@ def _run_bound_sweep(cfg: ExperimentConfig) -> list[Metric]:
 
 def _run_purity_check(cfg: ExperimentConfig) -> list[Metric]:
     stats, check = analysis.mc_purity(
-        cfg.d, cfg.n, cfg.n, cfg.trials, cfg.seed, channel_factory=_channel_factory(cfg)
+        cfg.d, cfg.n_resolved, cfg.n_resolved, cfg.trials, cfg.seed,
+        channel_factory=_channel_factory(cfg),
     )
     return [
         Metric(name="mean_purity", value=stats.mean),
@@ -255,7 +243,7 @@ def _run_purity_check(cfg: ExperimentConfig) -> list[Metric]:
         _checked("purity_identity_deviation", check, asserted=True),
         Metric(
             name="purity_identity_value",
-            value=analysis.purity_second_moment(cfg.d, cfg.n, cfg.n),
+            value=analysis.purity_second_moment(cfg.d, cfg.n_resolved, cfg.n_resolved),
         ),
     ]
 
@@ -336,26 +324,8 @@ def run(cfg: ExperimentConfig) -> ResultRecord:
     metrics = COMMANDS[cfg.command][0](cfg)
     wall_ms = (time.perf_counter() - start) * 1000.0
     return ResultRecord(
-        config=cfg.to_dict(), metrics=tuple(metrics), wall_time_ms=wall_ms, version=__version__
+        config=asdict(cfg), metrics=tuple(metrics), wall_time_ms=wall_ms, version=__version__
     )
-
-
-def _validate(cfg: ExperimentConfig, parser: argparse.ArgumentParser) -> None:
-    try:
-        cfg.n  # building the protocol checks d, epsilon, m and --n, and resolves n
-        if cfg.command == "key-cost":
-            key_cost(cfg.protocol)  # its bit counts must fit a float
-    except ValueError as exc:
-        parser.error(str(exc))
-    if cfg.trials < 1:
-        parser.error(f"--trials must be positive, got {cfg.trials}")
-    if cfg.seed < 0:
-        parser.error(f"--seed must be a nonnegative integer, got {cfg.seed}")
-    fewest = COMMANDS[cfg.command][2]
-    if cfg.trials < fewest:
-        parser.error(f"{cfg.command} needs at least {fewest} trials, got {cfg.trials}")
-    if cfg.command == "multiparty" and cfg.m < 3:
-        parser.error(f"multiparty needs --m >= 3, got {cfg.m}")
 
 
 def _comma_list(text: str, parse, what: str) -> list:
@@ -441,21 +411,32 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def _grid(args: argparse.Namespace) -> list[ExperimentConfig]:
-    trials = getattr(args, "trials", None) or [COMMANDS[args.command][1]]
-    return [
-        ExperimentConfig(
-            command=args.command,
-            d=d,
-            epsilon=eps,
-            n_override=n,
-            trials=t,
-            input_family=getattr(args, "family", "product-pure").replace("-", "_"),
-            m=getattr(args, "m", 2),
-            seed=args.seed,
-            perfect=getattr(args, "perfect", False),
-        )
-        for d, eps, n, t in itertools.product(args.d, args.epsilon, args.n or [None], trials)
-    ]
+    """Every grid point, resolved and checked once, in grid order; ValueError
+    names the first bad value of the first bad point."""
+    command, m, seed = args.command, getattr(args, "m", 2), args.seed
+    _, default_trials, fewest, _ = COMMANDS[command]
+    family = getattr(args, "family", "product-pure").replace("-", "_")
+    perfect = getattr(args, "perfect", False)
+    grid = []
+    for d, eps, n, t in itertools.product(
+        args.d, args.epsilon, args.n or [None], getattr(args, "trials", None) or [default_trials]
+    ):
+        protocol = ProtocolConfig(d, eps, m, n_per_channel=n)  # checks d, epsilon, m and --n
+        # Resolved first, so an epsilon too small to size n is named before a bad
+        # --trials; the exact channel has n = d^2 unitaries whatever --n says.
+        n_resolved = d * d if perfect else protocol.resolved_n
+        if command == "key-cost":
+            key_cost(protocol)  # its bit counts must fit a float
+        if t < 1:
+            raise ValueError(f"--trials must be positive, got {t}")
+        if seed < 0:
+            raise ValueError(f"--seed must be a nonnegative integer, got {seed}")
+        if t < fewest:
+            raise ValueError(f"{command} needs at least {fewest} trials, got {t}")
+        if command == "multiparty" and m < 3:
+            raise ValueError(f"multiparty needs --m >= 3, got {m}")
+        grid.append(ExperimentConfig(command, d, eps, n, t, family, m, seed, perfect, n_resolved))
+    return grid
 
 
 def render_json(records: Sequence[ResultRecord]) -> str:
@@ -508,9 +489,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
-        grid = _grid(args)
-        for cfg in grid:  # fail fast: the whole grid validates before any run
-            _validate(cfg, parser)
+        try:
+            grid = _grid(args)
+        except ValueError as exc:
+            parser.error(str(exc))
     except SystemExit as exc:
         return int(exc.code or 0)
 

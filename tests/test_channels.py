@@ -198,10 +198,13 @@ def test_apply_product_dimension_mismatch():
     with pytest.raises(ValueError, match=r"expected a square matrix, got shape \(4, 3\)"):
         apply_product(fam, np.zeros((4, 3)))
     psi = np.array([1.0, 0.0])
-    with pytest.raises(ValueError, match=r"zip\(\) argument 2 is shorter than argument 1"):
+    with pytest.raises(ValueError, match="expected 2 factors, got 1"):
         apply_product(fam, (psi,))
-    with pytest.raises(ValueError, match=r"zip\(\) argument 2 is longer than argument 1"):
+    with pytest.raises(ValueError, match="expected 2 factors, got 3"):
         output_spectrum(fam, (psi, psi, psi))
+    for measure in (apply_product, output_spectrum):
+        with pytest.raises(ValueError, match="expected 2 factors, got 0"):
+            measure(fam, ())
 
 
 @pytest.mark.parametrize("measure", [apply_product, output_spectrum])
@@ -388,10 +391,11 @@ def test_unitarity_check_sees_last_element():
     assert_unitarity_check_sees(4, 500, -1)
 
 
-@pytest.mark.parametrize("where", [0, 300, -1])
+@pytest.mark.parametrize("where", [0, 255, 256, 300, 511, -1])
 def test_unitarity_check_sees_every_chunk(where):
     # At d=16 a chunk holds CHUNK_ENTRIES / 256 = 256 matrices, so n = 700
-    # spans three chunks: 0 is in the first, 300 in the middle one, -1 in the last.
+    # spans three chunks: 0 is in the first, 300 in the middle one, -1 in the
+    # last, and 255, 256 and 511 are the last and first of a full chunk.
     assert 2 * CHUNK_ENTRIES < 700 * 16 * 16 <= 3 * CHUNK_ENTRIES
     assert_unitarity_check_sees(16, 700, where)
 

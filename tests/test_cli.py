@@ -343,6 +343,39 @@ def test_grid_fails_fast_before_running(capsys, tmp_path):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        # Points run in grid order, each checked in full before the next.
+        ("aqss-demo --d 2,1 --trials 0 --seed 0", "--trials must be positive, got 0"),
+        ("aqss-demo --d 1,2 --trials 0 --seed 0", "qudit dimension must be >= 2, got 1"),
+        # n is resolved before --trials is checked, unless --perfect fixes it at d^2.
+        (
+            "aqss-demo --d 2 --epsilon 1e-300 --trials 0 --seed 0",
+            "n = ceil(150 d / epsilon^2) is too large to compute (epsilon=1e-300)",
+        ),
+        (
+            "aqss-demo --d 2 --epsilon 1e-300 --trials 0 --perfect --seed 0",
+            "--trials must be positive, got 0",
+        ),
+        # --trials >= 1, then --seed, then the command's fewest trials, then --m.
+        (
+            "bound-sweep --d 2 --trials 10,9 --seed -1",
+            "--seed must be a nonnegative integer, got -1",
+        ),
+        ("bound-sweep --d 2 --trials 10,9 --seed 0", "bound-sweep needs at least 10 trials, got 9"),
+        ("multiparty --d 2 --m 2 --trials 0 --seed 0", "--trials must be positive, got 0"),
+        # Every usage error comes before any guard refusal (d = 64 alone exits 3).
+        ("aqss-demo --d 64,1 --seed 0", "qudit dimension must be >= 2, got 1"),
+    ],
+)
+def test_grid_reports_the_first_bad_value_of_the_first_bad_point(argv, error, capsys):
+    rc, out, err = run_cli(argv.split(), capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.splitlines()[-1] == f"aqss: error: {error}"
+
+
 def test_json_writes_non_finite_metric_values_as_null():
     def reject(token):
         raise ValueError(f"non-JSON constant {token}")

@@ -99,6 +99,89 @@ MUTANTS = (
         "yield (v.conj().T @ v) / part.n",
         ("tests/test_properties.py",),
     ),
+    # A unitarity check that skips the last unitary of every chunk.
+    (
+        "src/aqss/channels.py",
+        "c = u[s : s + step]",
+        "c = u[s : s + step - 1]",
+        ("tests/test_channels.py",),
+    ),
+    # The exact channel sized by --n or epsilon instead of d^2.
+    (
+        "src/aqss/cli.py",
+        "n_resolved = d * d if perfect else protocol.resolved_n",
+        "n_resolved = protocol.resolved_n",
+        ("tests/test_cli.py",),
+    ),
+    # A bad --trials reported before an epsilon too small to size n.
+    (
+        "src/aqss/cli.py",
+        """        n_resolved = d * d if perfect else protocol.resolved_n
+        if command == "key-cost":
+            key_cost(protocol)  # its bit counts must fit a float
+        if t < 1:
+            raise ValueError(f"--trials must be positive, got {t}")
+""",
+        """        if command == "key-cost":
+            key_cost(protocol)  # its bit counts must fit a float
+        if t < 1:
+            raise ValueError(f"--trials must be positive, got {t}")
+        n_resolved = d * d if perfect else protocol.resolved_n
+""",
+        ("tests/test_cli.py",),
+    ),
+    # Chunked Haar sampling: the last draw of a stack of k * step + 1 has no
+    # slot, a slot overlaps the next chunk's, a chunk's QR overruns its rows.
+    (
+        "src/aqss/random.py",
+        "reshape(2, -1, d, d) for s in range(0, n, step)]",
+        "reshape(2, -1, d, d) for s in range(0, n - 1, step)]",
+        ("tests/test_properties.py",),
+    ),
+    (
+        "src/aqss/random.py",
+        "q[s : s + step].view(float)",
+        "q[s : s + step + 1].view(float)",
+        ("tests/test_properties.py",),
+    ),
+    (
+        "src/aqss/random.py",
+        "rows = slice(k * step, (k + 1) * step)",
+        "rows = slice(k * step, (k + 1) * step + 1)",
+        ("tests/test_properties.py",),
+    ),
+    # Chunked superoperator build: the last unitary of a stack of k * step + 1
+    # is skipped, the last of every chunk is skipped, every chunk skips one.
+    (
+        "src/aqss/channels.py",
+        "for s in range(0, self.n, step):",
+        "for s in range(0, self.n - 1, step):",
+        ("tests/test_properties.py",),
+    ),
+    (
+        "src/aqss/channels.py",
+        """            b = a[s : s + step].conj()
+            b *= self.probs[s : s + step, None]
+            if s == 0:
+                c = a[:step].T @ b
+            else:
+                c += a[s : s + step].T @ b
+""",
+        """            b = a[s : s + step - 1].conj()
+            b *= self.probs[s : s + step - 1, None]
+            if s == 0:
+                c = a[: step - 1].T @ b
+            else:
+                c += a[s : s + step - 1].T @ b
+""",
+        ("tests/test_properties.py",),
+    ),
+    (
+        "src/aqss/channels.py",
+        "for s in range(0, self.n, step):",
+        "for s in range(0, self.n, step + 1):",
+        ("tests/test_properties.py",),
+    ),
 )
 
 
