@@ -189,7 +189,7 @@ def _apply_product(family: ChannelFamily, state: np.ndarray) -> np.ndarray:
     dims = family.dims
     out = state
     for k, part in enumerate(family.parts):
-        out = _apply_superop_at(part.superoperator, out, dims, k)
+        out = apply_at(part, out, dims, k)
     return out
 
 
@@ -229,7 +229,7 @@ def output_spectrum(family: ChannelFamily, rho: np.ndarray | tuple[np.ndarray, .
     checked and decomposed, and the spectrum is their Kronecker product."""
     if isinstance(rho, tuple):
         spectra = [linalg.assert_density_matrix(x) for x in _factor_outputs(family, rho)]
-        return linalg.kron_spectrum(spectra)
+        return np.sort(linalg.kron_vectors(spectra))
     return linalg.assert_density_matrix(_apply_product(family, rho))
 
 

@@ -15,12 +15,15 @@ as the map produced it and returns that ascending spectrum; the distance
 everything) and the entropy are read off it, so no state is decomposed
 twice. The second moment ``purity`` is O(D^2) from the matrix. Callers that
 need the state itself take it from ``validated``, which runs the same check.
+``kron_vectors`` is the one Kronecker product of vectors: of factor vectors
+and of factor spectra, whose sorted product is a product state's spectrum.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from typing import Sequence
 
 import numpy as np
 
@@ -108,10 +111,12 @@ def spectrum_entropy(spectrum: np.ndarray) -> float:
     return float(-(eigs * np.log2(eigs)).sum())
 
 
-def kron_spectrum(spectra: list[np.ndarray]) -> np.ndarray:
-    """Ascending spectrum of the Kronecker product of Hermitian matrices with
-    these spectra: every product of one eigenvalue per factor, sorted."""
-    return np.sort(functools.reduce(np.multiply.outer, spectra), axis=None)
+def kron_vectors(factors: Sequence[np.ndarray]) -> np.ndarray:
+    """Kronecker product of vectors along their last axis, factor 0 leftmost;
+    leading axes index independent products, and one factor is returned as is."""
+    return functools.reduce(
+        lambda p, z: (p[..., :, None] * z[..., None, :]).reshape(*p.shape[:-1], -1), factors
+    )
 
 
 def factor_layout(n: int, dims: tuple[int, ...], k: int) -> tuple[int, int, int]:

@@ -22,7 +22,6 @@ the factored one is pinned to.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
@@ -198,17 +197,12 @@ def cooperate_decode(session: AqssSession) -> np.ndarray | tuple[np.ndarray, ...
     return _conjugate(session.ciphertext, dims, inverses)
 
 
-def _product(vectors: Sequence[np.ndarray]) -> np.ndarray:
-    """Kronecker product of the factor vectors, factor 0 leftmost."""
-    return functools.reduce(np.multiply.outer, vectors).ravel()
-
-
 def _joint_plaintext(session: AqssSession) -> np.ndarray:
     """The session's plaintext as a D x D state, formed from its factors when
     it has them; the attack functions, which act on joint states, read it."""
     if not isinstance(session.plaintext, tuple):
         return session.plaintext
-    psi = _product(session.plaintext)
+    psi = linalg.kron_vectors(session.plaintext)
     return np.outer(psi, psi.conj())
 
 
@@ -223,7 +217,7 @@ def _round_trip(session: AqssSession) -> float:
     decoded = cooperate_decode(session)
     if not isinstance(decoded, tuple):
         return linalg.trace_norm(decoded - session.plaintext)
-    psi, phi = _product(session.plaintext), _product(decoded)
+    psi, phi = linalg.kron_vectors(session.plaintext), linalg.kron_vectors(decoded)
     q = np.linalg.qr(np.stack([psi, phi], axis=1))[0]
     a, b = q.conj().T @ psi, q.conj().T @ phi
     return linalg.trace_norm(np.outer(b, b.conj()) - np.outer(a, a.conj()))
@@ -312,7 +306,7 @@ def _round_spectra(
         output_spectrum(ChannelFamily((part,)), (psi,))
         for part, psi in zip(parts, session.plaintext)
     ]
-    return linalg.kron_spectrum(outputs), [outputs[v] for v in victims]
+    return np.sort(linalg.kron_vectors(outputs)), [outputs[v] for v in victims]
 
 
 def audit(sessions: Iterable[AqssSession], victims: Sequence[int]) -> AuditReport:

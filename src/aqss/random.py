@@ -41,7 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import CHUNK_ENTRIES
+from .linalg import CHUNK_ENTRIES, kron_vectors
 
 
 def stream(master_seed: int, stream_id: int = 0) -> np.random.Generator:
@@ -333,24 +333,15 @@ def haar_factors(
     return tuple(factors)
 
 
-def haar_vectors(dims: tuple[int, ...], k: int, rng: np.random.Generator) -> np.ndarray:
-    """k independent product vectors with Haar-random factors, shape (k, prod(dims)):
-    the Kronecker products of the factors that :func:`haar_factors` draws."""
-    psi = np.ones((k, 1), dtype=complex)
-    for z in haar_factors(dims, k, rng):
-        psi = (psi[:, :, None] * z[:, None, :]).reshape(k, -1)
-    return psi
-
-
 def random_pure_state(d: int, rng: np.random.Generator) -> np.ndarray:
     """|psi><psi| for a Haar-random unit vector (first column of a Haar unitary)."""
-    psi = haar_vectors((d,), 1, rng)[0]
+    psi = haar_factors((d,), 1, rng)[0][0]
     return np.outer(psi, psi.conj())
 
 
 def random_product_pure_state(da: int, db: int, rng: np.random.Generator) -> np.ndarray:
     """Tensor product of two independent Haar-random pure states."""
-    psi = haar_vectors((da, db), 1, rng)[0]
+    psi = kron_vectors(haar_factors((da, db), 1, rng))[0]
     return np.outer(psi, psi.conj())
 
 
@@ -366,5 +357,5 @@ def random_separable_state(
     if k_terms < 1:
         raise ValueError(f"need at least one mixture term, got {k_terms}")
     weights = rng.dirichlet(np.ones(k_terms))
-    psi = haar_vectors((da, db), k_terms, rng)
+    psi = kron_vectors(haar_factors((da, db), k_terms, rng))
     return (psi.T * weights) @ psi.conj()

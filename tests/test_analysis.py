@@ -316,6 +316,26 @@ def test_locc_symmetric_and_bounded():
     assert 0.0 <= ab <= 2.0
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda a, b: product_basis_total_variation(a, b, (2, 3), np.eye(2), np.eye(3)),
+            "states of dimension 4/4 do not match dims (2, 3)",
+        ),
+        (
+            lambda a, b: locc_distinguishability(a, b, (2, 2), num_settings=-1, seed=0),
+            "number of settings must be nonnegative, got -1",
+        ),
+    ],
+    ids=["dims", "settings"],
+)
+def test_the_locc_measures_refuse_bad_arguments(call, message):
+    rho = linalg.maximally_mixed(4)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(rho, rho)
+
+
 @pytest.mark.parametrize("num_settings", [0, 1, 5])
 def test_locc_is_the_max_over_the_computational_basis_and_the_drawn_pairs(num_settings):
     # The definition, written out as a list: setting zero is the identity

@@ -349,6 +349,7 @@ def test_grid_fails_fast_before_running(capsys, tmp_path):
         # Points run in grid order, each checked in full before the next.
         ("aqss-demo --d 2,1 --trials 0 --seed 0", "--trials must be positive, got 0"),
         ("aqss-demo --d 1,2 --trials 0 --seed 0", "qudit dimension must be >= 2, got 1"),
+        ("aqss-demo --d 2 --n 0 --seed 0", "n_per_channel must be positive, got 0"),
         # n is resolved before --trials is checked, unless --perfect fixes it at d^2.
         (
             "aqss-demo --d 2 --epsilon 1e-300 --trials 0 --seed 0",

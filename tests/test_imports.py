@@ -61,7 +61,6 @@ TEST_ONLY = {
     # The references behind the acceptance imports: read only by the
     # test-only functions above, or by one another.
     "channels.apply",
-    "channels.apply_at",
     "linalg.purity",
     "protocol.collusion_attack",
 }

@@ -379,6 +379,20 @@ def test_maximally_mixed():
         3.0, abs=1e-10
     )
     assert linalg.purity(linalg.maximally_mixed(8)) == pytest.approx(1 / 8, abs=1e-12)
+    with pytest.raises(ValueError, match="dimension must be positive, got 0"):
+        linalg.maximally_mixed(0)
+
+
+@pytest.mark.parametrize("dims", [(3,), (2, 3), (3, 2, 4)])
+def test_kron_vectors_is_the_nested_kron_of_each_row(dims):
+    # Unequal dimensions, so a dropped or reordered factor changes the result.
+    rng = stream(130, len(dims))
+    k = 4
+    batches = [rng.standard_normal((k, d)) + 1j * rng.standard_normal((k, d)) for d in dims]
+    rows = np.stack([functools.reduce(np.kron, [z[t] for z in batches]) for t in range(k)])
+    assert np.array_equal(linalg.kron_vectors(batches), rows)
+    for t in range(k):
+        assert np.array_equal(linalg.kron_vectors([z[t] for z in batches]), rows[t])
 
 
 def test_assert_density_matrix_rejects_bad_states():

@@ -35,7 +35,6 @@ from aqss.protocol import (
 )
 from aqss.random import (
     haar_factors,
-    haar_vectors,
     random_product_pure_state,
     random_pure_state,
     stream,
@@ -430,7 +429,7 @@ def test_audit_victim_matches_the_collusion_reference(m, perfect, plaintext):
     if plaintext == "pure":
         rho = random_pure_state(d**m, rng)
     else:
-        psi = haar_vectors(dims, 1, rng)[0]
+        psi = linalg.kron_vectors(haar_factors(dims, 1, rng))[0]
         rho = np.outer(psi, psi.conj())
     config = ProtocolConfig(d=d, parties=m, n_per_channel=family.parts[0].n)
     session = charlie_encode(config, rho, rng, channels=family)
@@ -648,6 +647,8 @@ def test_config_validation():
         ProtocolConfig(d=2, epsilon=1.0)
     with pytest.raises(ValueError):
         ProtocolConfig(d=2, epsilon=0.5, parties=1)
+    with pytest.raises(ValueError, match="n_per_channel must be positive"):
+        ProtocolConfig(d=2, n_per_channel=0)
     cfg = ProtocolConfig(d=8, epsilon=0.5)
     assert cfg.resolved_n == required_n(8, 0.5) == 4800
 

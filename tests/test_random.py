@@ -15,7 +15,6 @@ from aqss.random import (
     cores,
     haar_factors,
     haar_unitaries,
-    haar_vectors,
     random_product_pure_state,
     random_pure_state,
     random_separable_state,
@@ -467,10 +466,19 @@ def test_haar_factors_match_qr_reference(dims):
 
 def test_haar_vectors_are_the_kronecker_products_of_haar_factors():
     dims, k = (2, 3, 4), 5
-    psi = haar_vectors(dims, k, stream(810))
+    psi = linalg.kron_vectors(haar_factors(dims, k, stream(810)))
     factors = haar_factors(dims, k, stream(810))
     for t in range(k):
         assert np.array_equal(psi[t], np.kron(np.kron(factors[0][t], factors[1][t]), factors[2][t]))
+
+
+@pytest.mark.parametrize(
+    "d, n, message",
+    [(0, 1, "dimension must be positive, got 0"), (2, 0, "sample count must be positive, got 0")],
+)
+def test_haar_unitaries_refuses_an_empty_stack(d, n, message):
+    with pytest.raises(ValueError, match=message):
+        haar_unitaries(d, n, stream(50))
 
 
 def test_random_pure_state_rejects_bad_dim():

@@ -50,11 +50,11 @@ MUTANTS = (
         "yield (v.T @ v) / part.n",
         ("tests/test_properties.py",),
     ),
-    # A Kronecker spectrum that drops the last factor.
+    # A Kronecker product that drops the last factor.
     (
         "src/aqss/linalg.py",
-        "functools.reduce(np.multiply.outer, spectra)",
-        "functools.reduce(np.multiply.outer, spectra[:-1])",
+        ".reshape(*p.shape[:-1], -1), factors",
+        ".reshape(*p.shape[:-1], -1), factors[:-1]",
         ("tests/test_properties.py",),
     ),
     # Decoding with the keyed unitaries instead of their inverses.
@@ -78,11 +78,13 @@ MUTANTS = (
         "metavar=None",
         ("tests/test_cli.py",),
     ),
-    # A product vector with its factors in reversed Kronecker order.
+    # A run sized with no unitaries per channel.
     (
         "src/aqss/protocol.py",
-        "functools.reduce(np.multiply.outer, vectors).ravel()",
-        "functools.reduce(np.multiply.outer, vectors[::-1]).ravel()",
+        """        if self.n_per_channel is not None and self.n_per_channel < 1:
+            raise ValueError(f"n_per_channel must be positive, got {self.n_per_channel}")
+""",
+        "",
         ("tests/test_protocol.py",),
     ),
     # Encoding each factor with another receiver's key.
@@ -181,6 +183,13 @@ MUTANTS = (
         "for s in range(0, self.n, step):",
         "for s in range(0, self.n, step + 1):",
         ("tests/test_properties.py",),
+    ),
+    # A Kronecker product with its factors in reversed order.
+    (
+        "src/aqss/linalg.py",
+        ".reshape(*p.shape[:-1], -1), factors",
+        ".reshape(*p.shape[:-1], -1), factors[::-1]",
+        ("tests/test_protocol.py",),
     ),
 )
 
