@@ -5,9 +5,10 @@ on ``--d``, ``--epsilon``, ``--n`` and ``--trials`` form a grid), runs each
 point, and emits one result record per point as JSON (default) or CSV.
 Before anything runs, ``_grid`` resolves and checks each point once, in grid
 order, and reports the first bad value of the first bad point; every usage
-error comes before any resource-guard refusal. The seed is mandatory:
-identical command lines produce byte-identical output apart from the
-wall-time field.
+error comes before any resource-guard refusal. The seed is mandatory: in
+one environment, identical command lines produce byte-identical output
+apart from the wall-time field; across BLAS thread counts the sums run in
+another order, and the metric values agree within 1e-12.
 
 Exit codes: 0 when every asserted bound check passed, 1 when one failed,
 2 for usage errors and output that cannot be written, 3 when a resource
@@ -119,31 +120,6 @@ class Metric:
             if out[key] is not None and not math.isfinite(out[key]):
                 out[key] = None
         return out
-
-
-@dataclass(frozen=True)
-class ResultRecord:
-    """Self-describing result of one grid point. The resolved config holds the
-    command and the seed, which the JSON record also repeats at its top."""
-
-    config: dict
-    metrics: tuple[Metric, ...]
-    wall_time_ms: float
-    version: str
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.config["command"],
-            "config": self.config,
-            "metrics": [m.to_dict() for m in self.metrics],
-            "wall_time_ms": self.wall_time_ms,
-            "version": self.version,
-            "seed": self.config["seed"],
-        }
-
-    @property
-    def all_asserted_satisfied(self) -> bool:
-        return all(m.satisfied for m in self.metrics if m.asserted)
 
 
 def _checked(name: str, check: BoundCheck, asserted: bool) -> Metric:
@@ -318,14 +294,19 @@ _FAMILY_COMMANDS = ("aqss-demo", "bound-sweep", "locc-test")
 _RECEIVER_COMMANDS = ("multiparty", "key-cost")
 
 
-def run(cfg: ExperimentConfig) -> ResultRecord:
-    """Execute one grid point and wrap the metrics in a self-describing record."""
+def run(cfg: ExperimentConfig) -> dict:
+    """Execute one grid point; the self-describing record is the dict that
+    ``render_json`` prints, with the command and seed repeated at its top."""
     start = time.perf_counter()
     metrics = COMMANDS[cfg.command][0](cfg)
-    wall_ms = (time.perf_counter() - start) * 1000.0
-    return ResultRecord(
-        config=asdict(cfg), metrics=tuple(metrics), wall_time_ms=wall_ms, version=__version__
-    )
+    return {
+        "command": cfg.command,
+        "config": asdict(cfg),
+        "metrics": metrics,
+        "wall_time_ms": (time.perf_counter() - start) * 1000.0,
+        "version": __version__,
+        "seed": cfg.seed,
+    }
 
 
 def _comma_list(text: str, parse, what: str) -> list:
@@ -439,18 +420,18 @@ def _grid(args: argparse.Namespace) -> list[ExperimentConfig]:
     return grid
 
 
-def render_json(records: Sequence[ResultRecord]) -> str:
-    payload = [r.to_dict() for r in records]
-    return json.dumps(payload[0] if len(payload) == 1 else payload, indent=2) + "\n"
+def render_json(records: Sequence[dict]) -> str:
+    payload = records[0] if len(records) == 1 else list(records)
+    return json.dumps(payload, indent=2, default=Metric.to_dict) + "\n"
 
 
-def render_csv(records: Sequence[ResultRecord]) -> str:
+def render_csv(records: Sequence[dict]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for record in records:
-        cfg = record.config
-        for metric in record.metrics:
+        cfg = record["config"]
+        for metric in record["metrics"]:
             writer.writerow(
                 [
                     cfg["command"],
@@ -524,4 +505,4 @@ def main(argv: Sequence[str] | None = None) -> int:
         except OSError as exc:
             print(f"aqss: error: cannot write {target}: {exc.strerror}", file=sys.stderr)
             return 2
-    return 0 if all(r.all_asserted_satisfied for r in records) else 1
+    return 0 if all(m.satisfied for r in records for m in r["metrics"] if m.asserted) else 1

@@ -16,7 +16,6 @@ from aqss import analysis, channels, cli
 from aqss.cli import (
     CSV_COLUMNS,
     Metric,
-    ResultRecord,
     build_parser,
     main,
     render_csv,
@@ -101,6 +100,25 @@ def test_multiparty_perfect(capsys):
     assert rc == 0
     metrics = metrics_by_name(json.loads(out))
     assert metrics["collusion_victim_distance_max"]["value"] <= 1e-10
+
+
+def test_purity_check_perfect_runs_the_exact_channel_and_fails_the_stated_identity(capsys):
+    # The exact channel maps every product input to I/d^2, whose purity is
+    # 1/d^2; the stated identity 1/(n_A n_B) + 1/d^2 stays asserted, so the
+    # run exits 1 by design. A sampled channel reads a mean purity near 0.39.
+    rc, out, _ = run_cli(
+        ["purity-check", "--d", "2", "--n", "8", "--trials", "30", "--perfect", "--seed", "0"],
+        capsys,
+    )
+    assert rc == 1
+    record = json.loads(out)
+    metrics = metrics_by_name(record)
+    assert record["config"]["n_resolved"] == 4
+    assert abs(metrics["mean_purity"]["value"] - 0.25) <= 1e-15
+    assert metrics["stderr"]["value"] <= 1e-15
+    assert metrics["purity_identity_value"]["value"] == 0.3125
+    deviation = metrics["purity_identity_deviation"]
+    assert deviation["asserted"] and not deviation["satisfied"]
 
 
 def test_randomize_reports_without_asserting(capsys):
@@ -222,10 +240,11 @@ def test_unwritable_output_is_usage_error_before_any_run(capsys, monkeypatch, tm
     assert "Traceback" not in err
 
 
-def run_module(*argv, stdout=subprocess.PIPE):
-    """``python -m aqss <argv>`` in a fresh process, stderr and (by default) stdout captured."""
+def run_module(*argv, stdout=subprocess.PIPE, **environ):
+    """``python -m aqss <argv>`` in a fresh process, stderr and (by default) stdout
+    captured; keyword arguments are set in its environment."""
     src = str(Path(aqss.__file__).resolve().parents[1])
-    env = dict(os.environ)
+    env = dict(os.environ, **environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "aqss", *argv],
@@ -381,16 +400,18 @@ def test_json_writes_non_finite_metric_values_as_null():
     def reject(token):
         raise ValueError(f"non-JSON constant {token}")
 
-    record = ResultRecord(
-        config={"command": "randomize", "d": 2, "epsilon": 0.5, "n_resolved": 8, "trials": 1,
-                "seed": 1},
-        metrics=(
+    record = {
+        "command": "randomize",
+        "config": {"command": "randomize", "d": 2, "epsilon": 0.5, "n_resolved": 8, "trials": 1,
+                   "seed": 1},
+        "metrics": [
             Metric(name="nan_value", value=float("nan"), bound=float("inf")),
             Metric(name="finite", value=0.25, bound=0.5, satisfied=True),
-        ),
-        wall_time_ms=1.0,
-        version="test",
-    )
+        ],
+        "wall_time_ms": 1.0,
+        "version": "test",
+        "seed": 1,
+    }
     metrics = metrics_by_name(json.loads(render_json([record]), parse_constant=reject))
     assert metrics["nan_value"]["value"] is None
     assert metrics["nan_value"]["bound"] is None
@@ -406,6 +427,25 @@ def test_determinism_modulo_wall_time(capsys):
     r1, r2 = json.loads(out1), json.loads(out2)
     r1.pop("wall_time_ms"), r2.pop("wall_time_ms")
     assert r1 == r2
+
+
+def test_records_agree_across_blas_thread_counts():
+    # At d = 16 the dense path's sums run in another order at 1 and 2 OpenBLAS
+    # threads, and some printed digits differ (by 8.9e-16 at most).
+    argv = ("aqss-demo", "--d", "16", "--family", "max-entangled", "--trials", "2",
+            "--seed", "0")
+    runs = [run_module(*argv, OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2")]
+    assert runs[0].returncode == runs[1].returncode == 0
+    one, two = (json.loads(run.stdout)["metrics"] for run in runs)
+    assert [(m["name"], m["satisfied"], m["asserted"]) for m in one] == [
+        (m["name"], m["satisfied"], m["asserted"]) for m in two
+    ]
+    for a, b in zip(one, two):
+        for key in ("value", "bound"):
+            if a[key] is None or b[key] is None:
+                assert a[key] == b[key]
+            else:
+                assert abs(a[key] - b[key]) <= 1e-12 * max(1.0, abs(a[key]))
 
 
 def test_csv_format_and_columns(capsys):

@@ -191,6 +191,27 @@ MUTANTS = (
         ".reshape(*p.shape[:-1], -1), factors[::-1]",
         ("tests/test_protocol.py",),
     ),
+    # An exit status that counts the flags of unasserted metrics too.
+    (
+        "src/aqss/cli.py",
+        'for r in records for m in r["metrics"] if m.asserted) else 1',
+        'for r in records for m in r["metrics"]) else 1',
+        ("tests/test_cli.py",),
+    ),
+    # A record whose metrics bypass Metric.to_dict, so a NaN prints as NaN.
+    (
+        "src/aqss/cli.py",
+        "default=Metric.to_dict",
+        "default=vars",
+        ("tests/test_cli.py",),
+    ),
+    # purity-check --perfect sampling Haar channels instead of the exact one.
+    (
+        "src/aqss/cli.py",
+        "cfg.trials, cfg.seed,\n        channel_factory=_channel_factory(cfg),",
+        "cfg.trials, cfg.seed,\n        channel_factory=sample_ruc,",
+        ("tests/test_cli.py",),
+    ),
 )
 
 
