@@ -40,29 +40,30 @@ ChannelFactory = Callable[[int, int, np.random.Generator], RandomUnitaryChannel]
 
 @dataclass(frozen=True)
 class McStats:
-    """Aggregate of one Monte Carlo run, with the raw per-trial values."""
+    """Raw per-trial values of one Monte Carlo run; the aggregates are read from them."""
 
-    mean: float
-    stderr: float
-    trials: int
     master_seed: int
     per_trial_values: tuple[float, ...]
 
     @classmethod
     def from_values(cls, values: Sequence[float], master_seed: int) -> "McStats":
         values = tuple(float(v) for v in values)
-        n = len(values)
-        if n == 0:
+        if not values:
             raise ValueError("cannot aggregate an empty trial list")
-        mean = float(np.mean(values))
-        stderr = float(np.std(values, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-        return cls(
-            mean=mean,
-            stderr=stderr,
-            trials=n,
-            master_seed=master_seed,
-            per_trial_values=values,
-        )
+        return cls(master_seed, values)
+
+    @property
+    def trials(self) -> int:
+        return len(self.per_trial_values)
+
+    @property
+    def mean(self) -> float:
+        return float(np.mean(self.per_trial_values))
+
+    @property
+    def stderr(self) -> float:
+        n = self.trials
+        return float(np.std(self.per_trial_values, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
 
 
 @dataclass(frozen=True)
@@ -71,17 +72,14 @@ class BoundCheck:
 
     observed: float
     bound: float
-    satisfied: bool
+
+    @property
+    def satisfied(self) -> bool:
+        return self.observed <= self.bound + BOUND_SLACK
 
     @classmethod
     def compare(cls, observed: float, bound: float) -> "BoundCheck":
-        observed = float(observed)
-        bound = float(bound)
-        return cls(
-            observed=observed,
-            bound=bound,
-            satisfied=observed <= bound + BOUND_SLACK,
-        )
+        return cls(float(observed), float(bound))
 
 
 def _check_family(family: str) -> None:

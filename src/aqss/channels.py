@@ -32,7 +32,7 @@ against the full Kronecker conjugation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, reduce
 
 import numpy as np
@@ -58,14 +58,16 @@ def required_n(d: int, epsilon: float) -> int:
 
 def _unitarity_deviation(u: np.ndarray) -> float:
     """max |U†U - 1| over a stack, taken chunk by chunk so the check holds one
-    chunk of temporaries; a max is exact, so the chunking changes no value."""
+    chunk of temporaries; a max is exact, so the chunking changes no value.
+    numpy's max keeps a NaN that Python's would drop, and warns of no overflow."""
     n, d, _ = u.shape
     step = max(1, CHUNK_ENTRIES // (d * d))
     eye = np.eye(d)
     dev = 0.0
-    for s in range(0, n, step):
-        c = u[s : s + step]
-        dev = max(dev, np.abs(c.conj().transpose(0, 2, 1) @ c - eye).max())
+    with np.errstate(invalid="ignore", over="ignore"):
+        for s in range(0, n, step):
+            c = u[s : s + step]
+            dev = np.abs(c.conj().transpose(0, 2, 1) @ c - eye).max(initial=dev)
     return dev
 
 
@@ -77,31 +79,30 @@ class RandomUnitaryChannel:
     record that holds arrays, it equals only itself and hashes by identity."""
 
     unitaries: np.ndarray  # shape (n, dim, dim)
-    dim: int = field(init=False)
-    probs: np.ndarray = field(init=False)  # shape (n,), every entry 1/n
 
     def __post_init__(self):
         u = np.ascontiguousarray(self.unitaries, dtype=complex)
         if u.ndim != 3 or u.shape[0] < 1 or u.shape[1] != u.shape[2]:
             raise ValueError(f"unitary stack has shape {u.shape}, expected (n, d, d) with n >= 1")
-        n, d, _ = u.shape
-        if d < 2:
-            raise ValueError(f"channel dimension must be >= 2, got {d}")
-        p = np.full(n, 1.0 / n)
-        # sum |u_ij|^2 is NaN or inf for a NaN, an inf or an overflowing entry;
-        # refusing those first keeps numpy from warning inside the U†U product.
-        if not np.isfinite(np.vdot(u, u)):
-            raise ValueError("Kraus element is not unitary: an entry is not finite or overflows")
+        if u.shape[1] < 2:
+            raise ValueError(f"channel dimension must be >= 2, got {u.shape[1]}")
         dev = _unitarity_deviation(u)
         if not dev <= linalg.HERMITIAN_TOL:
             raise ValueError(f"Kraus element is not unitary: max |U†U - 1| = {dev:.3e}")
         object.__setattr__(self, "unitaries", u)
-        object.__setattr__(self, "dim", d)
-        object.__setattr__(self, "probs", p)
 
     @property
     def n(self) -> int:
         return self.unitaries.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.unitaries.shape[1]
+
+    @property
+    def probs(self) -> np.ndarray:
+        """The key weights, a fresh (n,) array of 1/n."""
+        return np.full(self.n, 1.0 / self.n)
 
     @cached_property
     def superoperator(self) -> np.ndarray:
@@ -111,7 +112,7 @@ class RandomUnitaryChannel:
         step = max(d * d, CHUNK_ENTRIES // (d * d))
         for s in range(0, self.n, step):
             b = a[s : s + step].conj()
-            b *= self.probs[s : s + step, None]
+            b *= 1.0 / self.n
             if s == 0:
                 c = a[:step].T @ b
             else:

@@ -110,20 +110,21 @@ class Metric:
     name: str
     value: float
     bound: float | None = None
-    satisfied: bool | None = None
     asserted: bool = False
+
+    @property
+    def satisfied(self) -> bool | None:
+        """value <= bound + 1e-12, or None for a metric without a bound."""
+        return None if self.bound is None else BoundCheck(self.value, self.bound).satisfied
 
     def to_dict(self) -> dict:
         """Fields as JSON values: a non-finite value or bound becomes None (null)."""
-        out = asdict(self)
+        out = {"name": self.name, "value": self.value, "bound": self.bound,
+               "satisfied": self.satisfied, "asserted": self.asserted}
         for key in ("value", "bound"):
             if out[key] is not None and not math.isfinite(out[key]):
                 out[key] = None
         return out
-
-
-def _checked(name: str, check: BoundCheck, asserted: bool) -> Metric:
-    return Metric(name, check.observed, check.bound, check.satisfied, asserted)
 
 
 def _channel_factory(cfg: ExperimentConfig) -> analysis.ChannelFactory:
@@ -145,7 +146,7 @@ def _randomized(name: str, distance: float, cfg: ExperimentConfig, exact_tol: fl
     exact channels. A sampled draw is expected, not guaranteed, to land within
     epsilon; its flag reports the draw without failing the run."""
     bound = exact_tol if cfg.perfect else cfg.epsilon
-    return _checked(name, BoundCheck.compare(distance, bound), asserted=cfg.perfect)
+    return Metric(name, float(distance), bound, asserted=cfg.perfect)
 
 
 def _run_randomize(cfg: ExperimentConfig) -> list[Metric]:
@@ -180,9 +181,7 @@ def _session_rounds(cfg: ExperimentConfig) -> Iterator[AqssSession]:
 def _run_aqss_demo(cfg: ExperimentConfig) -> list[Metric]:
     round_trip, exterior, deficit, interior = audit(_session_rounds(cfg), victims=[0])
     return [
-        _checked(
-            "round_trip_distance_max", BoundCheck.compare(round_trip, EXACT_TOL), asserted=True
-        ),
+        Metric("round_trip_distance_max", round_trip, EXACT_TOL, asserted=True),
         _randomized("exterior_distance_max", exterior, cfg, EXACT_TOL),
         Metric(name="exterior_entropy_deficit_max_bits", value=deficit),
         _randomized("interior_alice_distance_max", interior, cfg, TWIRL_TOL),
@@ -199,12 +198,16 @@ def _run_bound_sweep(cfg: ExperimentConfig) -> list[Metric]:
         cfg.seed,
         channel_factory=_channel_factory(cfg),
     )
+    jensen = analysis.jensen_chain_check(stats)
     return [
         # The target d/sqrt(n_A n_B) is stated for product pure inputs;
         # the other families are measured, never asserted.
-        _checked("mean_trace_distance", check, asserted=cfg.input_family == "product_pure"),
+        Metric(
+            "mean_trace_distance", check.observed, check.bound,
+            asserted=cfg.input_family == "product_pure",
+        ),
         Metric(name="stderr", value=stats.stderr),
-        _checked("jensen_mean_vs_rms", analysis.jensen_chain_check(stats), asserted=True),
+        Metric("jensen_mean_vs_rms", jensen.observed, jensen.bound, asserted=True),
     ]
 
 
@@ -216,7 +219,7 @@ def _run_purity_check(cfg: ExperimentConfig) -> list[Metric]:
     return [
         Metric(name="mean_purity", value=stats.mean),
         Metric(name="stderr", value=stats.stderr),
-        _checked("purity_identity_deviation", check, asserted=True),
+        Metric("purity_identity_deviation", check.observed, check.bound, asserted=True),
         Metric(
             name="purity_identity_value",
             value=analysis.purity_second_moment(cfg.d, cfg.n_resolved, cfg.n_resolved),
@@ -243,16 +246,14 @@ def _run_locc_test(cfg: ExperimentConfig) -> list[Metric]:
     self_dist = analysis.locc_distinguishability(view, view, dims, cfg.trials, cfg.seed)
     return [
         _randomized("locc_max_total_variation", worst, cfg, TWIRL_TOL),
-        _checked("locc_self_distance", BoundCheck.compare(self_dist, EXACT_TOL), asserted=True),
+        Metric("locc_self_distance", self_dist, EXACT_TOL, asserted=True),
     ]
 
 
 def _run_multiparty(cfg: ExperimentConfig) -> list[Metric]:
     round_trip, exterior, _, collusion = audit(_session_rounds(cfg), victims=range(cfg.m))
     return [
-        _checked(
-            "round_trip_distance_max", BoundCheck.compare(round_trip, EXACT_TOL), asserted=True
-        ),
+        Metric("round_trip_distance_max", round_trip, EXACT_TOL, asserted=True),
         _randomized("exterior_distance_max", exterior, cfg, EXACT_TOL),
         _randomized("collusion_victim_distance_max", collusion, cfg, TWIRL_TOL),
     ]

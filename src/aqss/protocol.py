@@ -100,7 +100,10 @@ class KeyCostReport:
 
     perfect_bits: float
     approx_bits: float
-    ratio: float
+
+    @property
+    def ratio(self) -> float:
+        return self.approx_bits / self.perfect_bits
 
 
 def guard(config: ProtocolConfig, n: int | None = None) -> None:
@@ -356,8 +359,4 @@ def key_cost(config: ProtocolConfig) -> KeyCostReport:
         perfect_bits = math.inf
     if not math.isfinite(perfect_bits):  # or a float product that rounds to inf
         raise ValueError(f"key cost of m = {m} receivers does not fit a float")
-    return KeyCostReport(
-        perfect_bits=perfect_bits,
-        approx_bits=approx_bits,
-        ratio=approx_bits / perfect_bits,
-    )
+    return KeyCostReport(perfect_bits, approx_bits)

@@ -348,8 +348,8 @@ def test_channel_validation():
     nan_stack[1, 0, 1] = np.nan
     with pytest.raises(ValueError, match="not unitary"):
         RandomUnitaryChannel(nan_stack)
-    # An inf or an overflowing entry is refused before the U†U product, so
-    # numpy never warns.
+    # An inf or an overflowing entry makes the U†U deviation inf or NaN, and
+    # it is refused without a numpy warning.
     for entry in (np.inf, 1e200):
         big_stack = np.stack([np.eye(2), np.eye(2)]).astype(complex)
         big_stack[0, 1, 1] = entry

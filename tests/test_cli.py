@@ -406,7 +406,7 @@ def test_json_writes_non_finite_metric_values_as_null():
                    "seed": 1},
         "metrics": [
             Metric(name="nan_value", value=float("nan"), bound=float("inf")),
-            Metric(name="finite", value=0.25, bound=0.5, satisfied=True),
+            Metric(name="finite", value=0.25, bound=0.5),
         ],
         "wall_time_ms": 1.0,
         "version": "test",
@@ -417,6 +417,8 @@ def test_json_writes_non_finite_metric_values_as_null():
     assert metrics["nan_value"]["bound"] is None
     assert metrics["finite"]["value"] == 0.25
     assert metrics["finite"]["bound"] == 0.5
+    assert metrics["finite"]["satisfied"] is True
+    assert metrics["nan_value"]["satisfied"] is False
     assert "randomize,2,0.5,8,8,1,1,nan_value,nan,inf," in render_csv([record])
 
 

@@ -5,7 +5,8 @@ workloads.
 metric it reported (name, value, bound, satisfied and, for JSON output,
 asserted) when this test was added. A refactor must reproduce them: names,
 flags and exit codes exactly, values to 1e-12 * max(1, |v|). Wall time is
-not compared.
+not compared. Every printed flag must also follow from the printed value and
+bound, and every command's CSV must print its numbers as floats.
 """
 
 import csv
@@ -42,11 +43,24 @@ def output_metrics(out):
     return [m for record in records for m in record["metrics"]]
 
 
+def assert_printed_verdicts(metrics):
+    """Each printed flag is value <= bound + 1e-12, and null without a bound;
+    a value printed as null is skipped."""
+    for m in metrics:
+        if m["value"] is None:
+            continue
+        if m["bound"] is None:
+            assert m["satisfied"] is None, m["name"]
+        else:
+            assert m["satisfied"] == (m["value"] <= m["bound"] + VALUE_TOL), m["name"]
+
+
 @pytest.mark.parametrize("case", GOLDEN, ids=lambda case: case["argv"][0])
 def test_readme_example_matches_golden(case, capsys):
     rc = main(case["argv"])
     got = output_metrics(capsys.readouterr().out)
     assert rc == case["exit_code"]
+    assert_printed_verdicts(got)
     assert [m["name"] for m in got] == [m["name"] for m in case["metrics"]]
     for have, want in zip(got, case["metrics"]):
         for key in ("value", "bound"):
@@ -80,6 +94,7 @@ def test_benchmark_workload_matches_its_reference(workload, capsys):
     reference = json.loads(path.read_text(encoding="utf-8"))
     assert main([*WORKLOADS[workload]["argv"], "--seed", "0"]) == 0
     got = output_metrics(capsys.readouterr().out)
+    assert_printed_verdicts(got)
     assert [m["name"] for m in got] == [m["name"] for m in reference["metrics"]]
     for have, want in zip(got, reference["metrics"]):
         # A bound read from the samples (mc-small-d4's rms) is a value too.
@@ -90,3 +105,27 @@ def test_benchmark_workload_matches_its_reference(workload, capsys):
                 assert abs(a - b) <= VALUE_TOL, (have["name"], key, a, b)
         for key in ("satisfied", "asserted"):
             assert have[key] == want[key], (have["name"], key)
+
+
+CSV_ARGVS = (
+    ["randomize", "--d", "2", "--n", "8", "--trials", "2"],
+    ["aqss-demo", "--d", "2", "--n", "8", "--trials", "1"],
+    ["bound-sweep", "--d", "2", "--n", "4", "--trials", "10"],
+    ["purity-check", "--d", "2", "--n", "4", "--trials", "30"],
+    ["key-cost", "--d", "4"],
+    ["locc-test", "--d", "2", "--trials", "2"],
+    ["multiparty", "--d", "2", "--m", "3", "--n", "8", "--trials", "1"],
+)
+
+
+@pytest.mark.parametrize("argv", CSV_ARGVS, ids=lambda argv: argv[0])
+def test_csv_prints_every_number_as_a_float(argv, capsys):
+    """CSV writes repr(value): a numpy scalar would print as np.float64(...)."""
+    main([*argv, "--format", "csv", "--seed", "0"])
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert rows
+    for row in rows:
+        float(row["value"])
+        if row["bound"]:
+            float(row["bound"])
+        assert row["satisfied"] in ("true", "false", ""), row["metric"]

@@ -163,14 +163,14 @@ MUTANTS = (
     (
         "src/aqss/channels.py",
         """            b = a[s : s + step].conj()
-            b *= self.probs[s : s + step, None]
+            b *= 1.0 / self.n
             if s == 0:
                 c = a[:step].T @ b
             else:
                 c += a[s : s + step].T @ b
 """,
         """            b = a[s : s + step - 1].conj()
-            b *= self.probs[s : s + step - 1, None]
+            b *= 1.0 / self.n
             if s == 0:
                 c = a[: step - 1].T @ b
             else:
@@ -211,6 +211,34 @@ MUTANTS = (
         "cfg.trials, cfg.seed,\n        channel_factory=_channel_factory(cfg),",
         "cfg.trials, cfg.seed,\n        channel_factory=sample_ruc,",
         ("tests/test_cli.py",),
+    ),
+    # A verdict without its 1e-12 slack.
+    (
+        "src/aqss/analysis.py",
+        "return self.observed <= self.bound + BOUND_SLACK",
+        "return self.observed <= self.bound",
+        ("tests/test_analysis.py",),
+    ),
+    # A printed flag that claims every bounded metric holds.
+    (
+        "src/aqss/cli.py",
+        "None if self.bound is None else BoundCheck(self.value, self.bound).satisfied",
+        "None if self.bound is None else True",
+        ("tests/test_cli.py",),
+    ),
+    # A standard error from the population deviation instead of the sample one.
+    (
+        "src/aqss/analysis.py",
+        "np.std(self.per_trial_values, ddof=1)",
+        "np.std(self.per_trial_values, ddof=0)",
+        ("tests/test_analysis.py",),
+    ),
+    # A unitarity check folded with Python's max, which drops a NaN chunk.
+    (
+        "src/aqss/channels.py",
+        "dev = np.abs(c.conj().transpose(0, 2, 1) @ c - eye).max(initial=dev)",
+        "dev = max(dev, np.abs(c.conj().transpose(0, 2, 1) @ c - eye).max())",
+        ("tests/test_channels.py",),
     ),
 )
 
