@@ -14,10 +14,10 @@ conjugates that receiver's factor alone, so the ciphertext and the decoded
 state are the m vectors U psi_k and U† phi_k, and no D x D matrix is formed.
 The audit measures the outsider and every victim through the factors'
 channel outputs (channels.output_spectrum), so no superoperator is built.
-The round trip compares the two product vectors psi and phi inside their
-span, where the difference of their projectors is a 2 x 2 matrix. Any
-other plaintext is measured on the dense D x D path, the reference that
-the factored one is pinned to.
+The round trip compares the two product vectors psi and phi through their
+overlap, since the difference of their projectors has trace norm
+2 sqrt(1 - |<psi|phi>|^2). Any other plaintext is measured on the dense
+D x D path, the reference that the factored one is pinned to.
 """
 
 from __future__ import annotations
@@ -187,14 +187,14 @@ def cooperate_decode(session: AqssSession) -> np.ndarray | tuple[np.ndarray, ...
     Receivers that bring other keys are a session that holds those keys,
     dataclasses.replace(session, key_indices=...). Every receiver's key is
     required, so a key count other than m, or a key that is not an integer in
-    [0, n) (a missing None key included), is a ValueError, raised before
-    anything is decoded.
+    [0, n) (a missing None key and a bool included), is a ValueError, raised
+    before anything is decoded.
     """
     keys, parts, dims = session.key_indices, session.channels.parts, session.channels.dims
     if len(keys) != len(parts):
         raise ValueError(f"expected {len(parts)} keys, got {len(keys)}")
     for part, key in zip(parts, keys):
-        if not isinstance(key, (int, np.integer)) or not 0 <= key < part.n:
+        if isinstance(key, bool) or not isinstance(key, (int, np.integer)) or not 0 <= key < part.n:
             raise ValueError(f"key index {key!r} is not an integer in [0, {part.n})")
     inverses = [part.unitaries[key].conj().T for part, key in zip(parts, keys)]
     return _conjugate(session.ciphertext, dims, inverses)
@@ -207,23 +207,6 @@ def _joint_plaintext(session: AqssSession) -> np.ndarray:
         return session.plaintext
     psi = linalg.kron_vectors(session.plaintext)
     return np.outer(psi, psi.conj())
-
-
-def _round_trip(session: AqssSession) -> float:
-    """Trace distance ||decoded - plaintext||_1 of the session's round trip.
-
-    For factored sessions, psi psi† - phi phi† with psi and phi the two
-    product vectors lives in span{psi, phi}. It is measured there, in the
-    orthonormal basis Q of a D x 2 QR, as a 2 x 2 matrix with the same
-    nonzero spectrum, so nothing of size D x D is formed.
-    """
-    decoded = cooperate_decode(session)
-    if not isinstance(decoded, tuple):
-        return linalg.trace_norm(decoded - session.plaintext)
-    psi, phi = linalg.kron_vectors(session.plaintext), linalg.kron_vectors(decoded)
-    q = np.linalg.qr(np.stack([psi, phi], axis=1))[0]
-    a, b = q.conj().T @ psi, q.conj().T @ phi
-    return linalg.trace_norm(np.outer(b, b.conj()) - np.outer(a, a.conj()))
 
 
 def exterior_adversary_view(session: AqssSession) -> np.ndarray:
@@ -283,33 +266,39 @@ class AuditReport(NamedTuple):
     victim: float
 
 
-def _round_spectra(
+def _round(
     session: AqssSession, victims: Sequence[int]
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Ascending spectra of the outsider's view and of each victim's share.
+) -> tuple[float, np.ndarray, list[np.ndarray]]:
+    """Round-trip distance ||decoded - plaintext||_1, and the ascending
+    spectra of the outsider's view and of each victim's share.
 
     The outsider's view is the key average, the product-channel output. The
     victim's channel, the only honest one when all the other receivers
     collude, acts on the victim's factor, so the victim's share is that
     channel on the plaintext marginal. With a factored plaintext, each factor
     output is decomposed once: a victim's share is its factor's spectrum, and
-    the view's spectrum is the Kronecker product of them all.
+    the view's spectrum is the Kronecker product of them all. The factored
+    round trip compares the unit product vectors psi and phi of the plaintext
+    and the decoded state: ||psi psi† - phi phi†||_1 = 2 sqrt(1 - |<psi|phi>|^2),
+    read as the residual 2 ||phi - psi <psi|phi>||, which keeps full precision
+    near 0 and near 2.
     """
-    parts = session.channels.parts
-    if not isinstance(session.plaintext, tuple):
+    decoded = cooperate_decode(session)
+    parts, plaintext = session.channels.parts, session.plaintext
+    if not isinstance(plaintext, tuple):
         dims = session.channels.dims
         shares = [
             output_spectrum(
-                ChannelFamily((parts[v],)), linalg.partial_trace(session.plaintext, dims, keep=v)
+                ChannelFamily((parts[v],)), linalg.partial_trace(plaintext, dims, keep=v)
             )
             for v in victims
         ]
-        return output_spectrum(session.channels, session.plaintext), shares
-    outputs = [
-        output_spectrum(ChannelFamily((part,)), (psi,))
-        for part, psi in zip(parts, session.plaintext)
-    ]
-    return np.sort(linalg.kron_vectors(outputs)), [outputs[v] for v in victims]
+        view = output_spectrum(session.channels, plaintext)
+        return linalg.trace_norm(decoded - plaintext), view, shares
+    psi, phi = linalg.kron_vectors(plaintext), linalg.kron_vectors(decoded)
+    outputs = [output_spectrum(ChannelFamily((part,)), (f,)) for part, f in zip(parts, plaintext)]
+    round_trip = 2.0 * float(np.linalg.norm(phi - psi * np.vdot(psi, phi)))
+    return round_trip, np.sort(linalg.kron_vectors(outputs)), [outputs[v] for v in victims]
 
 
 def audit(sessions: Iterable[AqssSession], victims: Sequence[int]) -> AuditReport:
@@ -317,11 +306,11 @@ def audit(sessions: Iterable[AqssSession], victims: Sequence[int]) -> AuditRepor
     distance, the exterior entropy deficit log2 D - S, and each victim's
     distance from 1/d on its marginal while all the other receivers collude.
 
-    No joint state of colluders is formed for a victim (see _round_spectra).
-    A factored session is measured through its factors from end to end: its
-    round trip is a 2 x 2 trace norm (see _round_trip), and no D x D matrix
-    is formed or decomposed. A dense session's round trip decomposes the
-    D x D difference, the reference for the factored one.
+    Each round is measured by _round. No joint state of colluders is formed
+    for a victim. A factored session is measured through its factors from
+    end to end: its round trip is one overlap of two product vectors, and no
+    D x D matrix is formed or decomposed. A dense session's round trip
+    decomposes the D x D difference, the reference for the factored one.
     A victim not in [0, m) is refused before its round measures anything, and
     no victims or no rounds, which would read as a perfect score, are refused.
     """
@@ -333,8 +322,8 @@ def audit(sessions: Iterable[AqssSession], victims: Sequence[int]) -> AuditRepor
         dims = session.channels.dims
         for v in victims:  # refused before the round measures anything
             linalg.factor_layout(math.prod(dims), dims, v)
-        round_trip = max(round_trip, _round_trip(session))
-        spectrum, shares = _round_spectra(session, victims)
+        distance, spectrum, shares = _round(session, victims)
+        round_trip = max(round_trip, distance)
         exterior = max(exterior, linalg.distance_from_mixed(spectrum))
         deficit = max(deficit, math.log2(len(spectrum)) - linalg.spectrum_entropy(spectrum))
         for share in shares:

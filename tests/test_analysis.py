@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from aqss import linalg
+from aqss import analysis, linalg
 from aqss import random as aqss_random
 from aqss.analysis import (
     BoundCheck,
@@ -337,10 +337,21 @@ def test_the_locc_measures_refuse_bad_arguments(call, message):
 
 
 @pytest.mark.parametrize("num_settings", [0, 1, 5])
-def test_locc_is_the_max_over_the_computational_basis_and_the_drawn_pairs(num_settings):
+def test_locc_is_the_max_over_the_computational_basis_and_the_drawn_pairs(
+    num_settings, monkeypatch
+):
     # The definition, written out as a list: setting zero is the identity
     # pair, then each setting draws basis_a (d = 2) and then basis_b (d = 3)
     # from stream(seed). Unequal dims make a swapped draw change the bases.
+    # An earlier setting may attain the maximum, so the settings measured are
+    # recorded and must be the list, in order.
+    measured = []
+
+    def recorder(state, reference, dims, basis_a, basis_b):
+        measured.append((basis_a, basis_b))
+        return product_basis_total_variation(state, reference, dims, basis_a, basis_b)
+
+    monkeypatch.setattr(analysis, "product_basis_total_variation", recorder)
     rng = stream(104)
     a, b = random_density_matrix(6, rng), random_density_matrix(6, rng)
     settings = [(np.eye(2, dtype=complex), np.eye(3, dtype=complex))]
@@ -349,6 +360,9 @@ def test_locc_is_the_max_over_the_computational_basis_and_the_drawn_pairs(num_se
         settings.append((haar_unitaries(2, 1, draws)[0], haar_unitaries(3, 1, draws)[0]))
     expected = max(product_basis_total_variation(a, b, (2, 3), u, v) for u, v in settings)
     assert locc_distinguishability(a, b, (2, 3), num_settings, seed=6) == expected
+    assert len(measured) == len(settings)
+    for pair, setting in zip(measured, settings):
+        assert all(np.array_equal(x, y) for x, y in zip(pair, setting))
 
 
 def test_check_norm_relation_equality_at_mixed():

@@ -252,8 +252,8 @@ def test_the_factored_audit_is_the_dense_audit(m, d, seed, data):
     for name in ("exterior", "victim"):
         assert abs(getattr(fast, name) - getattr(slow, name)) <= 1e-14, name
     for session, reference in zip(sessions, dense):
-        shares = protocol._round_spectra(session, range(m))[1]
-        for share, dense_share in zip(shares, protocol._round_spectra(reference, range(m))[1]):
+        shares = protocol._round(session, range(m))[2]
+        for share, dense_share in zip(shares, protocol._round(reference, range(m))[2]):
             distances = [linalg.distance_from_mixed(x) for x in (share, dense_share)]
             assert abs(distances[0] - distances[1]) <= 1e-14
 

@@ -101,6 +101,24 @@ def test_encode_deterministic_under_seed():
     assert np.array_equal(s1.ciphertext, s2.ciphertext)
 
 
+def test_encode_draws_every_key_index_uniformly():
+    # The outsider's view is the uniform average over each stack, so every
+    # index must be drawn: each index's count lies within 5 binomial standard
+    # deviations of draws / n, on stacks of 4 and 3 unitaries.
+    rng = stream(90)
+    family = ChannelFamily((sample_ruc(2, 4, rng), sample_ruc(2, 3, rng)))
+    config, plaintext = small_config(2, n=4), factor_vectors((2, 2), rng)
+    draws = 4000
+    counts = [np.zeros(part.n) for part in family.parts]
+    for _ in range(draws):
+        session = charlie_encode(config, plaintext, rng, channels=family)
+        for count, key in zip(counts, session.key_indices):
+            count[key] += 1
+    for count in counts:
+        p = 1 / len(count)
+        assert np.abs(count - draws * p).max() <= 5 * math.sqrt(draws * p * (1 - p)), count
+
+
 def test_decode_with_wrong_key_disturbs():
     rng = stream(64)
     cfg = small_config(4, n=16)
@@ -440,6 +458,22 @@ def test_audit_victim_matches_the_collusion_reference(m, perfect, plaintext):
         assert abs(audit([session], victims=[victim]).victim - reference) <= 1e-12
 
 
+def test_audit_reports_the_worst_victim():
+    # Victim 0's exact channel leaves its share at 1/d, so the worst victim
+    # is one of the sampled channels', and an audit of every victim reads it.
+    d, m = 3, 3
+    rng = stream(91)
+    family = ChannelFamily((perfect_pqc(d), sample_ruc(d, 2, rng), sample_ruc(d, 5, rng)))
+    config = ProtocolConfig(d=d, parties=m)
+    sessions = [
+        charlie_encode(config, factor_vectors((d,) * m, rng), rng, channels=family)
+        for _ in range(2)
+    ]
+    each = [audit(sessions, victims=[v]).victim for v in range(m)]
+    assert each[0] < max(each)
+    assert audit(sessions, victims=range(m)).victim == max(each)
+
+
 @pytest.mark.parametrize(
     "victim, plaintext",
     [
@@ -488,8 +522,8 @@ def test_factored_audit_matches_the_dense_reference(m, perfect):
         for k, psi in enumerate(session.plaintext):
             marginal = linalg.partial_trace(reference.plaintext, dims, keep=k)
             assert np.abs(np.outer(psi, psi.conj()) - marginal).max() <= 1e-14
-        view, shares = protocol._round_spectra(session, range(m))
-        dense_view, dense_shares = protocol._round_spectra(reference, range(m))
+        _, view, shares = protocol._round(session, range(m))
+        _, dense_view, dense_shares = protocol._round(reference, range(m))
         exact = np.linalg.eigvalsh(exterior_adversary_view(session))
         assert np.abs(view - exact).max() <= 1e-14
         assert np.abs(view - dense_view).max() <= 1e-14
@@ -545,6 +579,9 @@ def test_decode_checks_every_key_before_decoding(factored, monkeypatch):
     monkeypatch.setattr(protocol, "conjugate_subsystem", unreachable)
     with pytest.raises(ValueError, match="key index 2 is not an integer"):
         cooperate_decode(dataclasses.replace(session, key_indices=(0, 1, 2)))
+    # A bool is an int to Python, and numpy would read it as a mask.
+    with pytest.raises(ValueError, match="key index True is not an integer"):
+        cooperate_decode(dataclasses.replace(session, key_indices=(True, 0, 0)))
     with pytest.raises(ValueError, match="expected 3 keys"):
         cooperate_decode(dataclasses.replace(session, key_indices=(0, 1)))
 

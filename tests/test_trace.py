@@ -41,10 +41,10 @@ def test_traced_multiparty_run_is_clean():
     assert calls["linalg.partial_trace"] == 0
     # linalg.spectral_calls_per_state is computed from these two counts.
     # Three rounds (the default), each decomposing the three factor outputs,
-    # which give the exterior view and the victims' shares. Only the round
-    # trip takes a trace norm, of a 2 x 2 matrix.
+    # which give the exterior view and the victims' shares. The round trip
+    # is one overlap of two product vectors, so no trace norm is taken.
     assert calls["linalg.assert_density_matrix"] == 9
-    assert calls["linalg.trace_norm"] == 3
+    assert calls["linalg.trace_norm"] == 0
 
 
 def test_traced_demo_keeps_the_interior_attack():

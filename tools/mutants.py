@@ -240,6 +240,42 @@ MUTANTS = (
         "dev = max(dev, np.abs(c.conj().transpose(0, 2, 1) @ c - eye).max())",
         ("tests/test_channels.py",),
     ),
+    # A factored round trip read as the distance of the two product vectors,
+    # without projecting out the plaintext: not the trace distance of states.
+    (
+        "src/aqss/protocol.py",
+        "phi - psi * np.vdot(psi, phi)",
+        "phi - psi",
+        ("tests/test_properties.py",),
+    ),
+    # Keys drawn from the first half of each stack only.
+    (
+        "src/aqss/protocol.py",
+        "int(rng.integers(part.n))",
+        "int(rng.integers((part.n + 1) // 2))",
+        ("tests/test_protocol.py",),
+    ),
+    # An audit that reads only the first victim's share.
+    (
+        "src/aqss/protocol.py",
+        "for share in shares:",
+        "for share in shares[:1]:",
+        ("tests/test_protocol.py",),
+    ),
+    # A LOCC sweep that drops its last drawn setting.
+    (
+        "src/aqss/analysis.py",
+        "for _ in range(num_settings):",
+        "for _ in range(num_settings - 1):",
+        ("tests/test_analysis.py",),
+    ),
+    # A decode that takes a bool key, which numpy reads as a mask.
+    (
+        "src/aqss/protocol.py",
+        "if isinstance(key, bool) or not isinstance(",
+        "if not isinstance(",
+        ("tests/test_protocol.py",),
+    ),
 )
 
 
