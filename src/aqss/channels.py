@@ -6,7 +6,10 @@ unitaries alone: the key that selects U_i is uniform over the n indices, so
 every weight p_i is 1/n. A pure product input is the tuple of its (d,)
 factor vectors psi_k, one per part, and its output is the Kronecker product
 of the factor outputs, each read from its stack: with V = U psi (one row
-U_i psi per unitary), N(psi psi†) = V^T conj(V) / n, 2 n d^2 multiply-adds.
+U_i psi per unitary), N(psi psi†) = V^T conj(V) / n, 2 n d^2 multiply-adds,
+summed over chunks of CHUNK_ENTRIES / d^2 unitaries so that one chunk's rows
+of V are held at a time. A channel checks its stack's unitarity on
+construction, one chunk per taker of random.spread_chunks, on every core.
 Applied term by term to a mixed or joint D x D state, the channel would cost
 n conjugations per call; instead such a state is mapped through the
 channel's d^2 x d^2 superoperator
@@ -39,7 +42,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import CHUNK_ENTRIES
-from .random import haar_unitaries, weyl_heisenberg_operators
+from .random import haar_unitaries, spread_chunks, weyl_heisenberg_operators
 
 
 def required_n(d: int, epsilon: float) -> int:
@@ -57,18 +60,28 @@ def required_n(d: int, epsilon: float) -> int:
 
 
 def _unitarity_deviation(u: np.ndarray) -> float:
-    """max |U†U - 1| over a stack, taken chunk by chunk so the check holds one
-    chunk of temporaries; a max is exact, so the chunking changes no value.
-    numpy's max keeps a NaN that Python's would drop, and warns of no overflow."""
+    """max |U†U - 1| over a stack. A stack of more than one chunk is checked
+    chunk by chunk on every core through random.spread_chunks, so each taker
+    holds one chunk of temporaries; a max is exact, so neither the chunking
+    nor the order changes the value. numpy's max keeps a NaN that Python's
+    would drop, and no taker warns of an overflow."""
     n, d, _ = u.shape
     step = max(1, CHUNK_ENTRIES // (d * d))
     eye = np.eye(d)
-    dev = 0.0
-    with np.errstate(invalid="ignore", over="ignore"):
-        for s in range(0, n, step):
-            c = u[s : s + step]
-            dev = np.abs(c.conj().transpose(0, 2, 1) @ c - eye).max(initial=dev)
-    return dev
+
+    def deviation(c: np.ndarray) -> float:
+        with np.errstate(invalid="ignore", over="ignore"):
+            return np.abs(c.conj().transpose(0, 2, 1) @ c - eye).max()
+
+    if n <= step:
+        return deviation(u)
+    devs = np.zeros(-(-n // step))
+
+    def check(k: int) -> None:
+        devs[k] = deviation(u[k * step : (k + 1) * step])
+
+    spread_chunks(devs.size, check)
+    return devs.max()
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,10 +216,20 @@ def _factor_outputs(family: ChannelFamily, factors: tuple[np.ndarray, ...]):
     for k, (part, psi) in enumerate(zip(family.parts, factors)):
         if np.shape(psi) != (part.dim,):
             raise ValueError(f"factor {k} has shape {np.shape(psi)}, expected {(part.dim,)}")
-        # Rows U_i psi as one product over the flattened stack; the stacked
-        # matmul runs one small product per unitary and takes twice as long.
-        v = (part.unitaries.reshape(-1, part.dim) @ psi).reshape(part.n, part.dim)
-        yield (v.T @ v.conj()) / part.n
+        # Rows U_i psi of a chunk as one product over its flattened stack;
+        # the stacked matmul runs one small product per unitary and takes
+        # twice as long. A stack of more than one chunk sums the chunks'
+        # V^T conj(V), so the rows of one chunk are held at a time.
+        d = part.dim
+        step = max(1, CHUNK_ENTRIES // (d * d))
+        for s in range(0, part.n, step):
+            v = (part.unitaries[s : s + step].reshape(-1, d) @ psi).reshape(-1, d)
+            gram = v.T @ v.conj()
+            if s == 0:
+                out = gram
+            else:
+                out += gram
+        yield out / part.n
 
 
 def apply_product(family: ChannelFamily, rho: np.ndarray | tuple[np.ndarray, ...]) -> np.ndarray:

@@ -30,9 +30,10 @@ import numpy as np
 HERMITIAN_TOL = 1e-10
 TRACE_TOL = 1e-10
 EIGENVALUE_TOL = 1e-10
-# Matrix entries per chunk of a chunked pass (a QR, a unitarity or Hermiticity
-# check, a superoperator GEMM): 65536 complex entries, 1 MiB.
-CHUNK_ENTRIES = 1 << 16
+# Matrix entries per chunk of a chunked pass (a QR and its phase fix, a
+# unitarity or Hermiticity check, a factor output, a superoperator GEMM):
+# 16384 complex entries, 256 KiB, which bounds each taker's temporaries.
+CHUNK_ENTRIES = 1 << 14
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:

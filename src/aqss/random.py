@@ -26,18 +26,22 @@ one BLAS thread. Where fork, sched_getaffinity or an OpenBLAS thread setter
 is missing, or the caller runs other Python threads, the loop runs serially
 in the caller. A child's memory is not counted in getrusage(RUSAGE_SELF).
 
-:func:`haar_unitaries` decomposes a large stack on the calling thread and
-one more thread per further core that :func:`cores` reports. Inside the pool
-:func:`cores` reports one, so every process of a pool decomposes on its
-calling thread alone. Only the calling thread draws from a generator, and
-every thread a sampler starts is joined before it returns.
+:func:`spread_chunks` is the one thread pool: it hands the chunks of a pass
+over a unitary stack, in order, to the calling thread and one more thread
+per further core that :func:`cores` reports, so each taker holds one chunk
+of temporaries. :func:`haar_unitaries` draws, decomposes and phase-fixes a
+large stack through it, and the unitarity check of a channel's stack takes
+its per-chunk maxima through it. Inside the Monte Carlo pool :func:`cores`
+reports one, so every process of that pool works on its calling thread
+alone. Only the calling thread draws from a generator, and every thread the
+pool starts is joined before it returns.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -173,40 +177,27 @@ def map_trials(value: Callable[[int], float], trials: int) -> list[float]:
     return values
 
 
-def _ginibre_qr(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Q and diag(R) of the QR decomposition of each Ginibre draw (re + i im)/sqrt 2."""
-    q, r = np.linalg.qr((re + 1j * im) / np.sqrt(2))
-    return q, np.diagonal(r, axis1=1, axis2=2).copy()
+def spread_chunks(count: int, work: Callable[[int], None], feed: Iterable[object] = ()) -> None:
+    """work(k) for every chunk k in range(count), the chunks taken in order by
+    the calling thread and one thread per further core (see :func:`cores`),
+    at most one taker per chunk.
 
-
-def _threaded_qr(
-    d: int, n: int, rng: np.random.Generator, step: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Q and diag(R) of n Ginibre draws (re + i im)/sqrt 2, each chunk of
-    `step` draws drawn and decomposed in its own slot of the Q stack.
-
-    Viewed as float64, the slot of a chunk of m matrices is (2, m, d, d).
-    The calling thread draws every chunk's real parts into half 1, in stream
-    order, then each chunk's imaginary parts into half 0, and sets that
-    chunk's event. The caller and one thread per further core (see
-    :func:`cores`), at most one per chunk, take the chunks in order; each
-    waits for its chunk's event and writes the chunk's QR over its slot,
-    which the QR has read whole by then (numpy's LAPACK calls release the
-    GIL). A thread that cannot start leaves its chunks to the rest. The
-    first error, in any thread, stops the work and is raised once every
-    thread has been joined.
+    The caller first runs through `feed`: its i-th item marks chunk i ready,
+    and every chunk it does not reach is ready once it ends. Each taker
+    waits for its chunk to be ready, so the caller may produce a chunk
+    while the takers work on earlier ones. A thread that cannot start leaves
+    its chunks to the rest. The first error, in the feed or in any taker,
+    stops every taker before its next chunk and is raised once every thread
+    has been joined.
     """
-    q = np.empty((n, d, d), dtype=complex)
-    diag = np.empty((n, d), dtype=complex)
-    slots = [q[s : s + step].view(float).reshape(2, -1, d, d) for s in range(0, n, step)]
-    drawn = [threading.Event() for _ in slots]
-    chunks = iter(range(len(slots)))
+    ready = [threading.Event() for _ in range(count)]
+    chunks = iter(range(count))
     lock = threading.Lock()
     failed: list[BaseException] = []
 
     def stop(error: BaseException) -> None:
         failed.append(error)
-        for event in drawn:
+        for event in ready:
             event.set()
 
     def take() -> None:
@@ -215,18 +206,17 @@ def _threaded_qr(
                 k = next(chunks, None)
             if k is None:
                 return
-            drawn[k].wait()
+            ready[k].wait()
             if failed:
                 return
-            rows = slice(k * step, (k + 1) * step)
             try:
-                q[rows], diag[rows] = _ginibre_qr(slots[k][1], slots[k][0])
+                work(k)
             except BaseException as error:
                 stop(error)
                 return
 
     threads = []
-    for _ in range(min(cores(), len(slots)) - 1):
+    for _ in range(min(cores(), count) - 1):
         thread = threading.Thread(target=take)
         try:
             thread.start()
@@ -234,12 +224,13 @@ def _threaded_qr(
             break  # out of threads: the started ones and the caller take every chunk
         threads.append(thread)
     try:
-        for slot in slots:
-            rng.standard_normal(out=slot[1])
-        for slot, event in zip(slots, drawn):
+        fed = 0
+        for _ in feed:
+            ready[fed].set()
+            fed += 1
             if failed:
                 break
-            rng.standard_normal(out=slot[0])
+        for event in ready[fed:]:
             event.set()
         take()
     except BaseException as error:
@@ -249,7 +240,54 @@ def _threaded_qr(
             thread.join()
     if failed:
         raise failed[0]
-    return q, diag
+
+
+def _ginibre_qr(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Haar unitaries from Ginibre draws (re + i im)/sqrt 2, and which to resample.
+
+    Each draw's Q has its columns multiplied by the phases of R's diagonal
+    (Mezzadri 2007). A draw whose R has a diagonal entry below 1e-300 in
+    modulus is marked True in the returned (m,) mask, and its Q is left
+    unusable, without a warning.
+    """
+    q, r = np.linalg.qr((re + 1j * im) / np.sqrt(2))
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    mag = np.abs(diag)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q *= (diag / mag)[:, None, :]
+    return q, (mag < 1e-300).any(axis=1)
+
+
+def _threaded_qr(
+    d: int, n: int, rng: np.random.Generator, step: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_ginibre_qr` of n Ginibre draws, each chunk of `step` draws
+    drawn and decomposed in its own slot of the unitary stack.
+
+    Viewed as float64, the slot of a chunk of m matrices is (2, m, d, d).
+    The calling thread draws every chunk's real parts into half 1, in stream
+    order, then each chunk's imaginary parts into half 0, marking the chunk
+    ready. The takers of :func:`spread_chunks` write each ready chunk's
+    phase-fixed Q over its slot, which the QR has read whole by then
+    (numpy's LAPACK calls release the GIL), and its rows of the mask.
+    """
+    q = np.empty((n, d, d), dtype=complex)
+    bad = np.empty(n, dtype=bool)
+    slots = [q[s : s + step].view(float).reshape(2, -1, d, d) for s in range(0, n, step)]
+
+    def draw():
+        for slot in slots:
+            rng.standard_normal(out=slot[1])
+        for slot in slots:
+            rng.standard_normal(out=slot[0])
+            yield
+
+    def decompose(k: int) -> None:
+        rows = slice(k * step, (k + 1) * step)
+        q[rows], bad[rows] = _ginibre_qr(slots[k][1], slots[k][0])
+
+    spread_chunks(len(slots), decompose, draw())
+    return q, bad
 
 
 def haar_unitaries(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -260,12 +298,13 @@ def haar_unitaries(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
     output is not unique and not Haar without this correction; Mezzadri
     2007). All real parts are drawn, then all imaginary parts. The QR and the
     phase fix are per matrix, so a stack of more than CHUNK_ENTRIES entries
-    is drawn and decomposed chunk by chunk in the output stack with the same
-    bits: each chunk's normals go into the chunk's own slot of the stack,
-    and the caller and one thread per further core (see :func:`cores`), at
-    most one per chunk, overwrite each slot with its QR once the slot is
-    drawn. The call then holds the stack, R's diagonals and a few chunks of
-    QR temporaries per decomposing thread, the caller included.
+    is drawn, decomposed and phase-fixed chunk by chunk in the output stack
+    with the same bits: each chunk's normals go into the chunk's own slot of
+    the stack, and the takers of :func:`spread_chunks` (the caller and one
+    thread per further core) overwrite each slot with its phase-fixed Q
+    once the slot is drawn. The call then holds the stack, one flag per
+    draw and one chunk of QR temporaries per taker. A draw whose R has a
+    zero diagonal entry (probability zero) is drawn again after every chunk.
     """
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")
@@ -273,17 +312,13 @@ def haar_unitaries(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
         raise ValueError(f"sample count must be positive, got {n}")
     step = max(1, CHUNK_ENTRIES // (d * d))
     if n <= step:
-        q, diag = _ginibre_qr(rng.standard_normal((n, d, d)), rng.standard_normal((n, d, d)))
+        q, bad = _ginibre_qr(rng.standard_normal((n, d, d)), rng.standard_normal((n, d, d)))
     else:
-        q, diag = _threaded_qr(d, n, rng, step)
-    # A zero diagonal entry has probability zero; resample the offending draws.
-    bad = np.abs(diag) < 1e-300
+        q, bad = _threaded_qr(d, n, rng, step)
     while bad.any():
-        rows = np.unique(np.nonzero(bad)[0])
+        rows = np.flatnonzero(bad)
         shape = (rows.size, d, d)
-        q[rows], diag[rows] = _ginibre_qr(rng.standard_normal(shape), rng.standard_normal(shape))
-        bad = np.abs(diag) < 1e-300
-    q *= (diag / np.abs(diag))[:, None, :]
+        q[rows], bad[rows] = _ginibre_qr(rng.standard_normal(shape), rng.standard_normal(shape))
     return q
 
 

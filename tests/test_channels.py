@@ -1,13 +1,14 @@
 import math
 import os
 import re
+import threading
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from aqss import linalg
+from aqss import channels, linalg
 from aqss.channels import (
     ChannelFamily,
     RandomUnitaryChannel,
@@ -23,6 +24,7 @@ from aqss.channels import (
 )
 from aqss.random import (
     CHUNK_ENTRIES,
+    haar_factors,
     haar_unitaries,
     random_pure_state,
     stream,
@@ -392,23 +394,64 @@ def test_unitarity_check_sees_last_element():
 
 
 @pytest.mark.parametrize("where", [0, 255, 256, 300, 511, -1])
-def test_unitarity_check_sees_every_chunk(where):
-    # At d=16 a chunk holds CHUNK_ENTRIES / 256 = 256 matrices, so n = 700
+def test_unitarity_check_sees_every_chunk(where, pin_cores):
+    # At d=8 a chunk holds CHUNK_ENTRIES / 64 = 256 matrices, so n = 700
     # spans three chunks: 0 is in the first, 300 in the middle one, -1 in the
-    # last, and 255, 256 and 511 are the last and first of a full chunk.
-    assert 2 * CHUNK_ENTRIES < 700 * 16 * 16 <= 3 * CHUNK_ENTRIES
-    assert_unitarity_check_sees(16, 700, where)
+    # last, and 255, 256 and 511 are the last and first of a full chunk. The
+    # chunks are spread over one, two and three cores.
+    assert 2 * CHUNK_ENTRIES < 700 * 8 * 8 <= 3 * CHUNK_ENTRIES
+    for ncores in (1, 2, 3):
+        pin_cores(ncores)
+        assert_unitarity_check_sees(8, 700, where)
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf])
+def test_unitarity_check_refuses_a_non_finite_last_chunk(entry, pin_cores):
+    # The last of three chunks has a NaN or inf deviation; no taker may drop
+    # it or warn of it, on any number of cores.
+    u = haar_unitaries(8, 700, stream(49))
+    u[-1, 0, 1] = entry
+    for ncores in (1, 2, 3):
+        pin_cores(ncores)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not unitary"):
+                RandomUnitaryChannel(u)
+
+
+@pytest.mark.parametrize("ncores", [2, 3])
+@pytest.mark.parametrize("where", ["worker", "caller"])
+def test_an_error_in_a_check_taker_propagates_and_leaves_no_thread(where, ncores, pin_cores):
+    # Four chunks at d = 8: the caller and a thread each hold a chunk until
+    # the other has taken one, then the chosen taker's chunk raises.
+    pin_cores(ncores)
+    taken = {"caller": threading.Event(), "worker": threading.Event()}
+
+    class Refusing(np.ndarray):
+        def __getitem__(self, key):
+            me = "caller" if threading.current_thread() is threading.main_thread() else "worker"
+            taken[me].set()
+            assert taken["worker" if me == "caller" else "caller"].wait(10)
+            if me == where:
+                raise FloatingPointError("chunk refused")
+            return super().__getitem__(key)
+
+    u = haar_unitaries(8, 1024, stream(55)).view(Refusing)
+    threads = threading.active_count()
+    with pytest.raises(FloatingPointError, match="chunk refused"):
+        channels._unitarity_deviation(u)
+    assert threading.active_count() == threads
 
 
 def test_sampling_and_build_peaks_in_stacks(monkeypatch):
     # The stack of n = 9600 unitaries at d=16 is 39 MB. Sampling draws each
-    # chunk into its own slot of the stack, so it holds the stack, R's
-    # diagonals and each decomposing thread's QR temporaries (1.17 stacks
-    # traced on one core, 1.28 on two). The build holds the stack and one
-    # chunk of 256 weighted conjugates (1.08).
+    # chunk into its own slot of the stack and fixes its phases there, so it
+    # holds the stack, one flag per draw and each taker's QR temporaries
+    # (1.03 stacks traced on one core, 1.06 on two). The build holds the
+    # stack and one chunk of 256 weighted conjugates (1.08).
     d, n = 16, 9600
     stack_bytes = n * d * d * np.dtype(complex).itemsize
-    for ncores, sampling in ((1, 1.25), (2, 1.35)):
+    for ncores, sampling in ((1, 1.06), (2, 1.1)):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(ncores)))
         tracemalloc.start()
         try:
@@ -422,3 +465,21 @@ def test_sampling_and_build_peaks_in_stacks(monkeypatch):
         del ch
         assert sampled <= sampling * stack_bytes, (ncores, sampled / stack_bytes)
         assert built <= 1.15 * stack_bytes, (ncores, built / stack_bytes)
+
+
+def test_a_pure_factor_output_peaks_at_one_stack():
+    # The output of one (16,) factor on a (16, 9600) channel sums the rows
+    # U_i psi chunk by chunk, so beside the stack it holds one chunk's rows
+    # (1.001 stacks traced), not all n of them and their conjugates (1.125).
+    d, n = 16, 9600
+    stack_bytes = n * d * d * np.dtype(complex).itemsize
+    psi = haar_factors((d,), 1, stream(54))[0][0]
+    tracemalloc.start()
+    try:
+        family = ChannelFamily((sample_ruc(d, n, stream(53)),))
+        tracemalloc.reset_peak()
+        output_spectrum(family, (psi,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.02 * stack_bytes, peak / stack_bytes

@@ -156,6 +156,19 @@ def test_a_chunked_superoperator_is_the_kronecker_sum(d, n, seed):
     assert np.abs(superoperator - reference).max() <= 1e-13
 
 
+@fixed
+@given(d=st.sampled_from([2, 3]), n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_a_chunked_factor_output_is_the_key_average(d, n, seed):
+    # 64 entries make chunks of 16 unitaries at d = 2 and 7 at d = 3.
+    rng = stream(seed)
+    u = haar_unitaries(d, n, rng)
+    (psi,) = haar_factors((d,), 1, rng)[0]
+    with mock.patch.object(channels, "CHUNK_ENTRIES", 64):
+        output = apply(RandomUnitaryChannel(u), (psi,))
+    reference = sum(np.outer(v @ psi, (v @ psi).conj()) for v in u) / n
+    assert np.abs(output - reference).max() <= 1e-14
+
+
 def stack_with_repeats(d, n, rng, data):
     """n unitaries picked from a pool of at most n Haar unitaries, so a stack
     often repeats one."""

@@ -1,7 +1,4 @@
 import math
-import os
-import signal
-import sys
 import threading
 import time
 
@@ -18,6 +15,7 @@ from aqss.random import (
     random_product_pure_state,
     random_pure_state,
     random_separable_state,
+    spread_chunks,
     stream,
     weyl_heisenberg_operators,
 )
@@ -54,33 +52,6 @@ def _one_shot_haar_unitaries(d, n, rng):
     return q * (diag / np.abs(diag))[:, None, :]
 
 
-@pytest.fixture
-def pin_cores(monkeypatch):
-    """pin_cores(k) makes random.cores() report k cores. Threads switch every
-    microsecond, a sampler that hangs is stopped after 60 s, and every thread
-    it started is gone afterwards."""
-
-    def pin(k):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
-        assert cores() == k
-
-    def hung(signum, frame):
-        raise TimeoutError("the sampler hung")
-
-    threads = threading.active_count()
-    previous = signal.signal(signal.SIGALRM, hung)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    signal.alarm(60)
-    try:
-        yield pin
-    finally:
-        signal.alarm(0)
-        sys.setswitchinterval(interval)
-        signal.signal(signal.SIGALRM, previous)
-    assert threading.active_count() == threads
-
-
 @pytest.mark.parametrize("chunks", [None, 0.5, 1, 3.7])
 def test_haar_streamed_matches_one_shot(chunks):
     # None is n = 1; 3.7 chunks of CHUNK_ENTRIES / 256 matrices ends mid-chunk,
@@ -94,8 +65,8 @@ def test_haar_streamed_matches_one_shot(chunks):
     assert np.array_equal(rng_new.standard_normal(8), rng_ref.standard_normal(8))
 
 
-# 1.5 and 3.7 chunks at d = 16 and 4.7 chunks of 64 matrices at d = 32, on
-# one, two and three threads.
+# 6 and 14.8 chunks of 64 matrices at d = 16 and 18.75 chunks of 16 at
+# d = 32, on one, two and three threads.
 @pytest.mark.parametrize("ncores", [1, 2, 3])
 @pytest.mark.parametrize("d, n", [(16, 384), (16, 947), (32, 300)])
 def test_haar_threads_match_one_shot(d, n, ncores, pin_cores):
@@ -108,7 +79,7 @@ def test_haar_threads_match_one_shot(d, n, ncores, pin_cores):
 
 @pytest.mark.parametrize("ncores", [2, 3])
 def test_each_chunk_is_decomposed_in_its_own_slot(ncores, pin_cores, monkeypatch):
-    # 3.7 chunks, so the short tail is hit. Each chunk's QR reads both halves
+    # 14.8 chunks, so the short tail is hit. Each chunk's QR reads both halves
     # of its slot, then is slow to write its result back over the slot, so
     # the caller and the threads take chunks while others are still being
     # drawn or written. The bits hold only if no chunk is taken before its
@@ -160,8 +131,8 @@ def test_haar_resamples_a_zero_draw():
 
 @pytest.mark.parametrize("zero, ncores", [(3, 2), (300, 1), (300, 2), (300, 3)])
 def test_haar_resamples_a_zero_draw_on_threads(zero, ncores, pin_cores):
-    # The same at d = 16 over 1.5 chunks, decomposed on threads: the zero
-    # draw is in the first or the second chunk, and the resample comes after
+    # The same at d = 16 over six chunks, decomposed on threads: the zero
+    # draw is in the first or the fifth chunk, and the resample comes after
     # every chunk.
     pin_cores(ncores)
     d, n = 16, 384
@@ -176,9 +147,47 @@ def test_haar_resamples_a_zero_draw_on_threads(zero, ncores, pin_cores):
     assert np.array_equal(u, _one_shot_haar_unitaries(d, n, ScriptedNormals(re, im)))
 
 
+@pytest.mark.parametrize("ncores", [1, 2, 3])
+def test_haar_resamples_zero_draws_in_two_chunks(ncores, pin_cores):
+    # Zero draws in the second and the last of six chunks at d = 16 are both
+    # drawn again after every chunk, in one resample: the earlier row takes
+    # the first matrix of real and of imaginary parts.
+    pin_cores(ncores)
+    d, n = 16, 384
+    zeros = [70, 383]
+    rng = stream(909)
+    re, im = rng.standard_normal((n, d, d)), rng.standard_normal((n, d, d))
+    re[zeros] = im[zeros] = 0.0
+    re2, im2 = rng.standard_normal((2, d, d)), rng.standard_normal((2, d, d))
+    scripted = ScriptedNormals(re, im, re2, im2)
+    u = haar_unitaries(d, n, scripted)
+    assert scripted.normals.size == 0
+    re[zeros], im[zeros] = re2, im2
+    assert np.array_equal(u, _one_shot_haar_unitaries(d, n, ScriptedNormals(re, im)))
+
+
+@pytest.mark.parametrize("ncores", [1, 2, 3])
+def test_spread_chunks_takes_each_chunk_once_when_it_is_ready(ncores, pin_cores):
+    # The feed marks five of seven chunks ready, one at a time; the last two
+    # are ready once it ends. No chunk is taken before it is ready.
+    fed, taken = [], []
+
+    def feed():
+        for k in range(5):
+            fed.append(k)
+            yield
+
+    def work(k):
+        assert k < len(fed) or len(fed) == 5
+        taken.append(k)
+
+    spread_chunks(7, work, feed())
+    assert sorted(taken) == list(range(7))
+
+
 @pytest.mark.parametrize("where", ["worker", "caller"])
 def test_an_error_in_a_chunk_propagates_and_leaves_no_thread(where, pin_cores, monkeypatch):
-    # 3.7 chunks on 2 cores: the error comes from the third QR, on either
+    # 14.8 chunks on 2 cores: the error comes from the third QR, on either
     # taker, or from the caller's draw of the third chunk's imaginary parts,
     # and nothing waits for the chunks that will never be decomposed.
     pin_cores(2)
@@ -201,7 +210,7 @@ def test_an_error_in_a_chunk_propagates_and_leaves_no_thread(where, pin_cores, m
         class FailingDraws:
             def standard_normal(self, size=None, out=None):
                 calls.append(threading.current_thread())
-                if len(calls) == 7:  # four chunks' real parts, then two imaginary
+                if len(calls) == 18:  # fifteen chunks' real parts, then two imaginary
                     raise FloatingPointError("chunk refused")
                 return rng.standard_normal(size, out=out)
 
@@ -216,7 +225,7 @@ def test_an_error_in_a_chunk_propagates_and_leaves_no_thread(where, pin_cores, m
 def test_a_thread_that_cannot_start_leaves_its_chunks_to_the_rest(
     startable, pin_cores, monkeypatch
 ):
-    # 3.7 chunks on 3 cores, where only the first `startable` threads start
+    # 14.8 chunks on 3 cores, where only the first `startable` threads start
     # (as under a limit on processes): the caller and the started thread
     # decompose every chunk, with the same bits.
     pin_cores(3)
@@ -246,7 +255,7 @@ def test_a_thread_that_cannot_start_leaves_its_chunks_to_the_rest(
 @pytest.mark.parametrize("ncores", [1, 2, 3])
 @pytest.mark.parametrize("n, chunks", [(200, 1), (384, 2), (947, 4)])
 def test_threads_started_per_stack(n, chunks, ncores, pin_cores, monkeypatch):
-    # At d = 16 a chunk is 256 matrices. The caller takes chunks too, so a
+    # At d = 8 a chunk is 256 matrices. The caller takes chunks too, so a
     # stack of more than one chunk starts one thread per further core, at
     # most one per chunk; a one-chunk stack, and any stack inside a Monte
     # Carlo pool, starts none.
@@ -259,10 +268,10 @@ def test_threads_started_per_stack(n, chunks, ncores, pin_cores, monkeypatch):
         start(thread)
 
     monkeypatch.setattr(threading.Thread, "start", counted_start)
-    haar_unitaries(16, n, stream(908))
+    haar_unitaries(8, n, stream(908))
     assert len(starts) == min(ncores, chunks) - 1
     monkeypatch.setattr(aqss_random, "_pooled", True)
-    haar_unitaries(16, n, stream(908))
+    haar_unitaries(8, n, stream(908))
     assert len(starts) == min(ncores, chunks) - 1
 
 

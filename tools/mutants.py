@@ -39,15 +39,15 @@ MUTANTS = (
     # A factor output without its 1/n weight has trace n, not 1.
     (
         "src/aqss/channels.py",
-        "yield (v.T @ v.conj()) / part.n",
-        "yield v.T @ v.conj()",
+        "yield out / part.n",
+        "yield out",
         ("tests/test_properties.py",),
     ),
     # A factor output without the conjugate is not the channel output.
     (
         "src/aqss/channels.py",
-        "yield (v.T @ v.conj()) / part.n",
-        "yield (v.T @ v) / part.n",
+        "gram = v.T @ v.conj()",
+        "gram = v.T @ v",
         ("tests/test_properties.py",),
     ),
     # A Kronecker product that drops the last factor.
@@ -97,15 +97,15 @@ MUTANTS = (
     # A factor output transposed: V† V instead of V^T conj(V).
     (
         "src/aqss/channels.py",
-        "yield (v.T @ v.conj()) / part.n",
-        "yield (v.conj().T @ v) / part.n",
+        "gram = v.T @ v.conj()",
+        "gram = v.conj().T @ v",
         ("tests/test_properties.py",),
     ),
     # A unitarity check that skips the last unitary of every chunk.
     (
         "src/aqss/channels.py",
-        "c = u[s : s + step]",
-        "c = u[s : s + step - 1]",
+        "deviation(u[k * step : (k + 1) * step])",
+        "deviation(u[k * step : (k + 1) * step - 1])",
         ("tests/test_channels.py",),
     ),
     # The exact channel sized by --n or epsilon instead of d^2.
@@ -236,8 +236,8 @@ MUTANTS = (
     # A unitarity check folded with Python's max, which drops a NaN chunk.
     (
         "src/aqss/channels.py",
-        "dev = np.abs(c.conj().transpose(0, 2, 1) @ c - eye).max(initial=dev)",
-        "dev = max(dev, np.abs(c.conj().transpose(0, 2, 1) @ c - eye).max())",
+        "return devs.max()",
+        "return max(devs)",
         ("tests/test_channels.py",),
     ),
     # A factored round trip read as the distance of the two product vectors,
@@ -275,6 +275,30 @@ MUTANTS = (
         "if isinstance(key, bool) or not isinstance(",
         "if not isinstance(",
         ("tests/test_protocol.py",),
+    ),
+    # A unitarity check whose takers never take the last chunk.
+    (
+        "src/aqss/channels.py",
+        "spread_chunks(devs.size, check)",
+        "spread_chunks(devs.size - 1, check)",
+        ("tests/test_channels.py",),
+    ),
+    # Chunked Haar sampling whose last chunk keeps the plain QR output,
+    # without the phase fix.
+    (
+        "src/aqss/random.py",
+        "q[rows], bad[rows] = _ginibre_qr(slots[k][1], slots[k][0])",
+        "q[rows], bad[rows] = _ginibre_qr(slots[k][1], slots[k][0])"
+        " if k < len(slots) - 1 else"
+        " (np.linalg.qr((slots[k][1] + 1j * slots[k][0]) / np.sqrt(2))[0], False)",
+        ("tests/test_properties.py",),
+    ),
+    # A chunked factor output that drops its last chunk.
+    (
+        "src/aqss/channels.py",
+        "for s in range(0, part.n, step):",
+        "for s in range(0, max(part.n - step, 1), step):",
+        ("tests/test_properties.py",),
     ),
 )
 
