@@ -7,8 +7,8 @@ every weight p_i is 1/n. A pure product input is the tuple of its (d,)
 factor vectors psi_k, one per part, and its output is the Kronecker product
 of the factor outputs, each read from its stack: with V = U psi (one row
 U_i psi per unitary), N(psi psi†) = V^T conj(V) / n, 2 n d^2 multiply-adds,
-summed over chunks of CHUNK_ENTRIES / d^2 unitaries so that one chunk's rows
-of V are held at a time. A channel checks its stack's unitarity on
+summed over the stack's chunks (linalg.chunks) so that one chunk's rows of V
+are held at a time. A channel checks its stack's unitarity on
 construction, one chunk per taker of random.spread_chunks, on every core.
 Applied term by term to a mixed or joint D x D state, the channel would cost
 n conjugations per call; instead such a state is mapped through the
@@ -20,11 +20,10 @@ n_A + n_B once, not n_A * n_B. M is built from
 C = sum_i p_i vec(U_i) vec(U_i)†, followed by
 an index realignment of C into M (the natural-representation reshuffle,
 Watrous, Theory of Quantum Information, §2.2): 8 n d^4 flops. C is a sum of
-one GEMM per chunk of max(d^2, CHUNK_ENTRIES / d^2) unitaries, so the build
-holds one chunk's weighted conjugate p_i conj(U_i) and two d^2 x d^2
-matrices, O(max(CHUNK_ENTRIES, d^4)) memory beside the stack; a stack that
-fits in one chunk is one GEMM. A chunk of fewer than d^2 rows makes each
-GEMM too thin to run at full speed. A single key conjugation
+one GEMM per chunk of at least d^2 unitaries, since a thinner GEMM runs
+below full speed, so the build holds one chunk's weighted conjugate
+p_i conj(U_i) and two d^2 x d^2 matrices, O(max(CHUNK_ENTRIES, d^4)) memory
+beside the stack. A single key conjugation
 U rho U† is the one-Kraus superoperator U (x) conj(U), so it runs on the
 same subsystem kernel. The tests pin M against the brute-force Kronecker
 sum, the product path against the double sum, the pure product output
@@ -35,13 +34,13 @@ against the full Kronecker conjugation.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
 import numpy as np
 
 from . import linalg
-from .linalg import CHUNK_ENTRIES
 from .random import haar_unitaries, spread_chunks, weyl_heisenberg_operators
 
 
@@ -60,25 +59,20 @@ def required_n(d: int, epsilon: float) -> int:
 
 
 def _unitarity_deviation(u: np.ndarray) -> float:
-    """max |U†U - 1| over a stack. A stack of more than one chunk is checked
-    chunk by chunk on every core through random.spread_chunks, so each taker
-    holds one chunk of temporaries; a max is exact, so neither the chunking
-    nor the order changes the value. numpy's max keeps a NaN that Python's
-    would drop, and no taker warns of an overflow."""
+    """max |U†U - 1| over a stack, checked chunk by chunk on every core
+    through random.spread_chunks, so each taker holds one chunk of
+    temporaries; a max is exact, so neither the chunking nor the order
+    changes the value. numpy's max keeps a NaN that Python's would drop, and
+    no taker warns of an overflow."""
     n, d, _ = u.shape
-    step = max(1, CHUNK_ENTRIES // (d * d))
+    slices = linalg.chunks(n, d * d)
     eye = np.eye(d)
-
-    def deviation(c: np.ndarray) -> float:
-        with np.errstate(invalid="ignore", over="ignore"):
-            return np.abs(c.conj().transpose(0, 2, 1) @ c - eye).max()
-
-    if n <= step:
-        return deviation(u)
-    devs = np.zeros(-(-n // step))
+    devs = np.zeros(len(slices))
 
     def check(k: int) -> None:
-        devs[k] = deviation(u[k * step : (k + 1) * step])
+        c = u[slices[k]]
+        with np.errstate(invalid="ignore", over="ignore"):
+            devs[k] = np.abs(c.conj().transpose(0, 2, 1) @ c - eye).max()
 
     spread_chunks(devs.size, check)
     return devs.max()
@@ -122,14 +116,13 @@ class RandomUnitaryChannel:
         """sum_i p_i U_i (x) conj(U_i), acting on row-major vectorized states."""
         d = self.dim
         a = self.unitaries.reshape(self.n, d * d)
-        step = max(d * d, CHUNK_ENTRIES // (d * d))
-        for s in range(0, self.n, step):
-            b = a[s : s + step].conj()
+
+        def gram(rows: slice) -> np.ndarray:
+            b = a[rows].conj()
             b *= 1.0 / self.n
-            if s == 0:
-                c = a[:step].T @ b
-            else:
-                c += a[s : s + step].T @ b
+            return a[rows].T @ b
+
+        c = reduce(operator.iadd, map(gram, linalg.chunks(self.n, d * d, least=d * d)))
         return c.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 
@@ -218,18 +211,15 @@ def _factor_outputs(family: ChannelFamily, factors: tuple[np.ndarray, ...]):
             raise ValueError(f"factor {k} has shape {np.shape(psi)}, expected {(part.dim,)}")
         # Rows U_i psi of a chunk as one product over its flattened stack;
         # the stacked matmul runs one small product per unitary and takes
-        # twice as long. A stack of more than one chunk sums the chunks'
-        # V^T conj(V), so the rows of one chunk are held at a time.
+        # twice as long. The chunks' V^T conj(V) are summed, so the rows of
+        # one chunk are held at a time.
         d = part.dim
-        step = max(1, CHUNK_ENTRIES // (d * d))
-        for s in range(0, part.n, step):
-            v = (part.unitaries[s : s + step].reshape(-1, d) @ psi).reshape(-1, d)
-            gram = v.T @ v.conj()
-            if s == 0:
-                out = gram
-            else:
-                out += gram
-        yield out / part.n
+
+        def gram(rows: slice) -> np.ndarray:
+            v = (part.unitaries[rows].reshape(-1, d) @ psi).reshape(-1, d)
+            return v.T @ v.conj()
+
+        yield reduce(operator.iadd, map(gram, linalg.chunks(part.n, d * d))) / part.n
 
 
 def apply_product(family: ChannelFamily, rho: np.ndarray | tuple[np.ndarray, ...]) -> np.ndarray:

@@ -36,6 +36,14 @@ EIGENVALUE_TOL = 1e-10
 CHUNK_ENTRIES = 1 << 14
 
 
+def chunks(rows: int, row_entries: int, least: int = 1) -> list[slice]:
+    """Slices that cover range(rows) in order for a pass over rows of
+    row_entries entries each: every slice but the last holds CHUNK_ENTRIES /
+    row_entries rows, rounded down, or `least` rows if that is more."""
+    step = max(least, CHUNK_ENTRIES // max(1, row_entries))
+    return [slice(s, s + step) for s in range(0, rows, step)]
+
+
 def hermitize(m: np.ndarray) -> np.ndarray:
     """Hermitian part (M + M†)/2; bounds floating-point drift after channel maps.
     M† is copied row-major first, so the sum reads both operands in memory order."""
@@ -55,10 +63,9 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
     Python's max could drop it)."""
     assert_square(m)
     h = hermitize(m)
-    step = max(1, CHUNK_ENTRIES // max(1, len(m)))
     dev = 0.0
-    for s in range(0, len(m), step):
-        dev = np.abs(m[s : s + step] - h[s : s + step]).max(initial=dev)
+    for rows in chunks(len(m), len(m)):
+        dev = np.abs(m[rows] - h[rows]).max(initial=dev)
     dev *= 2  # max |M - M†|
     if not dev <= HERMITIAN_TOL:
         raise ValueError(f"matrix is not Hermitian: max |M - M†| = {dev:.3e}")

@@ -30,11 +30,11 @@ in the caller. A child's memory is not counted in getrusage(RUSAGE_SELF).
 over a unitary stack, in order, to the calling thread and one more thread
 per further core that :func:`cores` reports, so each taker holds one chunk
 of temporaries. :func:`haar_unitaries` draws, decomposes and phase-fixes a
-large stack through it, and the unitarity check of a channel's stack takes
-its per-chunk maxima through it. Inside the Monte Carlo pool :func:`cores`
-reports one, so every process of that pool works on its calling thread
-alone. Only the calling thread draws from a generator, and every thread the
-pool starts is joined before it returns.
+stack through it, and the unitarity check of a channel's stack takes its
+per-chunk maxima through it. A pass of one chunk runs on the calling thread
+alone, as does every pass inside the Monte Carlo pool, where :func:`cores`
+reports one. Only the calling thread draws from a generator, and every
+thread the pool starts is joined before it returns.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .linalg import CHUNK_ENTRIES, kron_vectors
+from .linalg import chunks, kron_vectors
 
 
 def stream(master_seed: int, stream_id: int = 0) -> np.random.Generator:
@@ -188,10 +188,16 @@ def spread_chunks(count: int, work: Callable[[int], None], feed: Iterable[object
     while the takers work on earlier ones. A thread that cannot start leaves
     its chunks to the rest. The first error, in the feed or in any taker,
     stops every taker before its next chunk and is raised once every thread
-    has been joined.
+    has been joined. One chunk is work(0) after the whole feed, on the
+    calling thread.
     """
+    if count == 1:
+        for _ in feed:
+            pass
+        work(0)
+        return
     ready = [threading.Event() for _ in range(count)]
-    chunks = iter(range(count))
+    untaken = iter(range(count))
     lock = threading.Lock()
     failed: list[BaseException] = []
 
@@ -203,7 +209,7 @@ def spread_chunks(count: int, work: Callable[[int], None], feed: Iterable[object
     def take() -> None:
         while True:
             with lock:
-                k = next(chunks, None)
+                k = next(untaken, None)
             if k is None:
                 return
             ready[k].wait()
@@ -258,22 +264,32 @@ def _ginibre_qr(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return q, (mag < 1e-300).any(axis=1)
 
 
-def _threaded_qr(
-    d: int, n: int, rng: np.random.Generator, step: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_ginibre_qr` of n Ginibre draws, each chunk of `step` draws
-    drawn and decomposed in its own slot of the unitary stack.
+def haar_unitaries(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Stack of n independent Haar-random d x d unitaries, shape (n, d, d).
 
-    Viewed as float64, the slot of a chunk of m matrices is (2, m, d, d).
-    The calling thread draws every chunk's real parts into half 1, in stream
-    order, then each chunk's imaginary parts into half 0, marking the chunk
-    ready. The takers of :func:`spread_chunks` write each ready chunk's
-    phase-fixed Q over its slot, which the QR has read whole by then
-    (numpy's LAPACK calls release the GIL), and its rows of the mask.
+    QR decomposition of a Ginibre matrix, with Q's columns rescaled by the
+    phases of R's diagonal so the distribution is exactly Haar (the plain QR
+    output is not unique and not Haar without this correction; Mezzadri
+    2007). All real parts are drawn, then all imaginary parts. The QR and the
+    phase fix are per matrix, so the stack is drawn, decomposed and
+    phase-fixed chunk by chunk in place with the same bits. Viewed as
+    float64, the slot of a chunk of m matrices is (2, m, d, d): the calling
+    thread draws every chunk's real parts into half 1, then each chunk's
+    imaginary parts into half 0, marking the chunk ready, and the takers of
+    :func:`spread_chunks` write each ready chunk's phase-fixed Q over its
+    slot, which the QR has read whole by then (numpy's LAPACK calls release
+    the GIL). The call then holds the stack, one flag per draw and one chunk
+    of QR temporaries per taker. A draw whose R has a zero diagonal entry
+    (probability zero) is drawn again after every chunk.
     """
+    if d < 1:
+        raise ValueError(f"dimension must be positive, got {d}")
+    if n < 1:
+        raise ValueError(f"sample count must be positive, got {n}")
     q = np.empty((n, d, d), dtype=complex)
     bad = np.empty(n, dtype=bool)
-    slots = [q[s : s + step].view(float).reshape(2, -1, d, d) for s in range(0, n, step)]
+    slices = chunks(n, d * d)
+    slots = [q[rows].view(float).reshape(2, -1, d, d) for rows in slices]
 
     def draw():
         for slot in slots:
@@ -283,38 +299,9 @@ def _threaded_qr(
             yield
 
     def decompose(k: int) -> None:
-        rows = slice(k * step, (k + 1) * step)
-        q[rows], bad[rows] = _ginibre_qr(slots[k][1], slots[k][0])
+        q[slices[k]], bad[slices[k]] = _ginibre_qr(slots[k][1], slots[k][0])
 
     spread_chunks(len(slots), decompose, draw())
-    return q, bad
-
-
-def haar_unitaries(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Stack of n independent Haar-random d x d unitaries, shape (n, d, d).
-
-    QR decomposition of a Ginibre matrix, with Q's columns rescaled by the
-    phases of R's diagonal so the distribution is exactly Haar (the plain QR
-    output is not unique and not Haar without this correction; Mezzadri
-    2007). All real parts are drawn, then all imaginary parts. The QR and the
-    phase fix are per matrix, so a stack of more than CHUNK_ENTRIES entries
-    is drawn, decomposed and phase-fixed chunk by chunk in the output stack
-    with the same bits: each chunk's normals go into the chunk's own slot of
-    the stack, and the takers of :func:`spread_chunks` (the caller and one
-    thread per further core) overwrite each slot with its phase-fixed Q
-    once the slot is drawn. The call then holds the stack, one flag per
-    draw and one chunk of QR temporaries per taker. A draw whose R has a
-    zero diagonal entry (probability zero) is drawn again after every chunk.
-    """
-    if d < 1:
-        raise ValueError(f"dimension must be positive, got {d}")
-    if n < 1:
-        raise ValueError(f"sample count must be positive, got {n}")
-    step = max(1, CHUNK_ENTRIES // (d * d))
-    if n <= step:
-        q, bad = _ginibre_qr(rng.standard_normal((n, d, d)), rng.standard_normal((n, d, d)))
-    else:
-        q, bad = _threaded_qr(d, n, rng, step)
     while bad.any():
         rows = np.flatnonzero(bad)
         shape = (rows.size, d, d)

@@ -22,8 +22,8 @@ from aqss.channels import (
     required_n,
     sample_ruc,
 )
+from aqss.linalg import CHUNK_ENTRIES
 from aqss.random import (
-    CHUNK_ENTRIES,
     haar_factors,
     haar_unitaries,
     random_pure_state,

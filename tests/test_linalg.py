@@ -368,6 +368,27 @@ def test_maximally_entangled_state_is_pure(d):
     ).max() <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "row_entries, least, step",
+    [
+        (256, 1, linalg.CHUNK_ENTRIES // 256),  # a Haar or check chunk at d = 16
+        (16, 16, linalg.CHUNK_ENTRIES // 16),  # a build chunk at d = 4
+        (256, 256, 256),  # a build chunk at d = 16: least wins
+        (linalg.CHUNK_ENTRIES, 1, 1),
+        (linalg.CHUNK_ENTRIES + 1, 1, 1),  # one row per chunk, not none
+    ],
+)
+def test_chunks_cover_every_row_once_in_order(row_entries, least, step):
+    # Every chunk but the last holds `step` rows, and the last holds the rest;
+    # the sizes sit on and around the chunk bounds, and no rows give no chunk.
+    assert linalg.chunks(0, row_entries, least) == []
+    for rows in (step - 1, step, step + 1, 3 * step + 1):
+        slices = linalg.chunks(rows, row_entries, least)
+        assert [i for s in slices for i in range(rows)[s]] == list(range(rows))
+        tail = [rows % step] if rows % step else []
+        assert [len(range(rows)[s]) for s in slices] == [step] * (rows // step) + tail
+
+
 def test_maximally_entangled_state_rejects_small_d():
     with pytest.raises(ValueError):
         linalg.maximally_entangled_state(1)

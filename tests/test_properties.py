@@ -21,7 +21,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aqss import analysis, channels, linalg, protocol
-from aqss import random as aqss_random
 from aqss.channels import (
     ChannelFamily,
     RandomUnitaryChannel,
@@ -132,10 +131,10 @@ def test_map_trials_is_the_serial_map(trials, ncores, seed):
 @given(d=st.sampled_from([4, 16]), seed=st.integers(0, 2**32 - 1))
 def test_a_chunked_haar_draw_is_the_one_chunk_draw(d, seed):
     # A chunk holds `step` matrices; the sizes sit on and around its bounds.
-    step = aqss_random.CHUNK_ENTRIES // (d * d)
+    step = linalg.CHUNK_ENTRIES // (d * d)
     for n in (step - 1, step, step + 1, 3 * step + 1):
         reference_rng = stream(seed, n)
-        with mock.patch.object(aqss_random, "CHUNK_ENTRIES", n * d * d):
+        with mock.patch.object(linalg, "CHUNK_ENTRIES", n * d * d):
             reference = haar_unitaries(d, n, reference_rng)
         following = reference_rng.standard_normal(4)
         for ncores in (1, 2, 3):
@@ -150,7 +149,7 @@ def test_a_chunked_haar_draw_is_the_one_chunk_draw(d, seed):
 def test_a_chunked_superoperator_is_the_kronecker_sum(d, n, seed):
     # 64 entries make chunks of 16 unitaries at d = 2 and 9 at d = 3.
     u = haar_unitaries(d, n, stream(seed))
-    with mock.patch.object(channels, "CHUNK_ENTRIES", 64):
+    with mock.patch.object(linalg, "CHUNK_ENTRIES", 64):
         superoperator = RandomUnitaryChannel(u).superoperator
     reference = sum(np.kron(v, v.conj()) for v in u) / n
     assert np.abs(superoperator - reference).max() <= 1e-13
@@ -163,7 +162,7 @@ def test_a_chunked_factor_output_is_the_key_average(d, n, seed):
     rng = stream(seed)
     u = haar_unitaries(d, n, rng)
     (psi,) = haar_factors((d,), 1, rng)[0]
-    with mock.patch.object(channels, "CHUNK_ENTRIES", 64):
+    with mock.patch.object(linalg, "CHUNK_ENTRIES", 64):
         output = apply(RandomUnitaryChannel(u), (psi,))
     reference = sum(np.outer(v @ psi, (v @ psi).conj()) for v in u) / n
     assert np.abs(output - reference).max() <= 1e-14

@@ -7,8 +7,8 @@ import pytest
 
 from aqss import linalg
 from aqss import random as aqss_random
+from aqss.linalg import CHUNK_ENTRIES
 from aqss.random import (
-    CHUNK_ENTRIES,
     cores,
     haar_factors,
     haar_unitaries,
@@ -65,10 +65,11 @@ def test_haar_streamed_matches_one_shot(chunks):
     assert np.array_equal(rng_new.standard_normal(8), rng_ref.standard_normal(8))
 
 
-# 6 and 14.8 chunks of 64 matrices at d = 16 and 18.75 chunks of 16 at
-# d = 32, on one, two and three threads.
+# 1.56, 6 and 14.8 chunks of 64 matrices at d = 16 (a short tail, none and
+# a long stack with a short tail) and 18.75 chunks of 16 at d = 32, on one,
+# two and three threads.
 @pytest.mark.parametrize("ncores", [1, 2, 3])
-@pytest.mark.parametrize("d, n", [(16, 384), (16, 947), (32, 300)])
+@pytest.mark.parametrize("d, n", [(16, 100), (16, 384), (16, 947), (32, 300)])
 def test_haar_threads_match_one_shot(d, n, ncores, pin_cores):
     pin_cores(ncores)
     rng_new, rng_ref = stream(904, n), stream(904, n)
@@ -131,11 +132,11 @@ def test_haar_resamples_a_zero_draw():
 
 @pytest.mark.parametrize("zero, ncores", [(3, 2), (300, 1), (300, 2), (300, 3)])
 def test_haar_resamples_a_zero_draw_on_threads(zero, ncores, pin_cores):
-    # The same at d = 16 over six chunks, decomposed on threads: the zero
+    # The same at d = 16 over 5.4 chunks, decomposed on threads: the zero
     # draw is in the first or the fifth chunk, and the resample comes after
     # every chunk.
     pin_cores(ncores)
-    d, n = 16, 384
+    d, n = 16, 347
     rng = stream(905)
     re, im = rng.standard_normal((n, d, d)), rng.standard_normal((n, d, d))
     re[zero] = im[zero] = 0.0
@@ -149,12 +150,12 @@ def test_haar_resamples_a_zero_draw_on_threads(zero, ncores, pin_cores):
 
 @pytest.mark.parametrize("ncores", [1, 2, 3])
 def test_haar_resamples_zero_draws_in_two_chunks(ncores, pin_cores):
-    # Zero draws in the second and the last of six chunks at d = 16 are both
-    # drawn again after every chunk, in one resample: the earlier row takes
-    # the first matrix of real and of imaginary parts.
+    # Zero draws in the second and the short last of 5.4 chunks at d = 16 are
+    # both drawn again after every chunk, in one resample: the earlier row
+    # takes the first matrix of real and of imaginary parts.
     pin_cores(ncores)
-    d, n = 16, 384
-    zeros = [70, 383]
+    d, n = 16, 347
+    zeros = [70, 346]
     rng = stream(909)
     re, im = rng.standard_normal((n, d, d)), rng.standard_normal((n, d, d))
     re[zeros] = im[zeros] = 0.0
@@ -167,9 +168,12 @@ def test_haar_resamples_zero_draws_in_two_chunks(ncores, pin_cores):
 
 
 @pytest.mark.parametrize("ncores", [1, 2, 3])
-def test_spread_chunks_takes_each_chunk_once_when_it_is_ready(ncores, pin_cores):
+def test_spread_chunks_takes_each_chunk_once_when_it_is_ready(ncores, pin_cores, monkeypatch):
     # The feed marks five of seven chunks ready, one at a time; the last two
-    # are ready once it ends. No chunk is taken before it is ready.
+    # are ready once it ends. No chunk is taken before it is ready. One chunk
+    # is taken after the whole feed, on the calling thread, with no thread
+    # started.
+    pin_cores(ncores)
     fed, taken = [], []
 
     def feed():
@@ -183,6 +187,24 @@ def test_spread_chunks_takes_each_chunk_once_when_it_is_ready(ncores, pin_cores)
 
     spread_chunks(7, work, feed())
     assert sorted(taken) == list(range(7))
+
+    start = threading.Thread.start
+    starts = []
+
+    def counted_start(thread):
+        starts.append(thread)
+        start(thread)
+
+    def work_last(k):
+        assert threading.current_thread() is threading.main_thread()
+        taken.append((k, len(fed)))
+
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    fed.clear()
+    taken.clear()
+    spread_chunks(1, work_last, feed())
+    assert taken == [(0, 5)]
+    assert starts == []
 
 
 @pytest.mark.parametrize("where", ["worker", "caller"])

@@ -34,20 +34,29 @@ COPIED = ("pyproject.toml", "src", "tests")
 # pytest exit codes: 1 some tests failed, 2 interrupted (a collection error).
 KILLED = (1, 2)
 
+# The tests of every pass over a unitary stack, which all take their chunks
+# from linalg.chunks.
+CHUNK_TESTS = (
+    "tests/test_linalg.py",
+    "tests/test_random.py",
+    "tests/test_channels.py",
+    "tests/test_properties.py",
+)
+
 # (file, exact old text, new text, test paths), paths relative to the root.
 MUTANTS = (
     # A factor output without its 1/n weight has trace n, not 1.
     (
         "src/aqss/channels.py",
-        "yield out / part.n",
-        "yield out",
+        "linalg.chunks(part.n, d * d))) / part.n",
+        "linalg.chunks(part.n, d * d)))",
         ("tests/test_properties.py",),
     ),
     # A factor output without the conjugate is not the channel output.
     (
         "src/aqss/channels.py",
-        "gram = v.T @ v.conj()",
-        "gram = v.T @ v",
+        "return v.T @ v.conj()",
+        "return v.T @ v",
         ("tests/test_properties.py",),
     ),
     # A Kronecker product that drops the last factor.
@@ -97,15 +106,15 @@ MUTANTS = (
     # A factor output transposed: V† V instead of V^T conj(V).
     (
         "src/aqss/channels.py",
-        "gram = v.T @ v.conj()",
-        "gram = v.conj().T @ v",
+        "return v.T @ v.conj()",
+        "return v.conj().T @ v",
         ("tests/test_properties.py",),
     ),
-    # A unitarity check that skips the last unitary of every chunk.
+    # A unitarity verdict that lets a NaN deviation pass.
     (
         "src/aqss/channels.py",
-        "deviation(u[k * step : (k + 1) * step])",
-        "deviation(u[k * step : (k + 1) * step - 1])",
+        "if not dev <= linalg.HERMITIAN_TOL:",
+        "if dev > linalg.HERMITIAN_TOL:",
         ("tests/test_channels.py",),
     ),
     # The exact channel sized by --n or epsilon instead of d^2.
@@ -132,57 +141,50 @@ MUTANTS = (
 """,
         ("tests/test_cli.py",),
     ),
-    # Chunked Haar sampling: the last draw of a stack of k * step + 1 has no
-    # slot, a slot overlaps the next chunk's, a chunk's QR overruns its rows.
+    # A pass of one chunk that skips the feed: the Haar draw decomposes the
+    # stack's unfilled np.empty slot.
     (
         "src/aqss/random.py",
-        "reshape(2, -1, d, d) for s in range(0, n, step)]",
-        "reshape(2, -1, d, d) for s in range(0, n - 1, step)]",
-        ("tests/test_properties.py",),
+        """        for _ in feed:
+            pass
+        work(0)""",
+        "        work(0)",
+        ("tests/test_random.py",),
     ),
+    # Zero draws drawn again only when every draw of the stack is zero.
     (
         "src/aqss/random.py",
-        "q[s : s + step].view(float)",
-        "q[s : s + step + 1].view(float)",
-        ("tests/test_properties.py",),
+        "while bad.any():",
+        "while bad.all():",
+        ("tests/test_random.py",),
     ),
+    # A Haar chunk decomposed with its real and imaginary halves swapped.
     (
         "src/aqss/random.py",
-        "rows = slice(k * step, (k + 1) * step)",
-        "rows = slice(k * step, (k + 1) * step + 1)",
-        ("tests/test_properties.py",),
+        "_ginibre_qr(slots[k][1], slots[k][0])",
+        "_ginibre_qr(slots[k][0], slots[k][1])",
+        ("tests/test_random.py",),
     ),
-    # Chunked superoperator build: the last unitary of a stack of k * step + 1
-    # is skipped, the last of every chunk is skipped, every chunk skips one.
+    # A superoperator without its 1/n weight.
     (
         "src/aqss/channels.py",
-        "for s in range(0, self.n, step):",
-        "for s in range(0, self.n - 1, step):",
-        ("tests/test_properties.py",),
+        "b *= 1.0 / self.n",
+        "b *= 1.0",
+        ("tests/test_channels.py",),
     ),
+    # A superoperator left as C, without the realignment into M.
     (
         "src/aqss/channels.py",
-        """            b = a[s : s + step].conj()
-            b *= 1.0 / self.n
-            if s == 0:
-                c = a[:step].T @ b
-            else:
-                c += a[s : s + step].T @ b
-""",
-        """            b = a[s : s + step - 1].conj()
-            b *= 1.0 / self.n
-            if s == 0:
-                c = a[: step - 1].T @ b
-            else:
-                c += a[s : s + step - 1].T @ b
-""",
-        ("tests/test_properties.py",),
+        ".transpose(0, 2, 1, 3)",
+        ".transpose(0, 1, 2, 3)",
+        ("tests/test_channels.py",),
     ),
+    # A key conjugation by U (x) U instead of U (x) conj(U).
     (
         "src/aqss/channels.py",
-        "for s in range(0, self.n, step):",
-        "for s in range(0, self.n, step + 1):",
-        ("tests/test_properties.py",),
+        "np.kron(u, u.conj())",
+        "np.kron(u, u)",
+        ("tests/test_channels.py",),
     ),
     # A Kronecker product with its factors in reversed order.
     (
@@ -287,18 +289,43 @@ MUTANTS = (
     # without the phase fix.
     (
         "src/aqss/random.py",
-        "q[rows], bad[rows] = _ginibre_qr(slots[k][1], slots[k][0])",
-        "q[rows], bad[rows] = _ginibre_qr(slots[k][1], slots[k][0])"
+        "= _ginibre_qr(slots[k][1], slots[k][0])",
+        "= _ginibre_qr(slots[k][1], slots[k][0])"
         " if k < len(slots) - 1 else"
         " (np.linalg.qr((slots[k][1] + 1j * slots[k][0]) / np.sqrt(2))[0], False)",
         ("tests/test_properties.py",),
     ),
-    # A chunked factor output that drops its last chunk.
+    # A factor of the wrong shape handed to numpy instead of refused by name.
     (
         "src/aqss/channels.py",
-        "for s in range(0, part.n, step):",
-        "for s in range(0, max(part.n - step, 1), step):",
-        ("tests/test_properties.py",),
+        """        if np.shape(psi) != (part.dim,):
+            raise ValueError(f"factor {k} has shape {np.shape(psi)}, expected {(part.dim,)}")
+""",
+        "",
+        ("tests/test_channels.py",),
+    ),
+    # The one chunk rule behind every pass over a stack: the last chunk of a
+    # stack of more than one dropped, every chunk one row short, every chunk
+    # one row long (overlapping the next). Each pass that reads it is tested:
+    # the Haar draw, the unitarity check, the factor output, the build and
+    # the Hermiticity check.
+    (
+        "src/aqss/linalg.py",
+        "for s in range(0, rows, step)]",
+        "for s in range(0, max(rows - step, 1), step)]",
+        CHUNK_TESTS,
+    ),
+    (
+        "src/aqss/linalg.py",
+        "[slice(s, s + step) for",
+        "[slice(s, s + step - 1) for",
+        CHUNK_TESTS,
+    ),
+    (
+        "src/aqss/linalg.py",
+        "[slice(s, s + step) for",
+        "[slice(s, s + step + 1) for",
+        CHUNK_TESTS,
     ),
 )
 
