@@ -16,8 +16,10 @@ guard refused the run.
 
 Each run builds only what it reads: ``main`` builds the parser of the one
 command its argv names (all seven for ``--help``, an empty argv or one that
-does not start with a command), and ``--perfect`` builds one exact channel
-per grid point, shared by every receiver and every trial.
+does not start with a command), ``--perfect`` builds one exact channel
+per grid point, shared by every receiver and every trial, and outside the
+Monte Carlo commands each sampled channel is drawn in one pass that reads
+what the run will (channels.replayed_ruc), so no unitary stack is held.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import math
 import sys
 import time
 from dataclasses import asdict, dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -43,6 +45,7 @@ from .channels import (
     apply_product,
     epsilon_randomizing_distance,
     perfect_pqc,
+    replayed_ruc,
     sample_ruc,
 )
 from .protocol import (
@@ -51,6 +54,7 @@ from .protocol import (
     ResourceGuardError,
     audit,
     charlie_encode,
+    draw_keys,
     guard,
     key_cost,
 )
@@ -128,17 +132,40 @@ class Metric:
 
 
 def _channel_factory(cfg: ExperimentConfig) -> analysis.ChannelFactory:
-    """Channel sampler of the grid point. The exact channel is deterministic
-    and frozen, so one is built and handed to every receiver and trial."""
+    """Channel sampler of the grid point's Monte Carlo trials. The exact
+    channel is deterministic and frozen, so one is built and handed to every
+    receiver and trial."""
     if not cfg.perfect:
         return sample_ruc
     exact = perfect_pqc(cfg.d)
     return lambda d, n, rng: exact
 
 
-def _build_family(cfg: ExperimentConfig, rng: np.random.Generator) -> ChannelFamily:
-    factory = _channel_factory(cfg)
-    return ChannelFamily(tuple(factory(cfg.d, cfg.n_resolved, rng) for _ in range(cfg.m)))
+def _family(cfg: ExperimentConfig, count: int, rounds: Iterable = ()) -> ChannelFamily:
+    """The grid point's `count` channels, from its channel stream: one exact
+    channel that all share, or Haar channels each sampled by one pass
+    (channels.replayed_ruc) that reads what `rounds`, pairs of a plaintext
+    and its keys, one per receiver, will: every keyed unitary, and every
+    factor output of factored plaintexts or else C. `rounds` is read only
+    for sampled channels, and a D x D plaintext is dropped once read."""
+    if cfg.perfect:
+        return ChannelFamily((perfect_pqc(cfg.d),) * count)
+    rounds = [(p if isinstance(p, tuple) else None, keys) for p, keys in rounds]
+    factored = bool(rounds) and all(p is not None for p, _ in rounds)
+    rng = stream(cfg.seed, _CLI_STREAM_BASE)
+    return ChannelFamily(
+        tuple(
+            replayed_ruc(
+                cfg.d,
+                cfg.n_resolved,
+                rng,
+                keys=[keys[j] for _, keys in rounds if keys],
+                factors=[p[j] for p, _ in rounds] if factored else [],
+                dense=not factored,
+            )
+            for j in range(count)
+        )
+    )
 
 
 def _randomized(name: str, distance: float, cfg: ExperimentConfig, exact_tol: float) -> Metric:
@@ -150,7 +177,7 @@ def _randomized(name: str, distance: float, cfg: ExperimentConfig, exact_tol: fl
 
 
 def _run_randomize(cfg: ExperimentConfig) -> list[Metric]:
-    channel = _channel_factory(cfg)(cfg.d, cfg.n_resolved, stream(cfg.seed, _CLI_STREAM_BASE))
+    (channel,) = _family(cfg, 1).parts
     # Lazy, so one Haar probe is alive at a time whatever --trials says.
     probes = itertools.chain(
         (
@@ -168,13 +195,27 @@ def _run_randomize(cfg: ExperimentConfig) -> list[Metric]:
     ]
 
 
+def _round_input(cfg: ExperimentConfig, i: int) -> tuple[np.random.Generator, object]:
+    """Round i's stream and its plaintext, drawn first from it."""
+    rng = stream(cfg.seed, _CLI_STREAM_BASE + 1 + i)
+    return rng, analysis.draw_input(cfg.input_family, cfg.d, rng, cfg.m)
+
+
 def _session_rounds(cfg: ExperimentConfig) -> Iterator[AqssSession]:
-    """One channel family for the grid point; fresh keys and plaintext per round."""
-    family = _build_family(cfg, stream(cfg.seed, _CLI_STREAM_BASE))
+    """One channel family for the grid point; fresh keys and plaintext per
+    round. Every round's plaintext and keys are drawn first, since a key
+    draw reads only n, so that each channel's one sampling pass reads what
+    the rounds will; each round then draws the same again from its stream."""
+
+    def ahead():
+        for i in range(cfg.trials):
+            rng, plaintext = _round_input(cfg, i)
+            yield plaintext, draw_keys([cfg.n_resolved] * cfg.m, rng)
+
+    family = _family(cfg, cfg.m, ahead())
     config = cfg.protocol
     for i in range(cfg.trials):
-        rng = stream(cfg.seed, _CLI_STREAM_BASE + 1 + i)
-        plaintext = analysis.draw_input(cfg.input_family, cfg.d, rng, cfg.m)
+        rng, plaintext = _round_input(cfg, i)
         yield charlie_encode(config, plaintext, rng, channels=family)
 
 
@@ -237,8 +278,8 @@ def _run_key_cost(cfg: ExperimentConfig) -> list[Metric]:
 
 
 def _run_locc_test(cfg: ExperimentConfig) -> list[Metric]:
-    family = _build_family(cfg, stream(cfg.seed, _CLI_STREAM_BASE))
     plaintext = analysis.draw_input(cfg.input_family, cfg.d, stream(cfg.seed, _CLI_STREAM_BASE + 1))
+    family = _family(cfg, cfg.m, [(plaintext, ())])
     view = apply_product(family, plaintext)
     mixed = linalg.maximally_mixed(cfg.d * cfg.d)
     dims = (cfg.d, cfg.d)

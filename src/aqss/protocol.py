@@ -124,6 +124,12 @@ def guard(config: ProtocolConfig, n: int | None = None) -> None:
         raise ResourceGuardError(f"n = {n} exceeds the guard {MAX_N}")
 
 
+def draw_keys(sizes: Sequence[int], rng: np.random.Generator) -> tuple[int, ...]:
+    """One secret key index per receiver, uniform over that receiver's
+    channel of sizes[k] unitaries; the draw reads only the sizes."""
+    return tuple(int(rng.integers(n)) for n in sizes)
+
+
 def _conjugate(text, dims: tuple[int, ...], unitaries: Sequence[np.ndarray]):
     """Factor k of the text conjugated by unitaries[k], in the text's own form."""
     if isinstance(text, tuple):
@@ -171,8 +177,8 @@ def charlie_encode(
         raise ValueError(
             f"channel dims {channels.dims} do not match protocol dims {dims}"
         )
-    keys = tuple(int(rng.integers(part.n)) for part in channels.parts)
-    keyed = [part.unitaries[key] for part, key in zip(channels.parts, keys)]
+    keys = draw_keys([part.n for part in channels.parts], rng)
+    keyed = [part.unitary(key) for part, key in zip(channels.parts, keys)]
     ciphertext = _conjugate(plaintext, dims, keyed)
     return AqssSession(
         channels=channels, plaintext=plaintext, key_indices=keys, ciphertext=ciphertext
@@ -196,7 +202,7 @@ def cooperate_decode(session: AqssSession) -> np.ndarray | tuple[np.ndarray, ...
     for part, key in zip(parts, keys):
         if isinstance(key, bool) or not isinstance(key, (int, np.integer)) or not 0 <= key < part.n:
             raise ValueError(f"key index {key!r} is not an integer in [0, {part.n})")
-    inverses = [part.unitaries[key].conj().T for part, key in zip(parts, keys)]
+    inverses = [part.unitary(key).conj().T for part, key in zip(parts, keys)]
     return _conjugate(session.ciphertext, dims, inverses)
 
 

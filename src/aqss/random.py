@@ -29,23 +29,36 @@ in the caller. A child's memory is not counted in getrusage(RUSAGE_SELF).
 :func:`spread_chunks` is the one thread pool: it hands the chunks of a pass
 over a unitary stack, in order, to the calling thread and one more thread
 per further core that :func:`cores` reports, so each taker holds one chunk
-of temporaries. :func:`haar_unitaries` draws, decomposes and phase-fixes a
-stack through it, and the unitarity check of a channel's stack takes its
-per-chunk maxima through it. A pass of one chunk runs on the calling thread
-alone, as does every pass inside the Monte Carlo pool, where :func:`cores`
-reports one. Only the calling thread draws from a generator, and every
-thread the pool starts is joined before it returns.
+of temporaries, and it runs each chunk's turn (a chain) and fold (a sum)
+in chunk order, parking a small fold that must wait rather than holding
+its taker. While more than one takes, every loaded OpenBLAS is pinned to
+one thread, as in :func:`map_trials`, and restored afterwards. A pass of one chunk runs on the calling thread alone,
+as does every pass inside the Monte Carlo pool, where :func:`cores` reports
+one, and every thread the pool starts is joined before it returns.
+
+:func:`draw_haar` is the one Haar draw. It draws a stack chunk by chunk and
+hands each chunk to a consumer on the taker that decomposed it, and a stack
+of more than one chunk can be drawn again from what it returns, a
+:class:`HaarReplay` of generator states: the calling thread draws every
+chunk's real parts once, keeping the state before each, and each taker
+draws its chunk's imaginary parts in turn, from the state the chunk before
+left, from its own copy of the generator. So a channel can be read chunk by
+chunk without holding its stack. :func:`haar_unitaries` is that draw with a
+consumer that stores each chunk.
 """
 
 from __future__ import annotations
 
+import contextlib
+import copy
+import operator
 import os
 import threading
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
-from .linalg import chunks, kron_vectors
+from .linalg import CHUNK_ENTRIES, chunks, kron_vectors
 
 
 def stream(master_seed: int, stream_id: int = 0) -> np.random.Generator:
@@ -177,75 +190,164 @@ def map_trials(value: Callable[[int], float], trials: int) -> list[float]:
     return values
 
 
-def spread_chunks(count: int, work: Callable[[int], None], feed: Iterable[object] = ()) -> None:
-    """work(k) for every chunk k in range(count), the chunks taken in order by
-    the calling thread and one thread per further core (see :func:`cores`),
-    at most one taker per chunk.
+class ChunkOrder:
+    """Chunk k's place in a pass of :func:`spread_chunks`. ``with
+    order.turn():`` runs its body only after chunk k - 1's turn has ended
+    (a chain, such as of generator states), and ``order.fold(fold, size)``
+    runs fold() only after chunk k - 1's fold, here or on the taker that
+    runs that one; `size` is what the fold holds, in bytes. On one taker the
+    chunks run in order, so a turn waits for nothing and a fold runs at
+    once."""
 
-    The caller first runs through `feed`: its i-th item marks chunk i ready,
-    and every chunk it does not reach is ready once it ends. Each taker
-    waits for its chunk to be ready, so the caller may produce a chunk
-    while the takers work on earlier ones. A thread that cannot start leaves
-    its chunks to the rest. The first error, in the feed or in any taker,
-    stops every taker before its next chunk and is raised once every thread
-    has been joined. One chunk is work(0) after the whole feed, on the
-    calling thread.
-    """
-    if count == 1:
-        for _ in feed:
-            pass
-        work(0)
-        return
-    ready = [threading.Event() for _ in range(count)]
-    untaken = iter(range(count))
-    lock = threading.Lock()
-    failed: list[BaseException] = []
+    def turn(self) -> contextlib.AbstractContextManager:
+        return _NO_WAIT
 
-    def stop(error: BaseException) -> None:
-        failed.append(error)
-        for event in ready:
-            event.set()
+    def fold(self, fold: Callable[[], None], size: int) -> None:
+        fold()
 
-    def take() -> None:
-        while True:
-            with lock:
-                k = next(untaken, None)
-            if k is None:
+
+_NO_WAIT = contextlib.nullcontext()
+_IN_ORDER = ChunkOrder()
+# Folds that wait for an earlier chunk's hold at most one chunk of complex
+# entries between them; a fold that would hold more waits for its turn.
+_PARKED_BYTES = CHUNK_ENTRIES * 16
+
+
+class _Stopped(Exception):
+    """Ends a taker whose turn will never come, because another taker failed."""
+
+
+class _Takers:
+    """The chunk order of a pass on more than one taker. A turn waits; a
+    fold whose predecessor has not run is parked, within _PARKED_BYTES, and
+    runs on the taker that runs its predecessor, so a taker does not idle
+    behind a slower one."""
+
+    def __init__(self, count: int):
+        self.cond = threading.Condition()
+        self.untaken = iter(range(count))
+        self.turns = 0  # the first chunks, whose turn has ended
+        self.folded = 0  # the first chunks, whose fold has run
+        self.parked: dict[int, tuple[Callable[[], None], int]] = {}
+        self.parked_bytes = 0
+        self.folding = False  # a taker is running the folds in order
+        self.failed: list[BaseException] = []
+
+    @contextlib.contextmanager
+    def turn(self, k: int):
+        with self.cond:
+            self.cond.wait_for(lambda: self.failed or self.turns == k)
+            if self.failed:
+                raise _Stopped
+        yield
+        with self.cond:
+            self.turns = k + 1
+            self.cond.notify_all()
+
+    def fold(self, k: int, fold: Callable[[], None], size: int) -> None:
+        with self.cond:
+            self.cond.wait_for(
+                lambda: self.failed
+                or self.folded == k
+                or self.parked_bytes + size <= _PARKED_BYTES
+            )
+            if self.failed:
+                raise _Stopped
+            self.parked[k] = (fold, size)
+            self.parked_bytes += size
+            if self.folding or self.folded != k:
                 return
-            ready[k].wait()
-            if failed:
+            self.folding = True
+        while True:
+            with self.cond:
+                fold, size = self.parked.pop(self.folded, (None, 0))
+                self.parked_bytes -= size
+                self.cond.notify_all()
+                if fold is None or self.failed:
+                    # In the same hold of the lock, so the taker that parks
+                    # the next fold sees that no one runs it and runs it.
+                    self.folding = False
+                    return
+            try:
+                fold()
+            except BaseException:
+                with self.cond:
+                    self.folding = False
+                raise
+            with self.cond:
+                self.folded += 1
+
+    def take(self, work: Callable[[int, ChunkOrder], None]) -> None:
+        while True:
+            with self.cond:
+                k = next(self.untaken, None)
+            if k is None or self.failed:
                 return
             try:
-                work(k)
+                work(k, _TakenChunk(self, k))
+            except _Stopped:
+                return
             except BaseException as error:
-                stop(error)
+                with self.cond:
+                    self.failed.append(error)
+                    self.cond.notify_all()
                 return
 
+
+class _TakenChunk(ChunkOrder):
+    def __init__(self, takers: _Takers, k: int):
+        self.takers, self.k = takers, k
+
+    def turn(self) -> contextlib.AbstractContextManager:
+        return self.takers.turn(self.k)
+
+    def fold(self, fold: Callable[[], None], size: int) -> None:
+        self.takers.fold(self.k, fold, size)
+
+
+def spread_chunks(count: int, work: Callable[[int, ChunkOrder], None]) -> None:
+    """work(k, order) for every chunk k in range(count), the chunks taken in
+    order by the calling thread and one thread per further core (see
+    :func:`cores`), at most one taker per chunk.
+
+    Turns and folds run in chunk order (see :class:`ChunkOrder`): a turn
+    for a chain of generator states, a fold for a sum that must not depend
+    on which taker finished first. While more than one taker runs, every
+    loaded OpenBLAS is pinned to one thread, so the takers do not
+    oversubscribe the cores, and its count is restored afterwards. A thread
+    that cannot start leaves its chunks to the rest. The first error in any
+    taker stops every taker before its next chunk, turn or fold and is
+    raised once every thread has been joined. One taker (one chunk, or one
+    core) runs the chunks in order on the calling thread, with no thread,
+    lock or pin.
+    """
+    takers = min(cores(), count) if count > 1 else 1
+    if takers == 1:
+        for k in range(count):
+            work(k, _IN_ORDER)
+        return
+    pool = _Takers(count)
+    blas = _openblas_threads()
+    previous = [get() for get, _ in blas]
     threads = []
-    for _ in range(min(cores(), count) - 1):
-        thread = threading.Thread(target=take)
-        try:
-            thread.start()
-        except RuntimeError:
-            break  # out of threads: the started ones and the caller take every chunk
-        threads.append(thread)
     try:
-        fed = 0
-        for _ in feed:
-            ready[fed].set()
-            fed += 1
-            if failed:
-                break
-        for event in ready[fed:]:
-            event.set()
-        take()
-    except BaseException as error:
-        stop(error)
+        for _, set_threads in blas:
+            set_threads(1)
+        for _ in range(takers - 1):
+            thread = threading.Thread(target=pool.take, args=(work,))
+            try:
+                thread.start()
+            except RuntimeError:
+                break  # out of threads: the started ones and the caller take every chunk
+            threads.append(thread)
+        pool.take(work)
     finally:
         for thread in threads:
             thread.join()
-    if failed:
-        raise failed[0]
+        for (_, set_threads), threads_before in zip(blas, previous):
+            set_threads(threads_before)
+    if pool.failed:
+        raise pool.failed[0]
 
 
 def _ginibre_qr(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -264,49 +366,186 @@ def _ginibre_qr(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return q, (mag < 1e-300).any(axis=1)
 
 
-def haar_unitaries(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Stack of n independent Haar-random d x d unitaries, shape (n, d, d).
+def _redraw(rows: np.ndarray, d: int, rng: np.random.Generator) -> dict[int, np.ndarray]:
+    """The unitaries of the zero draws at `rows` (ascending), drawn again from
+    rng: all real parts, then all imaginary parts, until no draw is zero."""
+    redrawn = {}
+    while rows.size:
+        shape = (rows.size, d, d)
+        q, bad = _ginibre_qr(rng.standard_normal(shape), rng.standard_normal(shape))
+        redrawn.update(zip(rows.tolist(), q))
+        rows = rows[bad]
+    return redrawn
 
-    QR decomposition of a Ginibre matrix, with Q's columns rescaled by the
-    phases of R's diagonal so the distribution is exactly Haar (the plain QR
-    output is not unique and not Haar without this correction; Mezzadri
-    2007). All real parts are drawn, then all imaginary parts. The QR and the
-    phase fix are per matrix, so the stack is drawn, decomposed and
-    phase-fixed chunk by chunk in place with the same bits. Viewed as
-    float64, the slot of a chunk of m matrices is (2, m, d, d): the calling
-    thread draws every chunk's real parts into half 1, then each chunk's
-    imaginary parts into half 0, marking the chunk ready, and the takers of
-    :func:`spread_chunks` write each ready chunk's phase-fixed Q over its
-    slot, which the QR has read whole by then (numpy's LAPACK calls release
-    the GIL). The call then holds the stack, one flag per draw and one chunk
-    of QR temporaries per taker. A draw whose R has a zero diagonal entry
-    (probability zero) is drawn again after every chunk.
-    """
+
+def _stack_shape(d: int, n: int) -> tuple[int, int, int]:
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")
     if n < 1:
         raise ValueError(f"sample count must be positive, got {n}")
-    q = np.empty((n, d, d), dtype=complex)
-    bad = np.empty(n, dtype=bool)
-    slices = chunks(n, d * d)
-    slots = [q[rows].view(float).reshape(2, -1, d, d) for rows in slices]
+    return (n, d, d)
 
-    def draw():
-        for slot in slots:
-            rng.standard_normal(out=slot[1])
-        for slot in slots:
-            rng.standard_normal(out=slot[0])
-            yield
 
-    def decompose(k: int) -> None:
-        q[slices[k]], bad[slices[k]] = _ginibre_qr(slots[k][1], slots[k][0])
+def _decomposed(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_ginibre_qr(re, im) a chunk of linalg.chunks at a time, so a run of
+    rows longer than one chunk holds one chunk of QR temporaries."""
+    pieces = chunks(len(re), re[0].size)
+    if len(pieces) == 1:
+        return _ginibre_qr(re, im)
+    q, bad = np.empty(re.shape, dtype=complex), np.empty(len(re), dtype=bool)
+    for rows in pieces:
+        q[rows], bad[rows] = _ginibre_qr(re[rows], im[rows])
+    return q, bad
 
-    spread_chunks(len(slots), decompose, draw())
-    while bad.any():
-        rows = np.flatnonzero(bad)
-        shape = (rows.size, d, d)
-        q[rows], bad[rows] = _ginibre_qr(rng.standard_normal(shape), rng.standard_normal(shape))
-    return q
+
+class HaarReplay:
+    """A drawn stack of Haar unitaries held as what draws it again: the
+    generator state before each chunk's real parts and before its imaginary
+    parts, and the rows drawn again after the last chunk (``redrawn``).
+    Indexed by a row or a slice of rows, it draws them again, bit for bit,
+    from the states of the chunk that holds the first; ``shape`` is the
+    stack's. Each thread draws from its own copy of the generator."""
+
+    def __init__(self, d: int, n: int, rng: np.random.Generator, slices: list[slice], real: list):
+        """Draws chunk k's real parts into real[k], keeping the state before
+        each chunk; rng is left before the imaginary parts."""
+        self.shape = (n, d, d)
+        self.redrawn: dict[int, np.ndarray] = {}
+        self._step = slices[0].stop
+        self._generator = copy.deepcopy(rng)  # never drawn from; each thread copies it
+        self._local = threading.local()
+        self._real = []
+        for held in real:
+            self._real.append(rng.bit_generator.state)
+            rng.standard_normal(out=held)
+        # _imag[k] is known once chunk k - 1's imaginary parts are drawn, and
+        # _imag[-1] is where the draw leaves the generator.
+        self._imag = [rng.bit_generator.state] + [None] * len(slices)
+
+    def _at(self, state: dict, skip: int = 0) -> np.random.Generator:
+        """This thread's copy of the generator, set to `state` and moved past
+        `skip` matrices of normals."""
+        local = self._local
+        if not hasattr(local, "generator"):
+            local.generator = copy.deepcopy(self._generator)
+        generator = local.generator
+        generator.bit_generator.state = state
+        if skip:
+            generator.standard_normal((skip, *self.shape[1:]))
+        return generator
+
+    def _rows(self, start: int, stop: int) -> np.ndarray:
+        k, skip = divmod(start, self._step)
+        shape = (stop - start, *self.shape[1:])
+        re = self._at(self._real[k], skip).standard_normal(shape)
+        im = self._at(self._imag[k], skip).standard_normal(shape)
+        q, _ = _decomposed(re, im)
+        for row, u in self.redrawn.items():
+            if start <= row < stop:
+                q[row - start] = u
+        return q
+
+    def __getitem__(self, key: int | slice) -> np.ndarray:
+        n = self.shape[0]
+        if isinstance(key, slice):
+            start, stop, step = key.indices(n)
+            if step != 1:
+                raise IndexError("a replay is read in runs of consecutive rows")
+            if stop <= start:
+                return np.empty((0, *self.shape[1:]), dtype=complex)
+            return self._rows(start, stop)
+        row = operator.index(key)
+        if not -n <= row < n:
+            raise IndexError(f"row {row} is out of range for {n} unitaries")
+        return self._rows(row % n, row % n + 1)[0]
+
+
+def draw_haar(
+    d: int,
+    n: int,
+    rng: np.random.Generator,
+    take: Callable[[slice, np.ndarray, ChunkOrder], None],
+    least: int = 1,
+    hold: Callable[[slice], np.ndarray] | None = None,
+) -> np.ndarray | HaarReplay:
+    """Draw n independent Haar-random d x d unitaries chunk by chunk, hand
+    each chunk q of rows `rows` to take(rows, q, order) on the taker that drew
+    it, and return what reads the stack again: the stack itself if it is one
+    chunk, else its :class:`HaarReplay`.
+
+    QR decomposition of a Ginibre matrix, with Q's columns rescaled by the
+    phases of R's diagonal so the distribution is exactly Haar (the plain QR
+    output is not unique and not Haar without this correction; Mezzadri
+    2007). All real parts are drawn, then all imaginary parts, as one (n, d,
+    d) draw of each would, and the QR and the phase fix are per matrix, so
+    the chunks (linalg.chunks(n, d^2, least)) do not change a bit. A stack of
+    one chunk is drawn directly. Otherwise the calling thread first draws
+    every chunk's real parts, keeping the state before each (see
+    :class:`HaarReplay`), into hold(rows), a (rows, d, d) float array per
+    chunk, by default a new one. Then, on :func:`spread_chunks`, the taker
+    of chunk k draws its imaginary parts, in turn, from the state chunk
+    k - 1 left, decomposes the chunk and drops its real parts. So no call
+    holds the stack, and the real parts, half a stack of floats at most,
+    are held only until their chunks are drawn; replaying them in each
+    chunk instead would draw n d^2 normals more. A draw whose R has a zero
+    diagonal entry (probability zero) is drawn again after every chunk. In
+    a one-chunk stack take sees it drawn again; otherwise take sees it as
+    first drawn (unusable) and the replay's ``redrawn`` holds it, so a
+    consumer that must see it reads the replay again. rng is left where
+    the draw ends either way.
+    """
+    shape = _stack_shape(d, n)
+    slices = chunks(n, d * d, least)
+    if len(slices) == 1:
+        q, bad = _ginibre_qr(rng.standard_normal(shape), rng.standard_normal(shape))
+        if bad.any():
+            for row, u in _redraw(np.flatnonzero(bad), d, rng).items():
+                q[row] = u
+        take(slices[0], q, _IN_ORDER)
+        return q
+    real = [
+        np.empty((min(rows.stop, n) - rows.start, d, d)) if hold is None else hold(rows)
+        for rows in slices
+    ]
+    replay = HaarReplay(d, n, rng, slices, real)
+    bad = np.zeros(n, dtype=bool)
+
+    def decompose(k: int, order: ChunkOrder) -> None:
+        rows = slices[k]
+        with order.turn():
+            generator = replay._at(replay._imag[k])
+            im = generator.standard_normal(real[k].shape)
+            replay._imag[k + 1] = generator.bit_generator.state
+        q, bad[rows] = _decomposed(real[k], im)
+        real[k] = im = None  # the consumer's temporaries take their place
+        take(rows, q, order)
+
+    spread_chunks(len(slices), decompose)
+    rng.bit_generator.state = replay._imag[-1]
+    replay.redrawn = _redraw(np.flatnonzero(bad), d, rng)
+    return replay
+
+
+def haar_unitaries(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Stack of n independent Haar-random d x d unitaries, shape (n, d, d):
+    :func:`draw_haar` with a consumer that stores each chunk. Viewed as
+    float64, a chunk of m matrices fills (2, m, d, d) of the stack, and its
+    real parts are held in the second half until the chunk's Q is stored
+    over it, so the call holds the stack, one flag per draw and one chunk of
+    normals and QR temporaries per taker."""
+    stack = np.empty(_stack_shape(d, n), dtype=complex)
+
+    def hold(rows: slice) -> np.ndarray:
+        return stack[rows].view(float).reshape(2, -1, d, d)[1]
+
+    def store(rows: slice, q: np.ndarray, order: ChunkOrder) -> None:
+        stack[rows] = q
+
+    drawn = draw_haar(d, n, rng, store, hold=hold)
+    if isinstance(drawn, HaarReplay):
+        for row, u in drawn.redrawn.items():
+            stack[row] = u
+    return stack
 
 
 def weyl_heisenberg_operators(d: int) -> np.ndarray:

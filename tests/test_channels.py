@@ -2,6 +2,7 @@ import math
 import os
 import re
 import threading
+import time
 import tracemalloc
 import warnings
 
@@ -19,11 +20,14 @@ from aqss.channels import (
     epsilon_randomizing_distance,
     output_spectrum,
     perfect_pqc,
+    replayed_ruc,
     required_n,
     sample_ruc,
 )
 from aqss.linalg import CHUNK_ENTRIES
+from aqss import random as aqss_random
 from aqss.random import (
+    HaarReplay,
     haar_factors,
     haar_unitaries,
     random_pure_state,
@@ -439,16 +443,17 @@ def test_an_error_in_a_check_taker_propagates_and_leaves_no_thread(where, ncores
     u = haar_unitaries(8, 1024, stream(55)).view(Refusing)
     threads = threading.active_count()
     with pytest.raises(FloatingPointError, match="chunk refused"):
-        channels._unitarity_deviation(u)
+        channels._Pass(1024, 8, check=True).over(u)
     assert threading.active_count() == threads
 
 
 def test_sampling_and_build_peaks_in_stacks(monkeypatch):
-    # The stack of n = 9600 unitaries at d=16 is 39 MB. Sampling draws each
-    # chunk into its own slot of the stack and fixes its phases there, so it
-    # holds the stack, one flag per draw and each taker's QR temporaries
-    # (1.03 stacks traced on one core, 1.06 on two). The build holds the
-    # stack and one chunk of 256 weighted conjugates (1.08).
+    # The stack of n = 9600 unitaries at d=16 is 39 MB. Sampling stores each
+    # drawn chunk in its rows of the stack, so it holds the stack, one flag
+    # per draw and each taker's normals and QR temporaries (1.04 stacks
+    # traced on one core, 1.07 on two). The build holds the stack and, per
+    # taker, one chunk of 256 weighted conjugates and its GEMM result (1.08
+    # on one core, 1.14 on two).
     d, n = 16, 9600
     stack_bytes = n * d * d * np.dtype(complex).itemsize
     for ncores, sampling in ((1, 1.06), (2, 1.1)):
@@ -483,3 +488,100 @@ def test_a_pure_factor_output_peaks_at_one_stack():
     finally:
         tracemalloc.stop()
     assert peak <= 1.02 * stack_bytes, peak / stack_bytes
+
+
+def assert_reads_as_held(replayed, held, keys, factors):
+    """Every read of a replayed channel is bit for bit its held stack's; it
+    holds a replay unless its sampling pass took one chunk."""
+    chunks = linalg.chunks(held.n, held.dim**2, replayed.reads.least)
+    assert isinstance(replayed.unitaries, HaarReplay) == (len(chunks) > 1)
+    assert (replayed.n, replayed.dim) == (held.n, held.dim)
+    assert np.array_equal(replayed.reads.dev, held.reads.dev)
+    for rows in linalg.chunks(held.n, held.dim**2):
+        assert np.array_equal(replayed.unitaries[rows], held.unitaries[rows])
+    for key in keys:
+        assert np.array_equal(replayed.unitary(key), held.unitary(key))
+    for psi in factors:
+        assert np.array_equal(replayed.factor_output(psi), held.factor_output(psi))
+
+
+# 1.56, 6 and 14.8 chunks at d = 16, on one, two and three cores: a channel
+# sampled in one pass that keeps the first, a middle and the last key and
+# reads two factor outputs, or C, reads what sample_ruc's stack does, and
+# leaves the stream where sample_ruc does, so the next channel is the same.
+@pytest.mark.parametrize("ncores", [1, 2, 3])
+@pytest.mark.parametrize("n", [100, 384, 947])
+def test_a_replayed_channel_reads_what_sample_ruc_holds(n, ncores, pin_cores):
+    pin_cores(ncores)
+    d = 16
+    keys = [0, n // 2, n - 1]
+    factors = [z[0] for z in haar_factors((d, d), 1, stream(60))]
+    rng_held, rng_replayed, rng_dense = stream(61, n), stream(61, n), stream(61, n)
+    held = sample_ruc(d, n, rng_held)
+    replayed = replayed_ruc(d, n, rng_replayed, keys=keys, factors=factors)
+    assert set(replayed.reads.kept) == set(keys)
+    assert_reads_as_held(replayed, held, keys, factors)
+    dense = replayed_ruc(d, n, rng_dense, keys=keys, dense=True)
+    assert_reads_as_held(dense, held, keys, factors)
+    assert np.array_equal(dense.superoperator, held.superoperator)
+    # A channel built on the replay checks it again in a pass of its own.
+    assert np.array_equal(RandomUnitaryChannel(replayed.unitaries).reads.dev, held.reads.dev)
+    following = sample_ruc(d, 3, rng_held).unitaries
+    for rng in (rng_replayed, rng_dense):
+        assert np.array_equal(sample_ruc(d, 3, rng).unitaries, following)
+
+
+@pytest.mark.parametrize("ncores", [2, 3])
+def test_a_replayed_pass_folds_in_chunk_order_when_later_chunks_finish_first(
+    ncores, pin_cores, monkeypatch
+):
+    # The first chunk's QR is slow, so the other takers finish later chunks
+    # before it; each sum is still folded in chunk order, with the bits of
+    # the held stack's serial pass.
+    d, n = 16, 384
+    psi = haar_factors((d,), 1, stream(62))[0][0]
+    held = sample_ruc(d, n, stream(63))
+    held_output, held_superoperator = held.factor_output(psi), held.superoperator
+    pin_cores(ncores)
+    qr, calls = aqss_random._ginibre_qr, []
+
+    def slow_first_qr(re, im):
+        calls.append(len(re))
+        if len(calls) == 1:
+            time.sleep(0.2)
+        return qr(re, im)
+
+    monkeypatch.setattr(aqss_random, "_ginibre_qr", slow_first_qr)
+    replayed = replayed_ruc(d, n, stream(63), factors=[psi])
+    assert np.array_equal(replayed.reads.dev, held.reads.dev)
+    assert np.array_equal(replayed.factor_output(psi), held_output)
+    calls.clear()
+    dense = replayed_ruc(d, n, stream(63), dense=True)
+    assert np.array_equal(dense.superoperator, held_superoperator)
+
+
+def test_a_key_the_pass_did_not_keep_replays_its_one_chunk(monkeypatch):
+    # A kept key is read as kept; any other is drawn again from its chunk's
+    # states and decomposed alone, one QR of one matrix, without the stack.
+    d, n = 16, 947
+    held = sample_ruc(d, n, stream(64))
+    replayed = replayed_ruc(d, n, stream(64), keys=[5])
+    qr, shapes = aqss_random._ginibre_qr, []
+
+    def recorded_qr(re, im):
+        shapes.append(re.shape)
+        return qr(re, im)
+
+    monkeypatch.setattr(aqss_random, "_ginibre_qr", recorded_qr)
+    assert np.array_equal(replayed.unitary(5), held.unitaries[5])
+    assert shapes == []
+    for key in (700, 0, n - 1):
+        assert np.array_equal(replayed.unitary(key), held.unitaries[key])
+    assert shapes == [(1, d, d)] * 3
+
+
+def test_a_pass_reads_c_or_factor_outputs_not_both():
+    # Their sums are grouped in different chunks.
+    psi = np.ones(4, dtype=complex) / 2
+    with pytest.raises(ValueError, match="C or factor outputs, not both"):
+        replayed_ruc(4, 64, stream(65), factors=[psi], dense=True)

@@ -163,6 +163,25 @@ def test_factored_multiparty_forms_no_joint_matrix(capsys):
     assert peak < 2 * 2**20, peak
 
 
+def test_a_sampled_demo_holds_no_unitary_stack(capsys):
+    # aqss-demo --d 16 samples two channels of n = 9600 unitaries, 37.5 MiB
+    # each as a stack. Each is sampled by one pass that reads the rounds'
+    # keyed unitaries and factor outputs as its chunks are drawn, so the run
+    # holds one channel's real parts (18.75 MiB) while that channel is drawn
+    # and a few chunks per taker: 20.4 MiB traced on one core and 21.1 MiB
+    # on two, where the stacks took 77 MiB.
+    argv = ["aqss-demo", "--d", "16", "--trials", "2", "--seed", "0"]
+    tracemalloc.start()
+    try:
+        rc = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert rc == 0
+    assert peak < 24 * 2**20, peak
+
+
 def test_usage_error_exit_code(capsys):
     rc, _, _ = run_cli(["bound-sweep", "--d", "4", "--epsilon", "1.5", "--seed", "1"], capsys)
     assert rc == 2

@@ -1,15 +1,19 @@
 import math
 import threading
 import time
+import types
 
 import numpy as np
 import pytest
 
 from aqss import linalg
 from aqss import random as aqss_random
+from aqss.channels import replayed_ruc, sample_ruc
 from aqss.linalg import CHUNK_ENTRIES
 from aqss.random import (
+    HaarReplay,
     cores,
+    draw_haar,
     haar_factors,
     haar_unitaries,
     random_product_pure_state,
@@ -102,20 +106,32 @@ def test_each_chunk_is_decomposed_in_its_own_slot(ncores, pin_cores, monkeypatch
 
 class ScriptedNormals:
     """Stands in for a Generator: standard_normal hands out the entries of the
-    given arrays in order, as many per call as the call asks for."""
+    given arrays in order, as many per call as the call asks for. Its
+    bit_generator.state is how many it has handed out, so a copy set to a
+    state hands out what followed it there."""
 
     def __init__(self, *draws):
         self.normals = np.concatenate([np.ravel(draw) for draw in draws])
+        self.state = 0
+
+    @property
+    def bit_generator(self):
+        return self
 
     def standard_normal(self, size=None, out=None):
         shape = size if out is None else out.shape
         k = math.prod(shape)
-        assert k <= self.normals.size, "drew more normals than scripted"
-        values, self.normals = self.normals[:k].reshape(shape), self.normals[k:]
+        assert self.state + k <= self.normals.size, "drew more normals than scripted"
+        values = self.normals[self.state : self.state + k].reshape(shape)
+        self.state += k
         if out is None:
             return values.copy()
         out[...] = values
         return out
+
+    @property
+    def exhausted(self):
+        return self.state == self.normals.size
 
 
 def test_haar_resamples_a_zero_draw():
@@ -143,7 +159,7 @@ def test_haar_resamples_a_zero_draw_on_threads(zero, ncores, pin_cores):
     re2, im2 = rng.standard_normal((1, d, d)), rng.standard_normal((1, d, d))
     scripted = ScriptedNormals(re, im, re2, im2)
     u = haar_unitaries(d, n, scripted)
-    assert scripted.normals.size == 0
+    assert scripted.exhausted
     re[zero], im[zero] = re2[0], im2[0]
     assert np.array_equal(u, _one_shot_haar_unitaries(d, n, ScriptedNormals(re, im)))
 
@@ -162,31 +178,31 @@ def test_haar_resamples_zero_draws_in_two_chunks(ncores, pin_cores):
     re2, im2 = rng.standard_normal((2, d, d)), rng.standard_normal((2, d, d))
     scripted = ScriptedNormals(re, im, re2, im2)
     u = haar_unitaries(d, n, scripted)
-    assert scripted.normals.size == 0
+    assert scripted.exhausted
     re[zeros], im[zeros] = re2, im2
     assert np.array_equal(u, _one_shot_haar_unitaries(d, n, ScriptedNormals(re, im)))
 
 
 @pytest.mark.parametrize("ncores", [1, 2, 3])
 def test_spread_chunks_takes_each_chunk_once_when_it_is_ready(ncores, pin_cores, monkeypatch):
-    # The feed marks five of seven chunks ready, one at a time; the last two
-    # are ready once it ends. No chunk is taken before it is ready. One chunk
-    # is taken after the whole feed, on the calling thread, with no thread
-    # started.
+    # Seven chunks, each taken once. A chunk's turn is ready once the chunk
+    # before has left its own, and so is its fold, so both run in chunk
+    # order though later chunks finish the work between them first; a fold
+    # that waits for an earlier chunk runs on the taker of that one or after
+    # it. One chunk runs on the calling thread, with no thread started.
     pin_cores(ncores)
-    fed, taken = [], []
+    taken, turns, folds = [], [], []
 
-    def feed():
-        for k in range(5):
-            fed.append(k)
-            yield
-
-    def work(k):
-        assert k < len(fed) or len(fed) == 5
+    def work(k, order):
         taken.append(k)
+        with order.turn():
+            turns.append(k)
+        time.sleep(0.002 * (7 - k))
+        order.fold(lambda: folds.append(k), 0)
 
-    spread_chunks(7, work, feed())
+    spread_chunks(7, work)
     assert sorted(taken) == list(range(7))
+    assert turns == folds == list(range(7))
 
     start = threading.Thread.start
     starts = []
@@ -195,29 +211,72 @@ def test_spread_chunks_takes_each_chunk_once_when_it_is_ready(ncores, pin_cores,
         starts.append(thread)
         start(thread)
 
-    def work_last(k):
+    def work_last(k, order):
         assert threading.current_thread() is threading.main_thread()
-        taken.append((k, len(fed)))
+        order.fold(lambda: taken.append(k), 1 << 30)
 
     monkeypatch.setattr(threading.Thread, "start", counted_start)
-    fed.clear()
     taken.clear()
-    spread_chunks(1, work_last, feed())
-    assert taken == [(0, 5)]
+    spread_chunks(1, work_last)
+    assert taken == [0]
     assert starts == []
+
+
+@pytest.mark.parametrize("ncores", [2, 3])
+def test_every_fold_runs_once_in_chunk_order_under_jitter(ncores, pin_cores):
+    # 300 chunks whose work takes a random 0-1 ms and whose folds are small
+    # (parked) or too large to park, with threads switching every
+    # microsecond: no fold is lost, repeated or run out of order, and each
+    # turn runs in order too.
+    pin_cores(ncores)
+    jitter = np.random.default_rng(915).random((300, 2))
+    limit = CHUNK_ENTRIES * 16
+    turns, folds = [], []
+
+    def work(k, order):
+        with order.turn():
+            turns.append(k)
+        time.sleep(jitter[k, 0] / 1000)
+        order.fold(lambda: folds.append(k), limit if jitter[k, 1] < 0.3 else 8)
+
+    spread_chunks(300, work)
+    assert turns == folds == list(range(300))
+
+
+def test_a_fold_too_large_to_park_waits_for_its_turn(pin_cores):
+    # Parked folds hold at most one chunk of complex entries between them: on
+    # two cores, the second taker parks chunk 1's small fold while chunk 0
+    # runs and takes chunk 2, but waits with chunk 2's large fold until
+    # chunks 0 and 1 have folded, so the first taker takes chunk 3.
+    pin_cores(2)
+    limit = CHUNK_ENTRIES * 16
+    events = []
+
+    def work(k, order):
+        if k == 0:
+            time.sleep(0.2)
+        events.append(("done", k))
+        order.fold(lambda: events.append(("fold", k)), limit if k == 2 else 1)
+
+    spread_chunks(4, work)
+    folds = [k for what, k in events if what == "fold"]
+    assert folds == [0, 1, 2, 3]
+    assert events.index(("done", 2)) < events.index(("done", 0))
+    assert events.index(("fold", 1)) < events.index(("done", 3))
 
 
 @pytest.mark.parametrize("where", ["worker", "caller"])
 def test_an_error_in_a_chunk_propagates_and_leaves_no_thread(where, pin_cores, monkeypatch):
     # 14.8 chunks on 2 cores: the error comes from the third QR, on either
-    # taker, or from the caller's draw of the third chunk's imaginary parts,
-    # and nothing waits for the chunks that will never be decomposed.
+    # taker, or from the caller's walk over the third chunk's real parts,
+    # before any taker starts, and nothing waits for the chunks that will
+    # never be decomposed.
     pin_cores(2)
     d, n = 16, 947
     rng = stream(903)
+    calls = []
     if where == "worker":
         qr = aqss_random._ginibre_qr
-        calls = []
 
         def failing_qr(re, im):
             calls.append(threading.current_thread())
@@ -227,20 +286,22 @@ def test_an_error_in_a_chunk_propagates_and_leaves_no_thread(where, pin_cores, m
 
         monkeypatch.setattr(aqss_random, "_ginibre_qr", failing_qr)
     else:
-        calls = []
+        generator = rng
 
         class FailingDraws:
+            bit_generator = generator.bit_generator
+
             def standard_normal(self, size=None, out=None):
                 calls.append(threading.current_thread())
-                if len(calls) == 18:  # fifteen chunks' real parts, then two imaginary
+                if len(calls) == 3:
                     raise FloatingPointError("chunk refused")
-                return rng.standard_normal(size, out=out)
+                return generator.standard_normal(size, out=out)
 
         rng = FailingDraws()
     with pytest.raises(FloatingPointError, match="chunk refused"):
         haar_unitaries(d, n, rng)
     if where == "caller":
-        assert set(calls) == {threading.main_thread()}
+        assert calls == [threading.main_thread()] * 3
 
 
 @pytest.mark.parametrize("startable", [0, 1])
@@ -295,6 +356,128 @@ def test_threads_started_per_stack(n, chunks, ncores, pin_cores, monkeypatch):
     monkeypatch.setattr(aqss_random, "_pooled", True)
     haar_unitaries(8, n, stream(908))
     assert len(starts) == min(ncores, chunks) - 1
+
+
+def drawn_chunks(d, n, rng):
+    """draw_haar's result and the chunks it handed over, by first row."""
+    handed = {}
+
+    def take(rows, q, order):
+        order.fold(lambda: handed.update({rows.start: q.copy()}), q.nbytes)
+
+    return draw_haar(d, n, rng, take), handed
+
+
+# 1.56, 6 and 14.8 chunks of 64 matrices at d = 16, on one, two and three
+# threads: the chunks handed over and every read of the replay afterwards
+# are the stack's, and the stream ends where haar_unitaries leaves it.
+@pytest.mark.parametrize("ncores", [1, 2, 3])
+@pytest.mark.parametrize("n", [100, 384, 947])
+def test_a_replay_draws_the_stack_again(n, ncores, pin_cores):
+    pin_cores(ncores)
+    d, step = 16, CHUNK_ENTRIES // 256
+    rng_replay, rng_stack = stream(911, n), stream(911, n)
+    replay, handed = drawn_chunks(d, n, rng_replay)
+    stack = haar_unitaries(d, n, rng_stack)
+    assert isinstance(replay, HaarReplay) and replay.shape == stack.shape
+    assert np.array_equal(rng_replay.standard_normal(8), rng_stack.standard_normal(8))
+    assert sorted(handed) == list(range(0, n, step))
+    for start, q in handed.items():
+        assert np.array_equal(q, stack[start : start + step])
+        assert np.array_equal(replay[start : start + step], stack[start : start + step])
+    # Rows that start and end inside chunks, and single rows: the first, a
+    # middle one, the last, and the last counted from the end.
+    for rows in (slice(step // 2, n - step // 2), slice(step - 1, step + 1), slice(0, n)):
+        assert np.array_equal(replay[rows], stack[rows])
+    for row in (0, n // 2, n - 1, -1):
+        assert np.array_equal(replay[row], stack[row])
+    with pytest.raises(IndexError):
+        replay[n]
+
+
+@pytest.mark.parametrize("ncores", [1, 2, 3])
+def test_a_zero_draw_redrawn_after_the_last_chunk_replays(ncores, pin_cores):
+    # A zero draw in the third of 5.4 chunks is handed over as first drawn;
+    # it is drawn again after the last chunk, from the caller's generator,
+    # and every later read of the replay, and of a channel sampled from it,
+    # has the stack's unitary there.
+    pin_cores(ncores)
+    d, n, zero = 16, 347, 150
+    rng = stream(912)
+    re, im = rng.standard_normal((n, d, d)), rng.standard_normal((n, d, d))
+    re[zero] = im[zero] = 0.0
+    re2, im2 = rng.standard_normal((1, d, d)), rng.standard_normal((1, d, d))
+    normals = (re, im, re2, im2)
+    stack = haar_unitaries(d, n, ScriptedNormals(*normals))
+    scripted = ScriptedNormals(*normals)
+    replay, handed = drawn_chunks(d, n, scripted)
+    assert scripted.exhausted
+    assert list(replay.redrawn) == [zero]
+    assert np.isnan(handed[128][zero - 128]).any()
+    assert np.array_equal(replay[zero], stack[zero])
+    assert np.array_equal(replay[:], stack)
+    psi = haar_factors((d,), 1, stream(913))[0][0]
+    held = sample_ruc(d, n, ScriptedNormals(*normals))
+    for reads in ({"keys": [zero], "factors": [psi]}, {"dense": True}):
+        replayed = replayed_ruc(d, n, ScriptedNormals(*normals), **reads)
+        assert np.array_equal(replayed.unitary(zero), stack[zero])
+        assert np.array_equal(replayed.reads.dev, held.reads.dev)
+        if "dense" in reads:
+            assert np.array_equal(replayed.superoperator, held.superoperator)
+        else:
+            assert np.array_equal(replayed.factor_output(psi), held.factor_output(psi))
+
+
+def test_a_one_chunk_draw_keeps_no_state(monkeypatch):
+    # One chunk is drawn directly and held as it is: no generator state is
+    # read, no generator copied, nothing drawn again.
+    def no_copy(x):
+        raise AssertionError("a one-chunk draw copied its generator")
+
+    monkeypatch.setattr(aqss_random, "copy", types.SimpleNamespace(deepcopy=no_copy))
+    rng = stream(914)
+
+    class Draws:  # a generator without a bit_generator
+        standard_normal = rng.standard_normal
+
+    drawn, handed = drawn_chunks(4, 64, Draws())
+    assert type(drawn) is np.ndarray
+    assert np.array_equal(drawn, handed[0])
+    assert np.array_equal(drawn, haar_unitaries(4, 64, stream(914)))
+
+
+@pytest.mark.parametrize("fails", [False, True])
+@pytest.mark.parametrize("ncores", [2, 3])
+def test_a_pass_on_threads_pins_openblas_to_one_thread_and_restores_it(
+    ncores, fails, pin_cores
+):
+    # Every taker runs at one OpenBLAS thread while the pass runs, and the
+    # count before is restored afterwards, after a failed pass too.
+    blas = aqss_random._openblas_threads()
+    if not blas:
+        pytest.skip("no OpenBLAS thread setter: nothing to pin")
+    pin_cores(ncores)
+    before = [get() for get, _ in blas]
+    for _, set_threads in blas:
+        set_threads(2)
+    seen = []
+
+    def work(k, order):
+        seen.append([get() for get, _ in blas])
+        if fails and k == 3:
+            raise FloatingPointError("chunk refused")
+
+    try:
+        if fails:
+            with pytest.raises(FloatingPointError, match="chunk refused"):
+                spread_chunks(6, work)
+        else:
+            spread_chunks(6, work)
+        assert seen and all(threads == [1] * len(blas) for threads in seen)
+        assert [get() for get, _ in blas] == [2] * len(blas)
+    finally:
+        for (_, set_threads), threads in zip(blas, before):
+            set_threads(threads)
 
 
 def test_haar_first_moment_twirls_to_mixed():

@@ -80,3 +80,16 @@ def test_traced_bound_sweep_forks_cleanly():
         "bound-sweep", "--d", "4", "--n", "16", "--trials", "20", "--seed", "2", exit_code=1
     )
     assert calls["analysis.mc_expected_trace_distance"] == 1
+
+
+def test_traced_sampled_demo_draws_no_stack():
+    # Two channels of n = 2000 at d = 4, two chunks each, each sampled by
+    # one pass over chunks replayed from generator states: no Haar stack is
+    # drawn and no superoperator built, and each of the two rounds
+    # decomposes the two factor outputs that pass read.
+    calls = traced_calls("aqss-demo", "--d", "4", "--n", "2000", "--trials", "2", "--seed", "3")
+    assert calls["random.haar_unitaries"] == 0
+    assert calls["channels.RandomUnitaryChannel"] == 2
+    assert calls["channels.superoperator"] == 0
+    assert calls["protocol.charlie_encode"] == 2
+    assert calls["linalg.assert_density_matrix"] == 4

@@ -43,20 +43,23 @@ CHUNK_TESTS = (
     "tests/test_properties.py",
 )
 
+# The tests of a replayed channel, pinned against its held stack.
+REPLAY_TESTS = ("tests/test_random.py", "tests/test_channels.py")
+
 # (file, exact old text, new text, test paths), paths relative to the root.
 MUTANTS = (
     # A factor output without its 1/n weight has trace n, not 1.
     (
         "src/aqss/channels.py",
-        "linalg.chunks(part.n, d * d))) / part.n",
-        "linalg.chunks(part.n, d * d)))",
+        "return total / self.n",
+        "return total",
         ("tests/test_properties.py",),
     ),
     # A factor output without the conjugate is not the channel output.
     (
         "src/aqss/channels.py",
-        "return v.T @ v.conj()",
-        "return v.T @ v",
+        "grams[key] = v.T @ v.conj()",
+        "grams[key] = v.T @ v",
         ("tests/test_properties.py",),
     ),
     # A Kronecker product that drops the last factor.
@@ -69,8 +72,8 @@ MUTANTS = (
     # Decoding with the keyed unitaries instead of their inverses.
     (
         "src/aqss/protocol.py",
-        "inverses = [part.unitaries[key].conj().T for part, key in zip(parts, keys)]",
-        "inverses = [part.unitaries[key] for part, key in zip(parts, keys)]",
+        "inverses = [part.unitary(key).conj().T for part, key in zip(parts, keys)]",
+        "inverses = [part.unitary(key) for part, key in zip(parts, keys)]",
         ("tests/test_protocol.py",),
     ),
     # A LOCC sweep without its computational-basis setting zero.
@@ -106,8 +109,8 @@ MUTANTS = (
     # A factor output transposed: V† V instead of V^T conj(V).
     (
         "src/aqss/channels.py",
-        "return v.T @ v.conj()",
-        "return v.conj().T @ v",
+        "grams[key] = v.T @ v.conj()",
+        "grams[key] = v.conj().T @ v",
         ("tests/test_properties.py",),
     ),
     # A unitarity verdict that lets a NaN deviation pass.
@@ -141,28 +144,26 @@ MUTANTS = (
 """,
         ("tests/test_cli.py",),
     ),
-    # A pass of one chunk that skips the feed: the Haar draw decomposes the
-    # stack's unfilled np.empty slot.
+    # A pass on one taker that runs its chunks last first, so every fold and
+    # the chain of generator states run out of chunk order.
     (
         "src/aqss/random.py",
-        """        for _ in feed:
-            pass
-        work(0)""",
-        "        work(0)",
+        "        for k in range(count):\n            work(k, _IN_ORDER)",
+        "        for k in reversed(range(count)):\n            work(k, _IN_ORDER)",
         ("tests/test_random.py",),
     ),
-    # Zero draws drawn again only when every draw of the stack is zero.
+    # Zero draws of a one-chunk stack drawn again only when every draw is zero.
     (
         "src/aqss/random.py",
-        "while bad.any():",
-        "while bad.all():",
+        "if bad.any():",
+        "if bad.all():",
         ("tests/test_random.py",),
     ),
     # A Haar chunk decomposed with its real and imaginary halves swapped.
     (
         "src/aqss/random.py",
-        "_ginibre_qr(slots[k][1], slots[k][0])",
-        "_ginibre_qr(slots[k][0], slots[k][1])",
+        "        return _ginibre_qr(re, im)\n",
+        "        return _ginibre_qr(im, re)\n",
         ("tests/test_random.py",),
     ),
     # A superoperator without its 1/n weight.
@@ -238,8 +239,8 @@ MUTANTS = (
     # A unitarity check folded with Python's max, which drops a NaN chunk.
     (
         "src/aqss/channels.py",
-        "return devs.max()",
-        "return max(devs)",
+        "self.dev = np.maximum(self.dev, dev)",
+        "self.dev = max(self.dev, dev)",
         ("tests/test_channels.py",),
     ),
     # A factored round trip read as the distance of the two product vectors,
@@ -253,8 +254,8 @@ MUTANTS = (
     # Keys drawn from the first half of each stack only.
     (
         "src/aqss/protocol.py",
-        "int(rng.integers(part.n))",
-        "int(rng.integers((part.n + 1) // 2))",
+        "int(rng.integers(n))",
+        "int(rng.integers((n + 1) // 2))",
         ("tests/test_protocol.py",),
     ),
     # An audit that reads only the first victim's share.
@@ -278,21 +279,22 @@ MUTANTS = (
         "if not isinstance(",
         ("tests/test_protocol.py",),
     ),
-    # A unitarity check whose takers never take the last chunk.
+    # A pass over a channel's unitaries whose takers never take the last
+    # chunk: its unitarity check, factor outputs and C all miss it.
     (
         "src/aqss/channels.py",
-        "spread_chunks(devs.size, check)",
-        "spread_chunks(devs.size - 1, check)",
+        "spread_chunks(len(slices), lambda",
+        "spread_chunks(len(slices) - 1, lambda",
         ("tests/test_channels.py",),
     ),
     # Chunked Haar sampling whose last chunk keeps the plain QR output,
     # without the phase fix.
     (
         "src/aqss/random.py",
-        "= _ginibre_qr(slots[k][1], slots[k][0])",
-        "= _ginibre_qr(slots[k][1], slots[k][0])"
-        " if k < len(slots) - 1 else"
-        " (np.linalg.qr((slots[k][1] + 1j * slots[k][0]) / np.sqrt(2))[0], False)",
+        "q, bad[rows] = _decomposed(real[k], im)",
+        "q, bad[rows] = _decomposed(real[k], im)"
+        " if k < len(slices) - 1 else"
+        " (np.linalg.qr((real[k] + 1j * im) / np.sqrt(2))[0], False)",
         ("tests/test_properties.py",),
     ),
     # A factor of the wrong shape handed to numpy instead of refused by name.
@@ -326,6 +328,37 @@ MUTANTS = (
         "[slice(s, s + step) for",
         "[slice(s, s + step + 1) for",
         CHUNK_TESTS,
+    ),
+    # A replay that draws a chunk's imaginary parts from the state the next
+    # chunk's start from: every read of a replayed stack after its draw.
+    (
+        "src/aqss/random.py",
+        "im = self._at(self._imag[k], skip)",
+        "im = self._at(self._imag[k + 1], skip)",
+        REPLAY_TESTS,
+    ),
+    # A pass that keeps each key's unitary from the chunk before the key's.
+    (
+        "src/aqss/channels.py",
+        "key: u[key - rows.start].copy() for key in self.keys if rows.start <= key < rows.stop",
+        "key: u[key - rows.stop].copy() for key in self.keys if rows.stop <= key < rows.stop + len(u)",
+        REPLAY_TESTS,
+    ),
+    # A pass whose takers fold their chunks as they finish, out of chunk order.
+    (
+        "src/aqss/channels.py",
+        "order.fold(fold, 16 * held)",
+        "fold()",
+        REPLAY_TESTS,
+    ),
+    # A pass on more than one taker that leaves OpenBLAS at one thread.
+    (
+        "src/aqss/random.py",
+        """        for (_, set_threads), threads_before in zip(blas, previous):
+            set_threads(threads_before)
+""",
+        "",
+        ("tests/test_random.py",),
     ),
 )
 
